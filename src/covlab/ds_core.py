@@ -241,6 +241,8 @@ def mle_by_search(table: DsTable, t_max: int) -> MleResult:
     of the likelihood; the scan uses cumulative log ratios, so no factorial
     overflows occur.  When the continuous optimum is an integer the grid
     holds an exact two-way tie, which resolves to the larger candidate.
+    A grid that ends before the likelihood stops rising holds no maximum,
+    and raises DomainError rather than returning its last point.
     """
     x11, x10, x01 = _require_integer_cells(table)
     if x11 == 0:
@@ -265,6 +267,9 @@ def mle_by_search(table: DsTable, t_max: int) -> MleResult:
         + math.log(miss_both)
     )
     profile = np.concatenate(([0.0], np.cumsum(steps)))
+    beyond = math.log(t_max + 1) - math.log(t_max + 1 - x_seen) + math.log(miss_both)
+    if profile[-1] + beyond >= profile.max() - TIE_TOL_SEARCH:
+        raise DomainError(f"the likelihood still rises at t_max={t_max}; the MLE lies beyond it")
     near_best = np.nonzero(profile >= profile.max() - TIE_TOL_SEARCH)[0]
     t_mle = int(ts[near_best[-1]])
     return MleResult(t=t_mle, p_census=p_census_hat, p_pes=p_pes_hat)

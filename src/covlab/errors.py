@@ -49,18 +49,6 @@ class ConfigError(CoverageLabError):
     """A configuration value is out of range or internally inconsistent."""
 
 
-class DuplicateKey(CoverageLabError):
-    """An identifier that must be unique appears more than once."""
-
-
-class UnresolvedCode(CoverageLabError):
-    """A provisional match code survived follow-up."""
-
-
-class MissingWeight(CoverageLabError):
-    """A record references a household with no weight."""
-
-
 class SchemaError(CoverageLabError):
     """A microdata file does not conform to the documented schema."""
 

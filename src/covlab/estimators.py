@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .constants import REL_TOL_IDENTITY
 from .ds_core import CoverageSummary, DsTable, ds_estimate_cells
 from .errors import (
     DegenerateInputs,
@@ -352,6 +353,15 @@ def fcode_estimate(
     return tallies.seen_total() + fcode_missed_both(tallies, placement)
 
 
+def _difference(total: float, part: float) -> float:
+    """total - part, with a negative result within rounding of the terms
+    read as zero."""
+    cell = total - part
+    if cell < 0 and -cell <= REL_TOL_IDENTITY * max(abs(total), abs(part)):
+        return 0.0
+    return cell
+
+
 def procedure_c_table(
     estimates: ProcedureCEstimates,
     clamp_negative: bool = False,
@@ -366,21 +376,25 @@ def procedure_c_table(
     census_correct * (n_non + n_in) / x11, the margin form of the same
     estimator; the two are used as a cross-check elsewhere.
 
-    Inconsistent field estimates make x10 or x01 negative.  That raises
-    InvalidEstimates unless `clamp_negative` is set, in which case the
-    offending cell is clamped to zero and the result flagged.
+    A cell that comes out negative by no more than REL_TOL_IDENTITY times
+    the larger of the two terms it is the difference of is rounding noise
+    (x11 and census_correct can agree in exact arithmetic), and is zero.
+    Inconsistent field estimates make x10 or x01 negative beyond that.
+    That raises InvalidEstimates unless `clamp_negative` is set, in which
+    case the offending cell is clamped to zero and the result flagged.
     """
     x11 = estimates.m_non + estimates.m_in_indirect()
     if x11 == 0:
         raise DegenerateInputs("no matched mass: x11 = 0")
-    x10 = estimates.census_correct - x11
-    x01 = (estimates.n_non + estimates.n_in) - x11
+    survey_total = estimates.n_non + estimates.n_in
+    x10 = _difference(estimates.census_correct, x11)
+    x01 = _difference(survey_total, x11)
     clamped = False
     if x10 < 0 or x01 < 0:
         if not clamp_negative:
             raise InvalidEstimates(
                 f"matched mass {x11} exceeds census_correct={estimates.census_correct} "
-                f"or the survey total {estimates.n_non + estimates.n_in}"
+                f"or the survey total {survey_total}"
             )
         x10 = max(x10, 0.0)
         x01 = max(x01, 0.0)

@@ -135,38 +135,53 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unsupported schema_version {version!r}, this build reads {SCHEMA_VERSION}"
             )
-        known = set(cls().to_json())  # field names as emitted
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-        kwargs: dict[str, Any] = {
-            key: value
-            for key, value in data.items()
-            if key not in ("schema_version", "population", "errors", "sample", "grouping",
-                           "procedures", "f30_placements")
-        }
-        if "population" in data:
-            kwargs["population"] = PopulationConfig(**data["population"])
-        if "errors" in data:
-            kwargs["errors"] = MatchErrorModel(**data["errors"])
-        if data.get("sample") is not None:
-            kwargs["sample"] = SampleSpec(**data["sample"])
+        kwargs = _checked_fields("", cls, {k: v for k, v in data.items() if k != "schema_version"})
+        for key, nested in (("population", PopulationConfig), ("errors", MatchErrorModel),
+                            ("sample", SampleSpec)):
+            if key in kwargs and not (key == "sample" and kwargs[key] is None):
+                kwargs[key] = nested(**_checked_fields(f"{key}.", nested, kwargs[key]))
         for key in ("grouping", "procedures", "f30_placements"):
-            if key in data:
-                kwargs[key] = tuple(data[key])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
+            if key in kwargs:
+                value = kwargs[key]
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise ConfigError(f"{key} must be a list of strings, got {value!r}")
+                kwargs[key] = tuple(value)
+        return cls(**kwargs)
+
+
+def _checked_fields(prefix: str, cls: type, data: Any) -> dict[str, Any]:
+    """`data` as keyword arguments for `cls`, each scalar of the JSON type
+    of the field's default; nested objects and lists are checked by the
+    caller.  Errors name the offending key with its `prefix`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{prefix.rstrip('.')} must be a JSON object, got {data!r}")
+    defaults = cls()
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {[prefix + key for key in unknown]}")
+    for key, value in data.items():
+        expected = type(getattr(defaults, key))
+        if expected is bool:
+            ok = isinstance(value, bool)
+        elif expected is float:
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        elif expected in (int, str):
+            ok = isinstance(value, expected) and not isinstance(value, bool)
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{prefix}{key} must be a JSON {expected.__name__}, got {value!r}")
+    return dict(data)
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return ExperimentConfig.from_json(data)
 
 

@@ -44,6 +44,7 @@ and '¶' households are interviewed late, yielding 20s and 42/1s.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,11 @@ __all__ = [
     "MatchErrorModel",
     "MatchResult",
     "MatchTallies",
+    "RecordTable",
     "match_and_code",
+    "record_table",
     "tally_groups",
+    "tally_records",
 ]
 
 CODE_NONE = 0
@@ -253,6 +257,73 @@ class MatchTallies:
         if self.e_sample == 0:
             return base
         return base * (1.0 - self.erroneous / self.e_sample)
+
+
+# Kinds of census record, the census file's `kind` column.
+CENSUS_KINDS = ("person", "imputed", "duplicate", "fabricated")
+KIND_PERSON, KIND_IMPUTED, KIND_DUPLICATE, KIND_FABRICATED = range(len(CENSUS_KINDS))
+
+# Roster role of a survey record, the survey file's `roster` column.
+ROSTER_ROLES = ("non_mover", "in_mover", "out_mover", "birth", "death")
+ROLE_NON_MOVER, ROLE_IN_MOVER, ROLE_OUT_MOVER, ROLE_BIRTH, ROLE_DEATH = range(len(ROSTER_ROLES))
+
+# The file a coded record lives in.
+SIDE_SURVEY, SIDE_CENSUS = 0, 1
+
+# Where a simulated coded record comes from, indexing its id prefix: a
+# survey roster record, a proxy report made at the census-time household,
+# or a census, duplicate or fabricated census record.
+ID_PREFIXES = ("p", "o", "c", "d", "f")
+SOURCE_ROSTER, SOURCE_REPORT, SOURCE_CENSUS, SOURCE_DUPLICATE, SOURCE_FABRICATED = range(5)
+
+# The side each code belongs on; 10 and 41 may sit on either.
+CODE_SIDE = {
+    CODE_20: SIDE_SURVEY, CODE_30: SIDE_CENSUS, CODE_51: SIDE_CENSUS,
+    **dict.fromkeys(range(CODE_42_1, CODE_42_4 + 1), SIDE_SURVEY),
+    **dict.fromkeys(range(CODE_52_1, CODE_52_4 + 1), SIDE_CENSUS),
+}
+
+# Census-side codes that are written as survey reports: the out-mover or
+# death report about a census-time household member.
+REPORT_CODES = (CODE_42_1, CODE_42_2, CODE_42_4, CODE_41)
+
+# Bincount slot of each code that the tallies distinguish.
+_CODE_SLOT = np.zeros(max(CODE_LABELS) + 1, dtype=np.int64)
+_CODE_SLOT[list(CODE_LABELS)] = np.arange(len(CODE_LABELS))
+
+
+@dataclass(frozen=True)
+class RecordTable:
+    """One matched world as columns: its census records and its codes.
+
+    Census records (`census_*`) are the rows of the census file.  Coded
+    records carry one final code each, on a survey record or on the census
+    record it resolves (`side`).  `household` is where a record was
+    collected, `stratum` the post-stratum, the finest group key the files
+    carry, and `weight` the survey weight.  `census_weight` is a census
+    record's household weight inside the survey sample, 0 outside it.
+
+    `matched_in_mover` marks in-movers a nationwide search would match,
+    which files do not record.  Tables built from a simulated world also
+    name their records for the writer: `census_number` and `number` are
+    the numbers in the record ids, and `source` indexes `ID_PREFIXES`.
+    """
+
+    census_kind: np.ndarray
+    census_in_scope: np.ndarray
+    census_household: np.ndarray
+    census_stratum: np.ndarray
+    census_weight: np.ndarray
+    side: np.ndarray
+    code: np.ndarray
+    role: np.ndarray
+    household: np.ndarray
+    stratum: np.ndarray
+    weight: np.ndarray
+    matched_in_mover: np.ndarray
+    census_number: np.ndarray | None = None
+    number: np.ndarray | None = None
+    source: np.ndarray | None = None
 
 
 def _classify_households(
@@ -530,27 +601,190 @@ def _survey_weight_factor(
     return factor
 
 
-def _row_groups(pop: Population, level: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Group index per person for survey-side rows (by destination) and
-    census-side rows (by origin)."""
-    n_groups = len(group_labels(pop, level))
-    if level == "national":
-        g = np.zeros(pop.size, dtype=np.int64)
-        return g, g, n_groups
-    if level == "post_stratum":
-        g = pop.post_stratum.astype(np.int64)
-        return g, g, n_groups
+def record_table(
+    pop: Population,
+    census: CensusSim,
+    result: MatchResult,
+    household_weight: np.ndarray | None = None,
+) -> RecordTable:
+    """The census records and coded records of a matched world, as columns.
 
-    district = pop.households.district
-    prov = pop.districts.province.astype(np.int64)
-    strat = pop.districts.stratum.astype(np.int64)
+    Coded records come in the order the codes file lists them: survey
+    roster records, out-mover reports, stranded reports, then census,
+    duplicate and fabricated census records.  Survey roster records carry
+    the weight of the household they were collected at (after the '#'
+    reweighting in adjusted mode), every other record the weight of its
+    census household.
+    """
+    n_hh = pop.households.count
+    if household_weight is None:
+        weight = np.ones(n_hh, dtype=np.float64)
+    else:
+        weight = np.asarray(household_weight, dtype=np.float64)
+        if weight.shape != (n_hh,):
+            raise DomainError("household_weight must cover every household")
+        if np.any(weight < 0) or not np.all(np.isfinite(weight)):
+            raise DomainError("household weights must be finite and non-negative")
+    if result.exclusion_mode == "adjusted":
+        survey_weight = weight * _survey_weight_factor(pop, result, weight)
+    else:
+        survey_weight = weight
 
-    def by_household(hh: np.ndarray) -> np.ndarray:
-        safe = np.where(hh >= 0, hh, 0)
-        d = district[safe]
-        return prov[d] * 2 + strat[d]
+    origin = np.where(pop.census_household >= 0, pop.census_household, 0)
+    dest = np.where(pop.pes_household >= 0, pop.pes_household, 0)
+    fab_person = census.fab_person
+    n_fab = fab_person.shape[0]
 
-    return by_household(pop.pes_household), by_household(pop.census_household), n_groups
+    captured = np.flatnonzero(census.captured)
+    duplicated = np.flatnonzero(census.duplicated)
+    census_person = np.concatenate([captured, duplicated, fab_person])
+    census_kind = np.concatenate([
+        np.where(census.imputed[captured], KIND_IMPUTED, KIND_PERSON).astype(np.int8),
+        np.full(duplicated.shape[0], KIND_DUPLICATE, dtype=np.int8),
+        np.full(n_fab, KIND_FABRICATED, dtype=np.int8),
+    ])
+    census_household = origin[census_person]
+
+    report = np.isin(result.cen_code, REPORT_CODES)
+    roster = np.flatnonzero(result.pes_code != CODE_NONE)
+    reports = np.flatnonzero(report)
+    orphans = np.flatnonzero(result.orphan_code != CODE_NONE)
+    resolved = np.flatnonzero(~np.isin(result.cen_code, (CODE_NONE, CODE_PAIRED)) & ~report)
+    dups = np.flatnonzero(result.dup_code != CODE_NONE)
+    fabs = np.flatnonzero(result.fab_code != CODE_NONE)
+    segments = (
+        (SOURCE_ROSTER, roster, roster, result.pes_code),
+        (SOURCE_REPORT, reports, reports, result.cen_code),
+        (SOURCE_REPORT, orphans, orphans, result.orphan_code),
+        (SOURCE_CENSUS, resolved, resolved, result.cen_code),
+        (SOURCE_DUPLICATE, dups, dups, result.dup_code),
+        (SOURCE_FABRICATED, fab_person[fabs], fabs, result.fab_code),
+    )
+    person = np.concatenate([persons for _, persons, _, _ in segments])
+    source = np.concatenate(
+        [np.full(persons.shape[0], src, dtype=np.int8) for src, persons, _, _ in segments]
+    )
+    on_roster = source == SOURCE_ROSTER
+    household = np.where(on_roster, dest[person], origin[person])
+
+    # Roster records name who was found at the survey-time household,
+    # reports who left the census-time household; codes on census records
+    # carry no role.
+    scope = pop.scope[person]
+    moved = pop.is_mover()[person]
+    role = np.full(person.shape[0], ROLE_NON_MOVER, dtype=np.int8)
+    role[on_roster & moved] = ROLE_IN_MOVER
+    role[on_roster & (scope == SCOPE_BORN)] = ROLE_BIRTH
+    on_report = source == SOURCE_REPORT
+    role[on_report & moved] = ROLE_OUT_MOVER
+    role[on_report & (scope == SCOPE_DIED)] = ROLE_DEATH
+
+    return RecordTable(
+        census_kind=census_kind,
+        census_in_scope=~pop.households.institutional[census_household],
+        census_household=census_household,
+        census_stratum=pop.post_stratum[census_person],
+        census_weight=np.where(
+            result.household_mask[census_household], weight[census_household], 0.0
+        ),
+        side=np.where(source >= SOURCE_CENSUS, SIDE_CENSUS, SIDE_SURVEY).astype(np.int8),
+        code=np.concatenate([codes[index] for _, _, index, codes in segments]),
+        role=role,
+        household=household,
+        stratum=pop.post_stratum[person],
+        weight=np.where(on_roster, survey_weight[household], weight[household]),
+        matched_in_mover=on_roster & result.in_mover_matched[person],
+        census_number=np.concatenate([captured, duplicated, np.arange(n_fab)]),
+        number=np.concatenate([index for _, _, index, _ in segments]),
+        source=source,
+    )
+
+
+def _fields_of(side: int, code: int, role: int, matched: bool) -> tuple[str, ...]:
+    """The tally fields a coded record adds its weight to; codes off their
+    side, 41s and in-mover omissions carry no weight in any estimator."""
+    if CODE_SIDE.get(code, side) != side:
+        return ()
+    if code == CODE_10:
+        return ("f10", "n_non", "m_non")
+    if code == CODE_20 and role != ROLE_BIRTH:
+        return ("n_in", "m_in") if matched else ("n_in",)
+    if code == CODE_30:
+        return ("f30", "n_out", "m_out")
+    if code == CODE_51:
+        return ("erroneous",)
+    if CODE_42_1 <= code <= CODE_42_4:
+        mover = {ROLE_NON_MOVER: ("n_non",), ROLE_OUT_MOVER: ("n_out",), ROLE_DEATH: ("n_out",)}
+        return (f"f42_{code - CODE_42_1 + 1}",) + mover.get(role, ())
+    if CODE_52_1 <= code <= CODE_52_4:
+        return (f"f52_{code - CODE_52_1 + 1}",)
+    return ()
+
+
+_FCODE_FIELDS = tuple(f"f{c}" for c in ("10", "30", "42_1", "42_2", "42_3", "42_4",
+                                        "52_1", "52_2", "52_3", "52_4"))
+_MOVER_FIELDS = ("n_non", "n_in", "n_out", "m_non", "m_out")
+_TALLY_FIELDS = _FCODE_FIELDS + _MOVER_FIELDS + ("m_in", "erroneous")
+# 0/1 membership of each tally field, for every (side, code, role, matched)
+# slot in the order tally_records numbers them.
+_SLOT_FIELDS = np.array([
+    [name in fields for name in _TALLY_FIELDS]
+    for fields in itertools.starmap(_fields_of, itertools.product(
+        (SIDE_SURVEY, SIDE_CENSUS), CODE_LABELS, range(len(ROSTER_ROLES)), (False, True)
+    ))
+], dtype=np.float64)
+
+
+def tally_records(
+    table: RecordTable,
+    labels: tuple[str, ...],
+    census_group: np.ndarray,
+    group: np.ndarray,
+    with_in_mover_matching: bool = False,
+) -> dict[str, MatchTallies]:
+    """Every MatchTallies field for every group, from one weighted bincount
+    over the coded records and two over the census records.
+
+    `census_group` and `group` index `labels` for the census records and
+    the coded records.
+    """
+    n_groups = len(labels)
+    slot = (
+        (table.side.astype(np.int64) * len(CODE_LABELS) + _CODE_SLOT[table.code])
+        * len(ROSTER_ROLES) + table.role
+    ) * 2 + table.matched_in_mover
+    sums = np.bincount(
+        slot * n_groups + group, weights=table.weight, minlength=len(_SLOT_FIELDS) * n_groups
+    ).reshape(len(_SLOT_FIELDS), n_groups)
+    # Every field sums the same slots in the same order, so a field whose
+    # slots contain another's never comes out smaller.
+    values = dict(zip(_TALLY_FIELDS, (_SLOT_FIELDS.T[:, :, None] * sums).sum(axis=1)))
+
+    kinds = len(CENSUS_KINDS)
+    census_slot = (table.census_in_scope * kinds + table.census_kind) * n_groups + census_group
+    size = 2 * kinds * n_groups
+    counts = np.bincount(census_slot, minlength=size).reshape(2, kinds, n_groups)[1]
+    weighted = np.bincount(census_slot, weights=table.census_weight, minlength=size)
+    e_sample = np.delete(weighted.reshape(2, kinds, n_groups)[1], KIND_IMPUTED, axis=0).sum(axis=0)
+
+    out: dict[str, MatchTallies] = {}
+    for g, label in enumerate(labels):
+        value = {name: float(column[g]) for name, column in values.items()}
+        out[label] = MatchTallies(
+            group=label,
+            fcode=FCodeTallies(**{name: value[name] for name in _FCODE_FIELDS},
+                               post_stratum=label),
+            movers=MoverTallies(
+                **{name: value[name] for name in _MOVER_FIELDS},
+                m_in=value["m_in"] if with_in_mover_matching else None,
+                post_stratum=label,
+            ),
+            census_count=float(counts[:, g].sum()),
+            imputations=float(counts[KIND_IMPUTED, g]),
+            e_sample=float(e_sample[g]),
+            erroneous=value["erroneous"],
+        )
+    return out
 
 
 def tally_groups(
@@ -569,146 +803,15 @@ def tally_groups(
     are whole-universe constants, never masked or weighted: they come from
     census processing, not from the survey sample.
     """
-    n_hh = pop.households.count
-    if household_weight is None:
-        weight = np.ones(n_hh, dtype=np.float64)
+    table = record_table(pop, census, result, household_weight)
+    if level == "province_stratum":
+        district = pop.households.district
+        districts = pop.districts
+        key = districts.province[district].astype(np.int64) * 2 + districts.stratum[district]
+        census_group, group = key[table.census_household], key[table.household]
+    elif level == "post_stratum":
+        census_group, group = table.census_stratum, table.stratum
     else:
-        weight = np.asarray(household_weight, dtype=np.float64)
-        if weight.shape != (n_hh,):
-            raise DomainError("household_weight must cover every household")
-        if np.any(weight < 0) or not np.all(np.isfinite(weight)):
-            raise DomainError("household weights must be finite and non-negative")
-
-    if result.exclusion_mode == "adjusted":
-        survey_weight = weight * _survey_weight_factor(pop, result, weight)
-    else:
-        survey_weight = weight
-
+        census_group, group = np.zeros_like(table.census_stratum), np.zeros_like(table.stratum)
     labels = group_labels(pop, level)
-    g_pes, g_cen, n_groups = _row_groups(pop, level)
-
-    origin = np.where(pop.census_household >= 0, pop.census_household, 0)
-    dest = np.where(pop.pes_household >= 0, pop.pes_household, 0)
-    w_pes_row = survey_weight[dest]
-    w_cen_row = weight[origin]
-
-    pes_code = result.pes_code
-    cen_code = result.cen_code
-    orphan = result.orphan_code
-    out_role = result.out_role
-
-    def acc(mask: np.ndarray, groups: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if not mask.any():
-            return np.zeros(n_groups, dtype=np.float64)
-        return np.bincount(groups[mask], weights=w[mask], minlength=n_groups)
-
-    pes10 = acc(pes_code == CODE_10, g_pes, w_pes_row)
-    presume10 = acc(cen_code == CODE_10, g_cen, w_cen_row)
-    f30 = acc(cen_code == CODE_30, g_cen, w_cen_row)
-
-    f42_1 = acc(pes_code == CODE_42_1, g_pes, w_pes_row)
-    f42_2_pes = acc(pes_code == CODE_42_2, g_pes, w_pes_row)
-    f42_2_cen = acc(cen_code == CODE_42_2, g_cen, w_cen_row)
-    f42_4_pes = acc(pes_code == CODE_42_4, g_pes, w_pes_row)
-    f42_4_cen = acc(cen_code == CODE_42_4, g_cen, w_cen_row)
-    f42_4_orphan = acc(orphan == CODE_42_4, g_cen, w_cen_row)
-
-    f52_1 = acc(cen_code == CODE_52_1, g_cen, w_cen_row)
-    f52_2 = acc(cen_code == CODE_52_2, g_cen, w_cen_row)
-    f52_4 = acc(cen_code == CODE_52_4, g_cen, w_cen_row)
-
-    # Duplicate and fabricated records live at the census household.
-    dup_mask = result.dup_code != CODE_NONE
-    fab_groups = g_cen[census.fab_person]
-    fab_w = w_cen_row[census.fab_person]
-
-    def acc_fab(mask: np.ndarray) -> np.ndarray:
-        if not mask.any():
-            return np.zeros(n_groups, dtype=np.float64)
-        return np.bincount(fab_groups[mask], weights=fab_w[mask], minlength=n_groups)
-
-    dup10 = acc(result.dup_code == CODE_10, g_cen, w_cen_row)
-    fab10 = acc_fab(result.fab_code == CODE_10)
-    dup51 = acc(result.dup_code == CODE_51, g_cen, w_cen_row)
-    fab51 = acc_fab(result.fab_code == CODE_51)
-    dup524 = acc(result.dup_code == CODE_52_4, g_cen, w_cen_row)
-    fab524 = acc_fab(result.fab_code == CODE_52_4)
-
-    f10 = pes10 + presume10 + dup10 + fab10
-    f42_4 = f42_4_pes + f42_4_cen + f42_4_orphan
-    f52_4_all = f52_4 + dup524 + fab524
-
-    # Mover tallies: survey totals by role and their matched parts.
-    nm_42 = (
-        acc((pes_code == CODE_42_1) | (pes_code == CODE_42_2) | (pes_code == CODE_42_4),
-            g_pes, w_pes_row)
-        + acc((cen_code == CODE_42_2) & ~out_role, g_cen, w_cen_row)
-    )
-    n_non = pes10 + presume10 + dup10 + fab10 + nm_42
-    m_non = pes10 + presume10 + dup10 + fab10
-    out_42 = (
-        acc(cen_code == CODE_42_4, g_cen, w_cen_row)
-        + acc(orphan == CODE_42_4, g_cen, w_cen_row)
-        + acc((cen_code == CODE_42_2) & out_role, g_cen, w_cen_row)
-    )
-    n_out = f30 + out_42
-    m_out = f30
-    in_roster = (pes_code == CODE_20) & ~result.birth
-    n_in = acc(in_roster, g_pes, w_pes_row)
-    m_in = acc(in_roster & result.in_mover_matched, g_pes, w_pes_row)
-
-    # Census-side universe quantities.
-    hh_in = result.household_mask
-    universe = result.hh_cell != CELL_INSTITUTIONAL
-    rec_universe = census.captured & universe[origin]
-    c_person = acc(rec_universe, g_cen, np.ones(pop.size))
-    c_dup = acc(census.duplicated & universe[origin], g_cen, np.ones(pop.size))
-    fab_universe = universe[origin[census.fab_person]]
-    c_fab = (
-        np.bincount(fab_groups[fab_universe], minlength=n_groups).astype(np.float64)
-        if fab_universe.any()
-        else np.zeros(n_groups)
-    )
-    census_count = c_person + c_dup + c_fab
-    imputations = acc(census.imputed & universe[origin], g_cen, np.ones(pop.size))
-
-    sampled = rec_universe & ~census.imputed & hh_in[origin]
-    e_sample = (
-        acc(sampled, g_cen, w_cen_row)
-        + acc(census.duplicated & universe[origin] & hh_in[origin], g_cen, w_cen_row)
-        + acc_fab(fab_universe & hh_in[origin[census.fab_person]])
-    )
-    erroneous = acc(cen_code == CODE_51, g_cen, w_cen_row) + dup51 + fab51
-
-    out: dict[str, MatchTallies] = {}
-    for g, label in enumerate(labels):
-        fcode = FCodeTallies(
-            f10=float(f10[g]),
-            f30=float(f30[g]),
-            f42_1=float(f42_1[g]),
-            f42_2=float(f42_2_pes[g] + f42_2_cen[g]),
-            f42_4=float(f42_4[g]),
-            f52_1=float(f52_1[g]),
-            f52_2=float(f52_2[g]),
-            f52_4=float(f52_4_all[g]),
-            post_stratum=label,
-        )
-        movers = MoverTallies(
-            n_non=float(n_non[g]),
-            n_in=float(n_in[g]),
-            n_out=float(n_out[g]),
-            m_non=float(m_non[g]),
-            m_out=float(m_out[g]),
-            m_in=float(m_in[g]) if with_in_mover_matching else None,
-            post_stratum=label,
-        )
-        out[label] = MatchTallies(
-            group=label,
-            fcode=fcode,
-            movers=movers,
-            census_count=float(census_count[g]),
-            imputations=float(imputations[g]),
-            e_sample=float(e_sample[g]),
-            erroneous=float(erroneous[g]),
-        )
-    return out
+    return tally_records(table, labels, census_group, group, with_in_mover_matching)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covlab.constants import ABS_TOL_LOGLIK, REL_TOL_IDENTITY
@@ -186,6 +186,8 @@ def test_mle_input_checks():
         mle_by_search(DsTable(72, 18, 8), t_max=90)
     with pytest.raises(DomainError):
         mle_by_search(DsTable(72.5, 18, 8), t_max=300)
+    with pytest.raises(DomainError):
+        mle_by_search(DsTable(1, 64, 76), t_max=5000)  # the MLE is 5005
 
 
 @settings(max_examples=200)
@@ -206,9 +208,11 @@ def test_mle_matches_closed_form(x11, x10, x01):
 
 @given(x11=matched, x10=st.integers(min_value=1, max_value=100),
        x01=st.integers(min_value=1, max_value=100))
+@example(x11=1, x10=64, x01=76)
 def test_mle_is_a_local_maximum(x11, x10, x01):
     table = DsTable(x11, x10, x01)
-    result = mle_by_search(table, t_max=5000)
+    # Above every MLE these cells allow, (1 + 100) * (1 + 100) = 10201.
+    result = mle_by_search(table, t_max=11_000)
     at = log_likelihood(result.t, result.p_census, result.p_pes, table).total
     up = log_likelihood(result.t + 1, result.p_census, result.p_pes, table).total
     assert at >= up - ABS_TOL_LOGLIK

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from covlab.constants import REL_TOL_IDENTITY
@@ -238,6 +238,11 @@ def test_procedure_c_no_matches():
     match_rate=st.floats(min_value=0.2, max_value=0.95),
     out_rate=st.floats(min_value=0.2, max_value=0.95),
     census_extra=st.floats(min_value=0.0, max_value=1e5),
+)
+# census_correct equals x11 in exact arithmetic; x10 rounds to -2.2e-16.
+@example(
+    n_non=1.0, n_out=578525.2795503666, n_in=3.0, match_rate=0.5, out_rate=0.453125,
+    census_extra=0.0,
 )
 def test_procedure_c_table_equals_margin_form(
     n_non, n_out, n_in, match_rate, out_rate, census_extra

@@ -1,6 +1,7 @@
 """Experiment harness: config files, replication, microdata round trips, CLI."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -252,6 +253,67 @@ def test_ingest_rejects_unsupported_level(tmp_path):
         _round_trip_tallies(tmp_path, config, level="province_stratum")
 
 
+# SHA-256 of the four files written for two fixed worlds, as the earlier
+# row-by-row csv.writer implementation wrote them: the file format is fixed.
+_GOLDEN_PATHOLOGY = dict(
+    ee_rate=0.02,
+    ii_rate=0.01,
+    listed_nonresponse_rate=0.1,
+    proxy_miss=0.1,
+    absent_rate=0.1,
+    unlisted_rate=0.1,
+    errors=__import__("covlab").MatchErrorModel(
+        false_nonmatch=0.1, false_match=0.05, resolution_flip=0.1,
+        household_false_nonmatch=0.05,
+    ),
+)
+_GOLDEN_POPULATION = dict(
+    mover_rate=0.05, birth_rate=0.01, death_rate=0.01, institutional_rate=0.01,
+)
+_GOLDEN_WORLDS = {
+    "sci-full-frame": (
+        ExperimentConfig(
+            name="golden-sci", base_seed=1,
+            population=PopulationConfig(persons=1200, **_GOLDEN_POPULATION),
+            **_GOLDEN_PATHOLOGY,
+        ),
+        {
+            "census.csv": "fa4bb0f401eebf451a04218d40053ef8c1a34a02fbf4d328d9064b2e155c523b",
+            "pes.csv": "86175ed87da60efaab8b892a0d1906b79ff18efe4a13db0b701b795af604000f",
+            "codes.csv": "ca97ab8b6e98089368f9a6ae2ecd0d359c6884c8d379144c620595f1f321af88",
+            "weights.csv": "17124750cb5851b6e51df563d81e8068f62acf9a4aec8bead2e93b100b591f19",
+        },
+    ),
+    "adjusted-sampled": (
+        ExperimentConfig(
+            name="golden-adjusted", base_seed=1,
+            population=PopulationConfig(persons=3000, **_GOLDEN_POPULATION),
+            exclusion_mode="adjusted",
+            sample=SampleSpec(psus_per_stratum=2, urban_take=20, rural_take=30),
+            **_GOLDEN_PATHOLOGY,
+        ),
+        {
+            "census.csv": "2374830cffe595ec0e11f445bfbaab4565acc07f5df0dd4d1b98da92927337d8",
+            "pes.csv": "c468d093329debb0ebf9a484cbd80e4ff1f8fd1a5c637c674b439798d9f9d4c6",
+            "codes.csv": "9ed2a2f17b6e843d55b9e6d86be52202f5728d09b6d8e5f3743c648414f0437c",
+            "weights.csv": "4477df56e29cfd024be8ab91a9dd9821c6e7af11fefca14bfcb0255e97cf81f2",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("world", sorted(_GOLDEN_WORLDS))
+def test_write_microdata_is_byte_identical_to_golden_files(tmp_path, world):
+    config, digests = _GOLDEN_WORLDS[world]
+    bundle = build_world(config, 0)
+    write_microdata(
+        str(tmp_path), bundle.pop, bundle.census, bundle.pes, bundle.result,
+        bundle.household_weight,
+    )
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def _write_clean_microdata(tmp_path, **config_overrides):
     config = _small_config(**config_overrides)
     bundle = build_world(config, 0)
@@ -278,6 +340,43 @@ def test_ingest_schema_errors(tmp_path):
     (out2 / "codes.csv").write_text("totally,wrong,header\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="header"):
         ingest_microdata(str(out2))
+
+
+def _edit_third_line(path, edit):
+    lines = path.read_bytes().split(b"\r\n")
+    lines[2] = edit(lines[2])
+    path.write_bytes(b"\r\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "name, case",
+    [(name, "not-utf8") for name in ("census.csv", "pes.csv", "codes.csv", "weights.csv")]
+    + [("codes.csv", "extra-field"), ("codes.csv", "quoted")],
+)
+def test_ingest_file_boundary(tmp_path, name, case):
+    out = _write_clean_microdata(tmp_path)
+    path = out / name
+    if case == "quoted":
+        # Quoting every field, as csv.QUOTE_ALL writes it, changes nothing.
+        expected = ingest_microdata(str(out), level="post_stratum")
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1][0] != f'"{rows[1][0]}"'
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, quoting=csv.QUOTE_ALL).writerows(rows)
+        assert path.read_text(encoding="utf-8").splitlines()[1].startswith('"')
+        assert ingest_microdata(str(out), level="post_stratum") == expected
+        return
+    if case == "not-utf8":
+        _edit_third_line(path, lambda line: line + b"\xff")
+        message = "not UTF-8"
+    else:
+        _edit_third_line(path, lambda line: line + b",extra")
+        message = "expected 4 fields, found 5"
+    with pytest.raises(SchemaError, match=message) as excinfo:
+        ingest_microdata(str(out))
+    assert excinfo.value.path == str(path)
+    assert excinfo.value.row == 3
 
 
 def test_ingest_validation_issue_catalogue(tmp_path):
@@ -387,6 +486,27 @@ def test_cli_experiment_runs_from_config(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "procedure_a" in stdout
     assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        ({"population": {"persons": 500, "bogus": 1}}, "population.bogus"),
+        ({"grouping": "national"}, "grouping must be a list"),
+        ({"replicates": "3"}, "replicates"),
+        (None, "absent.json"),
+    ],
+)
+def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, edit, named):
+    path = tmp_path / "absent.json"
+    if edit is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**_small_config().to_json(), **edit}), encoding="utf-8")
+    code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
 
 
 def test_cli_missing_directory_is_a_schema_error(tmp_path, capsys):
