@@ -97,6 +97,14 @@ class ExperimentConfig:
                 )
         if "b" in self.procedures and not self.with_in_mover_matching:
             raise ConfigError("procedure b needs with_in_mover_matching enabled")
+        if self.sample is not None:
+            for stratum, held in (("urban", self.population.urban_districts),
+                                  ("rural", self.population.rural_districts)):
+                if self.sample.psus_per_stratum > held:
+                    raise ConfigError(
+                        f"sample.psus_per_stratum={self.sample.psus_per_stratum} exceeds the "
+                        f"{held} {stratum} districts of each province"
+                    )
 
     def to_json(self) -> dict[str, Any]:
         data: dict[str, Any] = {

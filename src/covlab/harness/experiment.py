@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import DegenerateInputs, MissingField
 from ..estimators import fcode_estimate, mover_ratio
-from ..matching import MatchResult, match_and_code, tally_groups
+from ..matching import MatchResult, match_and_code, record_table, tally_groups
 from ..popsim import (
     CaptureProbabilities,
     CensusSim,
@@ -33,7 +33,7 @@ from ..popsim import (
     simulate_pes,
     synthesize_population,
 )
-from ..sampling import RURAL, URBAN, District, SampleDesign, draw_sample
+from ..sampling import STRATA, DistrictFrame, SampleDesign, draw_sample
 from .config import ExperimentConfig, SampleSpec
 
 __all__ = [
@@ -80,49 +80,29 @@ class ExperimentResult:
     summary: dict[str, Any]
 
 
-def _district_frame(pop: Population) -> list[District]:
-    district_of = pop.households.district
-    n_districts = pop.districts.count
-    order = np.argsort(district_of, kind="stable")
-    starts = np.searchsorted(district_of[order], np.arange(n_districts))
-    frame = []
-    for d in range(n_districts):
-        stop = starts[d + 1] if d + 1 < n_districts else order.shape[0]
-        members = tuple(str(i) for i in order[starts[d]:stop])
-        frame.append(
-            District(
-                district_id=f"d{d:04d}",
-                province=pop.districts.province_labels[pop.districts.province[d]],
-                stratum=URBAN if pop.districts.stratum[d] == 0 else RURAL,
-                households=members,
-            )
-        )
-    return frame
-
-
 def _draw_household_sample(
     pop: Population,
     spec: SampleSpec,
     seed: np.random.SeedSequence,
 ) -> tuple[np.ndarray, np.ndarray]:
-    frame = _district_frame(pop)
-    wanted = {
-        (province, stratum): spec.psus_per_stratum
-        for province in pop.districts.province_labels
-        for stratum in (URBAN, RURAL)
-    }
+    districts = pop.districts
+    frame = DistrictFrame.from_households(
+        pop.households.district, districts.province, districts.stratum, districts.province_labels
+    )
     design = SampleDesign(
-        districts_per_stratum=wanted,
+        districts_per_stratum={
+            (province, stratum): spec.psus_per_stratum
+            for province in districts.province_labels
+            for stratum in STRATA
+        },
         urban_take=spec.urban_take,
         rural_take=spec.rural_take,
     )
     sample = draw_sample(frame, design, seed)
     mask = np.zeros(pop.households.count, dtype=bool)
+    mask[sample.households] = True
     weight = np.zeros(pop.households.count, dtype=np.float64)
-    for household in sample.households:
-        index = int(household.household_id)
-        mask[index] = True
-        weight[index] = household.weight
+    weight[sample.households] = sample.weight
     return mask, weight
 
 
@@ -173,6 +153,7 @@ def build_world(config: ExperimentConfig, replicate: int) -> WorldBundle:
 
 def run_replicate(config: ExperimentConfig, replicate: int) -> list[EstimateRow]:
     bundle = build_world(config, replicate)
+    table = record_table(bundle.pop, bundle.census, bundle.result, bundle.household_weight)
     rows: list[EstimateRow] = []
     for level in config.grouping:
         tallies = tally_groups(
@@ -180,8 +161,8 @@ def run_replicate(config: ExperimentConfig, replicate: int) -> list[EstimateRow]
             bundle.census,
             bundle.result,
             level=level,
-            household_weight=bundle.household_weight,
             with_in_mover_matching=config.with_in_mover_matching,
+            table=table,
         )
         truth = ground_truth_ledger(bundle.pop, bundle.census, level)
         for label, tally in tallies.items():

@@ -639,7 +639,7 @@ def record_table(
     duplicated = np.flatnonzero(census.duplicated)
     census_person = np.concatenate([captured, duplicated, fab_person])
     census_kind = np.concatenate([
-        np.where(census.imputed[captured], KIND_IMPUTED, KIND_PERSON).astype(np.int8),
+        np.where(census.imputed[captured], np.int8(KIND_IMPUTED), np.int8(KIND_PERSON)),
         np.full(duplicated.shape[0], KIND_DUPLICATE, dtype=np.int8),
         np.full(n_fab, KIND_FABRICATED, dtype=np.int8),
     ])
@@ -649,7 +649,7 @@ def record_table(
     roster = np.flatnonzero(result.pes_code != CODE_NONE)
     reports = np.flatnonzero(report)
     orphans = np.flatnonzero(result.orphan_code != CODE_NONE)
-    resolved = np.flatnonzero(~np.isin(result.cen_code, (CODE_NONE, CODE_PAIRED)) & ~report)
+    resolved = np.flatnonzero((result.cen_code > CODE_PAIRED) & ~report)
     dups = np.flatnonzero(result.dup_code != CODE_NONE)
     fabs = np.flatnonzero(result.fab_code != CODE_NONE)
     segments = (
@@ -684,9 +684,7 @@ def record_table(
         census_in_scope=~pop.households.institutional[census_household],
         census_household=census_household,
         census_stratum=pop.post_stratum[census_person],
-        census_weight=np.where(
-            result.household_mask[census_household], weight[census_household], 0.0
-        ),
+        census_weight=np.where(result.household_mask, weight, 0.0)[census_household],
         side=np.where(source >= SOURCE_CENSUS, SIDE_CENSUS, SIDE_SURVEY).astype(np.int8),
         code=np.concatenate([codes[index] for _, _, index, codes in segments]),
         role=role,
@@ -794,6 +792,8 @@ def tally_groups(
     level: str = "national",
     household_weight: np.ndarray | None = None,
     with_in_mover_matching: bool = False,
+    *,
+    table: RecordTable | None = None,
 ) -> dict[str, MatchTallies]:
     """Weighted code tallies per estimation group.
 
@@ -802,8 +802,15 @@ def tally_groups(
     weight of the census household.  The census count and imputation count
     are whole-universe constants, never masked or weighted: they come from
     census processing, not from the survey sample.
+
+    `table` is this world's `record_table`, built once to tally several
+    levels; it already holds the weights, so it excludes
+    `household_weight`.
     """
-    table = record_table(pop, census, result, household_weight)
+    if table is None:
+        table = record_table(pop, census, result, household_weight)
+    elif household_weight is not None:
+        raise DomainError("pass household_weight to record_table, not beside a prebuilt table")
     if level == "province_stratum":
         district = pop.households.district
         districts = pop.districts

@@ -28,7 +28,6 @@ replication stays cheap at census-like sizes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +60,6 @@ __all__ = [
     "ground_truth_ledger",
     "group_labels",
     "person_groups",
-    "write_population",
 ]
 
 # Person scope relative to the census target population.
@@ -576,11 +574,9 @@ def person_groups(pop: Population, level: str) -> np.ndarray:
     if level == "post_stratum":
         return pop.post_stratum.astype(np.int32)
     if level == "province_stratum":
-        district = pop.home_district()
-        return (
-            pop.districts.province[district].astype(np.int32) * 2
-            + pop.districts.stratum[district].astype(np.int32)
-        )
+        districts = pop.districts
+        key = districts.province.astype(np.int32) * 2 + districts.stratum
+        return key[pop.home_district()]
     raise ConfigError(f"unknown grouping level {level!r}")
 
 
@@ -593,19 +589,26 @@ def ground_truth_ledger(
 
     All quantities are target-scope: persons and records in institutional
     households are outside the survey universe and excluded throughout.
+    Persons are counted by class in one pass: outside the target, target
+    missed, target captured, target captured with a duplicate record (a
+    duplicate always belongs to a captured person).
     """
     labels = group_labels(pop, level)
     groups = person_groups(pop, level)
     n_groups = len(labels)
     target = pop.in_target()
 
-    true_total = np.bincount(groups[target], minlength=n_groups)
-    captured = np.bincount(groups[target & census.captured], minlength=n_groups)
-    undercount = true_total - captured
-    duplicates = np.bincount(groups[target & census.duplicated], minlength=n_groups)
+    # Class codes 0..3 in the order above, computed on the flags as int8.
+    klass = target.view(np.int8) * (
+        1 + census.captured.view(np.int8) + census.duplicated.view(np.int8)
+    )
+    counts = np.bincount(groups * 4 + klass, minlength=4 * n_groups).reshape(n_groups, 4)
     fab_target = census.fab_person[target[census.fab_person]]
     fabrications = np.bincount(groups[fab_target], minlength=n_groups)
-    overcount = duplicates + fabrications
+    true_total = counts[:, 1:].sum(axis=1)
+    captured = counts[:, 2] + counts[:, 3]
+    undercount = true_total - captured
+    overcount = counts[:, 3] + fabrications
     census_count = captured + overcount
 
     return {
@@ -617,41 +620,3 @@ def ground_truth_ledger(
         )
         for g in range(n_groups)
     }
-
-
-def write_population(
-    path: str,
-    pop: Population,
-    census: CensusSim | None = None,
-    pes: PesSim | None = None,
-) -> None:
-    """Snapshot the world as delimited text, one person per row."""
-    scope_names = {SCOPE_IN: "in_scope", SCOPE_BORN: "born_after", SCOPE_DIED: "died_after"}
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        header = [
-            "person_id", "census_household", "pes_household", "district",
-            "post_stratum", "scope", "mover",
-        ]
-        if census is not None:
-            header += ["captured_census", "imputed", "duplicated"]
-        if pes is not None:
-            header += ["listed_pes", "proxy_ok"]
-        writer.writerow(header)
-        mover = pop.is_mover()
-        district = pop.home_district()
-        for i in range(pop.size):
-            row = [
-                i,
-                int(pop.census_household[i]),
-                int(pop.pes_household[i]),
-                int(district[i]),
-                pop.stratum_labels[pop.post_stratum[i]],
-                scope_names[int(pop.scope[i])],
-                int(mover[i]),
-            ]
-            if census is not None:
-                row += [int(census.captured[i]), int(census.imputed[i]), int(census.duplicated[i])]
-            if pes is not None:
-                row += [int(pes.listed[i]), int(pes.proxy_ok[i])]
-            writer.writerow(row)

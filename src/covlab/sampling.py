@@ -1,5 +1,9 @@
 """Two-stage cluster sample of households for a post-enumeration survey.
 
+The frame is a set of arrays: household ids listed district after
+district, and for every district the offset and count of its run in that
+listing, a province code and a stratum code (0 urban, 1 rural).
+
 Districts are the primary units, selected systematically within each
 province by urban/rural stratum.  Households are the secondary units: a
 contiguous run of the district's household listing is taken, walking the
@@ -10,6 +14,9 @@ the reciprocal of
 
     p = (n_d / tn_d) * (n_h / tn_h).
 
+A district no larger than the take is taken whole; an empty district is a
+unit of size zero and contributes no household.
+
 Household noninterview is repaired by spreading the weight of
 non-interviewed households across interviewed ones within adjustment cells
 keyed by district and basic address type.
@@ -17,10 +24,9 @@ keyed by district and basic address type.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -29,14 +35,13 @@ from .errors import DesignError, DomainError, EmptyCell
 __all__ = [
     "URBAN",
     "RURAL",
+    "STRATA",
     "INTERVIEWED",
     "TEMPORARILY_ABSENT",
     "NOT_LISTED",
     "ADDRESS_TYPES",
-    "District",
+    "DistrictFrame",
     "SampleDesign",
-    "HouseholdTake",
-    "SampledHousehold",
     "DrawnSample",
     "WeightedHousehold",
     "systematic_indices",
@@ -45,12 +50,11 @@ __all__ = [
     "selection_probability",
     "noninterview_adjust",
     "draw_sample",
-    "read_district_frame",
-    "write_district_frame",
 ]
 
 URBAN = "urban"
 RURAL = "rural"
+STRATA = (URBAN, RURAL)  # indexed by stratum code
 
 INTERVIEWED = "interviewed"
 TEMPORARILY_ABSENT = "temporarily_absent"
@@ -61,21 +65,55 @@ ADDRESS_TYPES = ("single_unit", "multi_unit", "other")
 
 
 @dataclass(frozen=True)
-class District:
-    """A primary sampling unit: an ordered household listing."""
+class DistrictFrame:
+    """The primary sampling units: district d lists the households
+    `households[offset[d]:offset[d] + count[d]]`, in listing order."""
 
-    district_id: str
-    province: str
-    stratum: str
-    households: tuple[str, ...]
+    households: np.ndarray
+    offset: np.ndarray
+    count: np.ndarray
+    province: np.ndarray
+    stratum: np.ndarray
+    province_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.stratum not in (URBAN, RURAL):
-            raise DesignError(f"stratum must be {URBAN!r} or {RURAL!r}, got {self.stratum!r}")
+        n = self.count.shape[0]
+        if any(column.shape != (n,) for column in (self.offset, self.province, self.stratum)):
+            raise DesignError("offset, count, province and stratum need one entry per district")
+        if np.any(self.offset < 0) or np.any(self.count < 0) or np.any(
+            self.offset + self.count > self.households.shape[0]
+        ):
+            raise DesignError("every district's run must lie inside the household listing")
+        if not np.isin(self.stratum, (0, 1)).all():
+            raise DesignError(f"stratum codes must be 0 ({URBAN}) or 1 ({RURAL})")
+        if np.any(self.province < 0) or np.any(self.province >= len(self.province_labels)):
+            raise DesignError("province codes must index province_labels")
 
-    @property
-    def household_count(self) -> int:
-        return len(self.households)
+    @classmethod
+    def from_households(
+        cls,
+        district: np.ndarray,
+        province: np.ndarray,
+        stratum: np.ndarray,
+        province_labels: tuple[str, ...],
+    ) -> "DistrictFrame":
+        """Households 0..n-1 listed by their `district` code, in id order
+        within a district; `province` and `stratum` are per district."""
+        n_districts = province.shape[0]
+        # A stable sort of codes this narrow runs as a radix sort.
+        order = np.argsort(district.astype(np.min_scalar_type(n_districts)), kind="stable")
+        count = np.bincount(district, minlength=n_districts)
+        return cls(order, np.cumsum(count) - count, count, province, stratum, province_labels)
+
+    def districts_in(self, key: tuple[str, str]) -> np.ndarray:
+        """Codes of the districts in one (province, stratum), in frame order."""
+        province, stratum = key
+        if province not in self.province_labels or stratum not in STRATA:
+            return np.zeros(0, dtype=np.int64)
+        return np.flatnonzero(
+            (self.province == self.province_labels.index(province))
+            & (self.stratum == STRATA.index(stratum))
+        )
 
 
 @dataclass(frozen=True)
@@ -102,26 +140,16 @@ class SampleDesign:
 
 
 @dataclass(frozen=True)
-class HouseholdTake:
-    district_id: str
-    households: tuple[str, ...]
-    short_take: bool
-
-
-@dataclass(frozen=True)
-class SampledHousehold:
-    household_id: str
-    district_id: str
-    province: str
-    stratum: str
-    probability: float
-    weight: float
-
-
-@dataclass(frozen=True)
 class DrawnSample:
-    households: tuple[SampledHousehold, ...]
-    short_districts: tuple[str, ...]
+    """Drawn household ids in draw order, each with its district code,
+    inclusion probability and design weight, and the codes of the selected
+    districts that were taken whole."""
+
+    households: np.ndarray
+    district: np.ndarray
+    probability: np.ndarray
+    weight: np.ndarray
+    short_districts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -161,53 +189,49 @@ def systematic_indices(total: int, count: int, rng: np.random.Generator) -> np.n
 
 
 def select_psus(
-    frame: Sequence[District],
+    frame: DistrictFrame,
     design: SampleDesign,
     rng: np.random.Generator,
-) -> list[District]:
-    """Systematic district selection within each (province, stratum).
+) -> np.ndarray:
+    """Codes of the districts selected systematically within each
+    (province, stratum), taking the design's keys in sorted order.
 
     Frame order within a stratum is preserved, so the selected districts
     form an arithmetic progression through the listing.
     """
-    by_stratum: dict[tuple[str, str], list[District]] = {}
-    for district in frame:
-        by_stratum.setdefault((district.province, district.stratum), []).append(district)
-
-    selected: list[District] = []
+    selected = [np.zeros(0, dtype=np.int64)]
     for key in sorted(design.districts_per_stratum):
         wanted = design.districts_per_stratum[key]
-        available = by_stratum.get(key, [])
-        if wanted > len(available):
+        available = frame.districts_in(key)
+        if wanted > available.shape[0]:
             raise DesignError(
                 f"design asks for {wanted} districts in {key!r} but the frame holds "
-                f"{len(available)}"
+                f"{available.shape[0]}"
             )
-        for index in systematic_indices(len(available), wanted, rng):
-            selected.append(available[int(index)])
-    return selected
+        selected.append(available[systematic_indices(available.shape[0], wanted, rng)])
+    return np.concatenate(selected)
 
 
 def select_households(
-    district: District,
+    frame: DistrictFrame,
+    district: int,
     take: int,
     rng: np.random.Generator,
-) -> HouseholdTake:
-    """Contiguous wrap-around run of `take` households in reverse listing order.
+) -> np.ndarray:
+    """Contiguous wrap-around run of `take` household ids in reverse
+    listing order.
 
-    Districts smaller than the take are returned whole and flagged.
+    A district no larger than the take is returned whole, without a draw.
     """
     if take <= 0:
         raise DesignError(f"take must be positive, got {take}")
-    listing = district.households
-    n = len(listing)
-    if n == 0:
-        raise DesignError(f"district {district.district_id!r} has an empty listing")
+    start = int(frame.offset[district])
+    n = int(frame.count[district])
+    listing = frame.households[start:start + n]
     if n <= take:
-        return HouseholdTake(district.district_id, listing, short_take=True)
-    start = int(rng.integers(n))
-    chosen = tuple(listing[(start - offset) % n] for offset in range(take))
-    return HouseholdTake(district.district_id, chosen, short_take=False)
+        return listing
+    first = int(rng.integers(n))
+    return listing[(first - np.arange(take)) % n]
 
 
 def selection_probability(n_d: int, tn_d: int, n_h: int, tn_h: int) -> float:
@@ -223,49 +247,44 @@ def selection_probability(n_d: int, tn_d: int, n_h: int, tn_h: int) -> float:
 
 
 def draw_sample(
-    frame: Sequence[District],
+    frame: DistrictFrame,
     design: SampleDesign,
     seed: int | np.random.SeedSequence,
 ) -> DrawnSample:
     """Run both stages and attach design weights.
 
     Deterministic: the same seed, frame and design reproduce the same
-    sample exactly.  Short districts are taken whole with their true
-    inclusion probability (the household factor becomes 1).
+    sample exactly.  All districts are selected before any household, and
+    only districts larger than their take consume a household draw.  Short
+    districts are taken whole with their true inclusion probability (the
+    household factor becomes 1); empty ones contribute nothing.
     """
     rng = np.random.default_rng(seed)
-    totals = {
-        key: sum(1 for d in frame if (d.province, d.stratum) == key)
-        for key in design.districts_per_stratum
-    }
+    totals = {key: frame.districts_in(key).shape[0] for key in design.districts_per_stratum}
     selected = select_psus(frame, design, rng)
-    households: list[SampledHousehold] = []
-    short: list[str] = []
-    for district in selected:
-        key = (district.province, district.stratum)
-        take = design.take_for(district.stratum)
-        chosen = select_households(district, take, rng)
-        if chosen.short_take:
-            short.append(district.district_id)
-        probability = selection_probability(
-            design.districts_per_stratum[key],
-            totals[key],
-            len(chosen.households),
-            district.household_count,
+    chosen, probability, short = [], [], []
+    for district in selected.tolist():
+        key = (frame.province_labels[frame.province[district]], STRATA[frame.stratum[district]])
+        take = design.take_for(key[1])
+        n = int(frame.count[district])
+        if n <= take:
+            short.append(district)
+        households = select_households(frame, district, take, rng)
+        chosen.append(households)
+        # An empty district repeats its placeholder probability zero times.
+        probability.append(
+            selection_probability(design.districts_per_stratum[key], totals[key], len(households), n)
+            if n else math.nan
         )
-        weight = 1.0 / probability
-        for household_id in chosen.households:
-            households.append(
-                SampledHousehold(
-                    household_id=household_id,
-                    district_id=district.district_id,
-                    province=district.province,
-                    stratum=district.stratum,
-                    probability=probability,
-                    weight=weight,
-                )
-            )
-    return DrawnSample(households=tuple(households), short_districts=tuple(short))
+    sizes = [len(households) for households in chosen]
+    probabilities = np.repeat(np.array(probability, dtype=np.float64), sizes)
+    return DrawnSample(
+        households=np.concatenate([frame.households[:0], *chosen]),
+        district=np.repeat(selected, sizes),
+        probability=probabilities,
+        weight=1.0 / probabilities,
+        short_districts=np.array(short, dtype=np.int64),
+    )
 
 
 def _default_cell_key(household: WeightedHousehold) -> tuple[str, str]:
@@ -323,41 +342,3 @@ def noninterview_adjust(
             weight = household.base_weight * factor if i in interviewed_set else 0.0
             adjusted[i] = replace(household, adjusted_weight=weight)
     return adjusted
-
-
-def write_district_frame(path: str, frame: Sequence[District]) -> None:
-    """Write a district frame as delimited text, one district per row."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["district_id", "province", "stratum", "household_count"])
-        for district in frame:
-            writer.writerow(
-                [district.district_id, district.province, district.stratum,
-                 district.household_count]
-            )
-
-
-def read_district_frame(path: str) -> list[District]:
-    """Read a district frame written by :func:`write_district_frame`.
-
-    Household identifiers are synthesized from the district identifier, in
-    listing order.
-    """
-    frame: list[District] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"district_id", "province", "stratum", "household_count"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DesignError(f"district frame must carry columns {sorted(required)}")
-        for row in reader:
-            count = int(row["household_count"])
-            households = tuple(f"{row['district_id']}-h{j:05d}" for j in range(count))
-            frame.append(
-                District(
-                    district_id=row["district_id"],
-                    province=row["province"],
-                    stratum=row["stratum"],
-                    households=households,
-                )
-            )
-    return frame

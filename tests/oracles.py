@@ -1,17 +1,27 @@
-"""Independent recomputation of clean-world tallies, shared across test modules.
-
-Valid only when every matching error rate and survey-side observation knob
-(absent, unlisted, proxy, listed nonresponse, erroneous, imputation) is zero;
-the classification then depends on capture, listing and roles alone.
-"""
+"""Independent recomputations shared across test modules."""
 
 import numpy as np
 
-from covlab.popsim import PES_VACANT, PES_WITH_Q, SCOPE_BORN, SCOPE_DIED, SCOPE_IN
+from covlab.popsim import (
+    PES_VACANT,
+    PES_WITH_Q,
+    SCOPE_BORN,
+    SCOPE_DIED,
+    SCOPE_IN,
+    GroundTruthLedger,
+    group_labels,
+    person_groups,
+)
 
 
 def clean_expected(pop, cen, sur):
-    """Recompute every clean-world tally from the raw arrays."""
+    """Recompute every clean-world tally from the raw arrays.
+
+    Valid only when every matching error rate and survey-side observation
+    knob (absent, unlisted, proxy, listed nonresponse, erroneous,
+    imputation) is zero; the classification then depends on capture,
+    listing and roles alone.
+    """
     inst_hh = pop.households.institutional
     origin = np.where(pop.census_household >= 0, pop.census_household, 0)
     dest = np.where(pop.pes_household >= 0, pop.pes_household, 0)
@@ -56,3 +66,29 @@ def clean_expected(pop, cen, sur):
         n_in=n_in.sum(),
         census_count=(cap & non_inst_origin).sum(),
     )
+
+
+def ledger_reference(pop, census, level):
+    """Per-group ledgers from one masked bincount per quantity."""
+    labels = group_labels(pop, level)
+    groups = person_groups(pop, level)
+    n_groups = len(labels)
+    target = pop.in_target()
+
+    true_total = np.bincount(groups[target], minlength=n_groups)
+    captured = np.bincount(groups[target & census.captured], minlength=n_groups)
+    undercount = true_total - captured
+    duplicates = np.bincount(groups[target & census.duplicated], minlength=n_groups)
+    fab_target = census.fab_person[target[census.fab_person]]
+    fabrications = np.bincount(groups[fab_target], minlength=n_groups)
+    overcount = duplicates + fabrications
+    census_count = captured + overcount
+    return {
+        labels[g]: GroundTruthLedger(
+            true_total=float(true_total[g]),
+            census_count=float(census_count[g]),
+            undercount=float(undercount[g]),
+            overcount=float(overcount[g]),
+        )
+        for g in range(n_groups)
+    }

@@ -31,7 +31,7 @@ from covlab.sampling import (
     RURAL,
     TEMPORARILY_ABSENT,
     URBAN,
-    District,
+    DistrictFrame,
     SampleDesign,
     WeightedHousehold,
     draw_sample,
@@ -275,43 +275,44 @@ def test_criterion_07_procedure_b_with_oracle_in_movers_agrees_with_c():
 
 def test_criterion_08_design_weights_and_noninterview_conservation():
     rng = np.random.default_rng(408)
-    frame = []
-    for province in ("p1", "p2"):
-        for i in range(10):
-            count = int(rng.integers(60, 200))
-            frame.append(
-                District(f"{province}-u{i}", province, URBAN,
-                         tuple(f"{province}-u{i}-h{j}" for j in range(count)))
-            )
-        for i in range(6):
-            count = int(rng.integers(30, 160))
-            frame.append(
-                District(f"{province}-r{i}", province, RURAL,
-                         tuple(f"{province}-r{i}-h{j}" for j in range(count)))
-            )
+    counts, provinces, strata = [], [], []
+    for province in range(2):
+        for stratum, (low, high), n in ((0, (60, 200), 10), (1, (30, 160), 6)):
+            for _ in range(n):
+                counts.append(int(rng.integers(low, high)))
+                provinces.append(province)
+                strata.append(stratum)
+    frame = DistrictFrame.from_households(
+        np.repeat(np.arange(len(counts)), counts),
+        np.array(provinces),
+        np.array(strata, dtype=np.int8),
+        ("p1", "p2"),
+    )
     design = SampleDesign(
         districts_per_stratum={
             (p, s): 2 for p in ("p1", "p2") for s in (URBAN, RURAL)
         }
     )
-    true_total = sum(d.household_count for d in frame)
+    true_total = sum(counts)
 
     statuses = (INTERVIEWED, TEMPORARILY_ABSENT, NOT_LISTED)
     totals = np.empty(2_000)
     worst_conservation = 0.0
     for k in range(2_000):
         sample = draw_sample(frame, design, np.random.SeedSequence(408, spawn_key=(k,)))
-        totals[k] = sum(h.weight for h in sample.households)
+        totals[k] = sample.weight.sum()
         if k < 20:
             households = [
                 WeightedHousehold(
-                    household_id=h.household_id,
-                    district_id=h.district_id,
-                    base_weight=h.weight,
-                    adjusted_weight=h.weight,
+                    household_id=str(household),
+                    district_id=str(district),
+                    base_weight=weight,
+                    adjusted_weight=weight,
                     status=statuses[int(rng.choice(3, p=(0.8, 0.1, 0.1)))],
                 )
-                for h in sample.households
+                for household, district, weight in zip(
+                    sample.households.tolist(), sample.district.tolist(), sample.weight.tolist()
+                )
             ]
             adjusted = noninterview_adjust(households)
             base_total = sum(h.base_weight for h in households)

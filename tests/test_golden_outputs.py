@@ -1,0 +1,75 @@
+"""Experiment outputs pinned byte for byte.
+
+`replicates.csv` and `summary.json` are the deterministic artifacts of an
+experiment; a refactor of the simulation, sampling or tally layers must
+leave them unchanged.  The SHA-256 digests below were recorded before the
+array sample frame, the shared record table and the bincount ledger
+replaced the earlier implementations.
+"""
+
+import hashlib
+
+import pytest
+
+from covlab.harness import ExperimentConfig, SampleSpec, run_experiment
+from covlab.matching import MatchErrorModel
+from covlab.popsim import PopulationConfig
+
+_POPULATION = dict(mover_rate=0.05, birth_rate=0.01, death_rate=0.01, institutional_rate=0.01)
+_LEVELS = ("national", "province_stratum", "post_stratum")
+
+LOCKED = {
+    "clean-national": ExperimentConfig(
+        name="lock-clean", base_seed=21, replicates=4,
+        population=PopulationConfig(persons=3000, mover_rate=0.05),
+    ),
+    "adjusted-sampled": ExperimentConfig(
+        name="lock-adjusted", base_seed=22, replicates=3,
+        population=PopulationConfig(persons=4000, **_POPULATION),
+        ee_rate=0.02, ii_rate=0.01, listed_nonresponse_rate=0.1, absent_rate=0.1,
+        exclusion_mode="adjusted", grouping=_LEVELS,
+        # Rural districts hold fewer households than the rural take, so
+        # short districts are taken whole.
+        sample=SampleSpec(psus_per_stratum=2, urban_take=20, rural_take=100),
+    ),
+    "every-knob": ExperimentConfig(
+        name="lock-every-knob", base_seed=23, replicates=3,
+        population=PopulationConfig(persons=3000, **_POPULATION),
+        dependence=0.5, heterogeneity=0.5,
+        ee_rate=0.02, ii_rate=0.01, listed_nonresponse_rate=0.1,
+        proxy_miss=0.1, absent_rate=0.1, unlisted_rate=0.1,
+        errors=MatchErrorModel(
+            false_nonmatch=0.1, false_match=0.05, resolution_flip=0.1,
+            household_false_nonmatch=0.05,
+        ),
+        grouping=_LEVELS,
+    ),
+}
+
+DIGESTS = {
+    "clean-national": {
+        "replicates.csv": "70a08c763f33eed91467e8fec70b5fd573f875a24932b1746b6e7c0512bdeea6",
+        "summary.json": "1358ac70138f95cc776456329d6162a0a919e6e776fd5d538faf422521047916",
+    },
+    "adjusted-sampled": {
+        "replicates.csv": "c34f1b03d8ed4168febe65a718ad9b8f0899c4dce9359c58d29a13f6c9b6dd8d",
+        "summary.json": "1b88f175e8652cf67027edc6face47787e6c14fca185b1fa55a4e9a43df3d3f4",
+    },
+    "every-knob": {
+        "replicates.csv": "a806b4044f4d5d6ee08ea67e4c60d120c855f837313684e2b623f68b8b062fc9",
+        "summary.json": "3abcf6b7ef1a7c82faf318bc1fcf37f831b54eeccb1a9a09d982ecb667b6f78f",
+    },
+}
+
+
+def output_digests(config, out_dir):
+    run_experiment(config, out_dir=str(out_dir))
+    return {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("replicates.csv", "summary.json")
+    }
+
+
+@pytest.mark.parametrize("name", sorted(LOCKED))
+def test_experiment_outputs_are_byte_identical_to_locked_hashes(tmp_path, name):
+    assert output_digests(LOCKED[name], tmp_path) == DIGESTS[name]

@@ -128,6 +128,24 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     assert summaries[0] == summaries[1]
 
 
+@pytest.mark.parametrize(
+    "population",
+    [PopulationConfig(persons=5000, urban_share=1.0), PopulationConfig(persons=30)],
+)
+def test_sample_with_empty_districts_runs(population):
+    # Rural districts hold no household at all when urban_share is 1, and
+    # a 30-person world leaves most districts empty.
+    config = _small_config(
+        population=population, replicates=2, grouping=("national", "province_stratum"),
+        sample=SampleSpec(psus_per_stratum=2, urban_take=20, rural_take=30),
+    )
+    bundle = build_world(config, 0)
+    empty = np.bincount(bundle.pop.households.district, minlength=bundle.pop.districts.count) == 0
+    assert empty.any()
+    assert bundle.result.household_mask.any()
+    assert run_experiment(config).rows
+
+
 def test_experiment_writes_parseable_artifacts(tmp_path):
     config = _small_config(replicates=2)
     out = tmp_path / "run"
@@ -494,6 +512,8 @@ def test_cli_experiment_runs_from_config(tmp_path, capsys):
         ({"population": {"persons": 500, "bogus": 1}}, "population.bogus"),
         ({"grouping": "national"}, "grouping must be a list"),
         ({"replicates": "3"}, "replicates"),
+        ({"sample": {"psus_per_stratum": 3, "urban_take": 50, "rural_take": 100}},
+         "sample.psus_per_stratum"),
         (None, "absent.json"),
     ],
 )

@@ -27,6 +27,7 @@ from covlab.matching import (
     MatchErrorModel,
     MatchTallies,
     match_and_code,
+    record_table,
     tally_groups,
 )
 from covlab.matching import _survey_weight_factor
@@ -360,6 +361,31 @@ def test_weighted_tallies_scale_with_the_design_weight():
     assert double.census_count == unit.census_count
     assert double.imputations == unit.imputations
     assert double.census_correct() == pytest.approx(unit.census_correct())
+
+
+def test_prebuilt_table_tallies_equal_direct_tallies():
+    pop, cen, sur = _world(
+        seed=51, ee_rate=0.03, ii_rate=0.02, listed_nonresponse_rate=0.1,
+        absent_rate=0.1, unlisted_rate=0.05, proxy_miss=0.1,
+    )
+    rng = np.random.default_rng(51)
+    mask = rng.random(pop.households.count) < 0.4
+    weight = np.where(mask, rng.uniform(1.0, 20.0, size=mask.shape[0]), 0.0)
+    model = MatchErrorModel(false_nonmatch=0.05, false_match=0.02, resolution_flip=0.05)
+    result = match_and_code(
+        pop, cen, sur, error_model=model, seed=6, exclusion_mode="adjusted", household_mask=mask
+    )
+    assert ((result.hh_cell == CELL_HASH) & mask).any()
+    table = record_table(pop, cen, result, weight)
+    for level in ("national", "post_stratum", "province_stratum"):
+        direct = tally_groups(
+            pop, cen, result, level=level, household_weight=weight, with_in_mover_matching=True
+        )
+        shared = tally_groups(pop, cen, result, level=level, with_in_mover_matching=True,
+                              table=table)
+        assert shared == direct
+    with pytest.raises(DomainError, match="household_weight"):
+        tally_groups(pop, cen, result, household_weight=weight, table=table)
 
 
 def test_code_counts_reports_every_slot():

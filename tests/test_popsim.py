@@ -1,7 +1,5 @@
 """Synthetic worlds: generation invariants and both capture passes."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -26,8 +24,8 @@ from covlab.popsim import (
     simulate_census,
     simulate_pes,
     synthesize_population,
-    write_population,
 )
+from oracles import ledger_reference
 
 
 def _world(seed=11, **overrides):
@@ -298,6 +296,18 @@ def test_ground_truth_ledger_groups_sum_to_national():
         assert sum(p.census_count for p in parts.values()) == national.census_count
 
 
+def test_ground_truth_ledger_equals_masked_reference():
+    # Births, deaths, institutions, duplicates and fabrications all present.
+    _, pop = _world(institutional_rate=0.05)
+    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.85, pes=0.85)
+    census = simulate_census(pop, probs, ee_rate=0.05, ii_rate=0.02, seed=5)
+    assert census.duplicated.any() and census.fab_person.shape[0] > 0
+    assert (pop.scope == SCOPE_BORN).any() and (pop.scope == SCOPE_DIED).any()
+    assert pop.households.institutional.any()
+    for level in ("national", "post_stratum", "province_stratum"):
+        assert ground_truth_ledger(pop, census, level) == ledger_reference(pop, census, level)
+
+
 def test_group_labels_and_person_groups_agree():
     _, pop = _world()
     for level in ("national", "post_stratum", "province_stratum"):
@@ -309,18 +319,3 @@ def test_group_labels_and_person_groups_agree():
         group_labels(pop, "county")
     with pytest.raises(ConfigError):
         person_groups(pop, "county")
-
-
-def test_write_population_snapshot(tmp_path):
-    _, pop = _world(persons=300)
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.9, pes=0.9)
-    census = simulate_census(pop, probs, seed=6)
-    pes = simulate_pes(pop, census, probs, seed=7)
-    path = tmp_path / "world.csv"
-    write_population(str(path), pop, census, pes)
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == pop.size
-    assert rows[0].keys() >= {"person_id", "scope", "captured_census", "listed_pes"}
-    listed = sum(int(r["listed_pes"]) for r in rows)
-    assert listed == int(pes.listed.sum())

@@ -12,17 +12,15 @@ from covlab.sampling import (
     RURAL,
     TEMPORARILY_ABSENT,
     URBAN,
-    District,
+    DistrictFrame,
     SampleDesign,
     WeightedHousehold,
     draw_sample,
     noninterview_adjust,
-    read_district_frame,
     select_households,
     select_psus,
     selection_probability,
     systematic_indices,
-    write_district_frame,
 )
 
 
@@ -40,9 +38,19 @@ class _FixedRng:
         return self._integer % n
 
 
-def _district(district_id, n, province="p1", stratum=URBAN):
-    households = tuple(f"{district_id}-h{j}" for j in range(n))
-    return District(district_id, province, stratum, households)
+def _frame(counts, strata=None, provinces=None):
+    """Districts of the given sizes, listed one after another, with
+    household ids 1000, 1001, ... so that ids differ from positions."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n = counts.shape[0]
+    return DistrictFrame(
+        households=1000 + np.arange(counts.sum()),
+        offset=np.cumsum(counts) - counts,
+        count=counts,
+        province=np.zeros(n, dtype=np.int64) if provinces is None else np.asarray(provinces),
+        stratum=np.zeros(n, dtype=np.int8) if strata is None else np.asarray(strata, dtype=np.int8),
+        province_labels=("p1", "p2"),
+    )
 
 
 def test_selection_probability_round_numbers():
@@ -88,80 +96,120 @@ def test_systematic_indices_rejects_oversized_count():
 
 
 def test_select_psus_progression():
-    frame = [_district(f"d{i}", 10) for i in range(4)]
+    frame = _frame([10] * 4)
     design = SampleDesign({("p1", URBAN): 2})
     chosen = select_psus(frame, design, _FixedRng(uniform=0.25))
-    assert [d.district_id for d in chosen] == ["d0", "d2"]
+    assert chosen.tolist() == [0, 2]
 
 
 def test_select_psus_respects_frame_size():
-    frame = [_district("d0", 10)]
+    frame = _frame([10])
     design = SampleDesign({("p1", URBAN): 2})
     with pytest.raises(DesignError):
         select_psus(frame, design, np.random.default_rng(0))
 
 
+def test_select_psus_keeps_frame_order_within_each_stratum():
+    # Urban and rural districts interleave; each stratum keeps its own order.
+    frame = _frame([10] * 6, strata=[0, 1, 0, 1, 0, 1], provinces=[0, 0, 0, 0, 1, 1])
+    design = SampleDesign({("p1", URBAN): 2, ("p1", RURAL): 2, ("p2", RURAL): 1})
+    chosen = select_psus(frame, design, _FixedRng(uniform=0.0))
+    assert chosen.tolist() == [1, 3, 0, 2, 5]
+
+
 def test_select_households_reverse_wraparound():
-    district = _district("d0", 10)
-    take = select_households(district, 4, _FixedRng(integer=2))
-    assert take.households == ("d0-h2", "d0-h1", "d0-h0", "d0-h9")
-    assert not take.short_take
+    frame = _frame([5, 10])
+    take = select_households(frame, 1, 4, _FixedRng(integer=2))
+    assert take.tolist() == [1007, 1006, 1005, 1014]
 
 
 def test_select_households_short_district_taken_whole():
-    district = _district("d0", 3)
-    take = select_households(district, 50, np.random.default_rng(0))
-    assert take.households == district.households
-    assert take.short_take
+    frame = _frame([3])
+    take = select_households(frame, 0, 50, np.random.default_rng(0))
+    assert take.tolist() == [1000, 1001, 1002]
 
 
 def test_draw_sample_is_deterministic():
-    frame = [_district(f"d{i}", 200) for i in range(10)]
+    frame = _frame([200] * 10)
     design = SampleDesign({("p1", URBAN): 3}, urban_take=50)
     first = draw_sample(frame, design, seed=42)
     again = draw_sample(frame, design, seed=42)
-    assert first == again
+    for name in ("households", "district", "probability", "weight", "short_districts"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(again, name))
     other = draw_sample(frame, design, seed=43)
-    assert first != other
+    assert not np.array_equal(first.households, other.households)
 
 
 def test_draw_sample_weights_and_counts():
-    frame = [_district(f"d{i}", 200) for i in range(10)]
+    frame = _frame([200] * 10)
     design = SampleDesign({("p1", URBAN): 2}, urban_take=50)
     sample = draw_sample(frame, design, seed=7)
     assert len(sample.households) == 100
-    assert sample.short_districts == ()
-    for household in sample.households:
-        assert household.probability == pytest.approx((2 / 10) * (50 / 200))
-        assert household.weight == pytest.approx(20.0)
+    assert len(np.unique(sample.households)) == 100
+    assert sample.short_districts.tolist() == []
+    np.testing.assert_allclose(sample.probability, (2 / 10) * (50 / 200))
+    np.testing.assert_allclose(sample.weight, 20.0)
+    # Every drawn household lies in the district it is reported under.
+    start = frame.offset[sample.district]
+    assert np.all((sample.households - 1000 >= start)
+                  & (sample.households - 1000 < start + frame.count[sample.district]))
     # Per selected district the weighted take recovers the full frame share.
-    by_district: dict[str, float] = {}
-    for household in sample.households:
-        by_district[household.district_id] = (
-            by_district.get(household.district_id, 0.0) + household.weight
-        )
-    for total in by_district.values():
-        assert total == pytest.approx(200 * 10 / 2)
+    totals = np.bincount(sample.district, weights=sample.weight)
+    np.testing.assert_allclose(totals[np.unique(sample.district)], 200 * 10 / 2)
 
 
 def test_draw_sample_mixed_strata_take_sizes():
-    frame = [_district(f"u{i}", 80, stratum=URBAN) for i in range(4)]
-    frame += [_district(f"r{i}", 150, stratum=RURAL) for i in range(4)]
+    frame = _frame([80] * 4 + [150] * 4, strata=[0] * 4 + [1] * 4)
     design = SampleDesign({("p1", URBAN): 1, ("p1", RURAL): 1})
     sample = draw_sample(frame, design, seed=5)
-    urban = [h for h in sample.households if h.stratum == URBAN]
-    rural = [h for h in sample.households if h.stratum == RURAL]
-    assert len(urban) == 50
-    assert len(rural) == 100
+    stratum = frame.stratum[sample.district]
+    assert (stratum == 0).sum() == 50
+    assert (stratum == 1).sum() == 100
 
 
 def test_draw_sample_flags_short_districts():
-    frame = [_district("d0", 30)]
+    frame = _frame([30])
     design = SampleDesign({("p1", URBAN): 1}, urban_take=50)
     sample = draw_sample(frame, design, seed=0)
-    assert sample.short_districts == ("d0",)
+    assert sample.short_districts.tolist() == [0]
     # Whole district taken: the household factor is 1.
-    assert sample.households[0].probability == pytest.approx(1.0)
+    np.testing.assert_array_equal(sample.households, frame.households)
+    np.testing.assert_allclose(sample.probability, 1.0)
+
+
+def test_draw_sample_empty_district_contributes_nothing():
+    frame = _frame([0, 0])
+    design = SampleDesign({("p1", URBAN): 1})
+    sample = draw_sample(frame, design, seed=0)
+    assert len(sample.households) == 0
+    assert sample.weight.shape == (0,)
+    assert len(sample.short_districts) == 1
+
+
+def test_horvitz_thompson_total_is_unbiased_with_empty_districts():
+    rng = np.random.default_rng(11)
+    counts = rng.integers(20, 120, size=12)
+    counts[[1, 4, 5, 9]] = 0
+    frame = _frame(counts, strata=[0] * 6 + [1] * 6)
+    design = SampleDesign({("p1", URBAN): 2, ("p1", RURAL): 3}, urban_take=30, rural_take=40)
+    totals = np.array([
+        draw_sample(frame, design, np.random.SeedSequence(7, spawn_key=(k,))).weight.sum()
+        for k in range(2_000)
+    ])
+    se = totals.std(ddof=1) / np.sqrt(totals.size)
+    assert abs(totals.mean() - counts.sum()) <= 3.0 * se
+
+
+def test_frame_from_households_lists_each_district_in_id_order():
+    district = np.array([2, 0, 2, 1, 0, 2], dtype=np.int32)
+    frame = DistrictFrame.from_households(
+        district, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1], dtype=np.int8), ("p1", "p2")
+    )
+    assert frame.households.tolist() == [1, 4, 3, 0, 2, 5]
+    assert frame.offset.tolist() == [0, 2, 3, 6]
+    assert frame.count.tolist() == [2, 1, 3, 0]
+    assert frame.districts_in(("p2", URBAN)).tolist() == [2]
+    assert frame.districts_in(("p3", URBAN)).tolist() == []
 
 
 def _wh(hid, base, status=INTERVIEWED, district="d1", address="single_unit"):
@@ -250,7 +298,12 @@ def test_weighted_household_validation():
 
 def test_district_requires_known_stratum():
     with pytest.raises(DesignError):
-        District("d0", "p1", "suburban", ("h0",))
+        _frame([1], strata=[2])
+    with pytest.raises(DesignError):
+        _frame([1], provinces=[2])
+    with pytest.raises(DesignError, match="inside the household listing"):
+        DistrictFrame(np.arange(3), np.array([2]), np.array([2]), np.array([0]),
+                      np.array([0]), ("p1",))
 
 
 def test_sample_design_validation():
@@ -261,24 +314,3 @@ def test_sample_design_validation():
     design = SampleDesign({("p1", URBAN): 1}, urban_take=40, rural_take=80)
     assert design.take_for(URBAN) == 40
     assert design.take_for(RURAL) == 80
-
-
-def test_district_frame_round_trip(tmp_path):
-    frame = [
-        _district("d0", 12, province="p1", stratum=URBAN),
-        _district("d1", 30, province="p2", stratum=RURAL),
-    ]
-    path = tmp_path / "frame.csv"
-    write_district_frame(str(path), frame)
-    loaded = read_district_frame(str(path))
-    assert [d.district_id for d in loaded] == ["d0", "d1"]
-    assert [d.household_count for d in loaded] == [12, 30]
-    assert loaded[1].province == "p2"
-    assert loaded[1].stratum == RURAL
-
-
-def test_district_frame_rejects_missing_columns(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("district_id,province\nd0,p1\n", encoding="utf-8")
-    with pytest.raises(DesignError):
-        read_district_frame(str(path))
