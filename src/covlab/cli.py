@@ -12,11 +12,13 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Callable
 
 from .errors import (
     ConfigError,
     CoverageLabError,
     DegenerateInputs,
+    DomainError,
     MissingField,
     SchemaError,
     ValidationError,
@@ -108,6 +110,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _estimate_entry(estimate: Callable[[], float], census_count: float) -> dict[str, object]:
+    """One estimator's report entry: its value and net undercount, or why
+    it has none."""
+    try:
+        value = estimate()
+    except MissingField:
+        return {"error": "in-mover matching is not recorded in microdata files"}
+    except DegenerateInputs as exc:
+        return {"error": str(exc)}
+    try:
+        summary = net_undercount(value, census_count)
+    except DomainError as exc:
+        return {"error": str(exc)}
+    return {
+        "estimate": value,
+        "net_undercount": summary.net_undercount,
+        "percent_undercount": summary.percent_undercount,
+    }
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     tallies = ingest_microdata(args.in_dir, level=args.level)
     procedures = args.procedure or ["a", "c"]
@@ -115,44 +137,21 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     groups: dict[str, dict] = {}
     for label, tally in tallies.items():
-        entry: dict[str, object] = {
+        estimates: dict[str, dict[str, object]] = {}
+        for procedure in procedures:
+            estimates[f"procedure_{procedure}"] = _estimate_entry(
+                lambda: tally.census_correct() * mover_ratio(tally.movers, procedure),
+                tally.census_count,
+            )
+        for placement in placements:
+            estimates[f"fcode_{placement}"] = _estimate_entry(
+                lambda: fcode_estimate(tally.fcode, placement), tally.census_count
+            )
+        groups[label] = {
             "census_count": tally.census_count,
             "census_correct": tally.census_correct(),
+            "estimates": estimates,
         }
-        estimates: dict[str, object] = {}
-        for procedure in procedures:
-            name = f"procedure_{procedure}"
-            try:
-                value = tally.census_correct() * mover_ratio(tally.movers, procedure)
-            except MissingField:
-                estimates[name] = {
-                    "error": "in-mover matching is not recorded in microdata files"
-                }
-                continue
-            except DegenerateInputs as exc:
-                estimates[name] = {"error": str(exc)}
-                continue
-            summary = net_undercount(value, tally.census_count)
-            estimates[name] = {
-                "estimate": value,
-                "net_undercount": summary.net_undercount,
-                "percent_undercount": summary.percent_undercount,
-            }
-        for placement in placements:
-            name = f"fcode_{placement}"
-            try:
-                value = fcode_estimate(tally.fcode, placement)
-            except DegenerateInputs as exc:
-                estimates[name] = {"error": str(exc)}
-                continue
-            summary = net_undercount(value, tally.census_count)
-            estimates[name] = {
-                "estimate": value,
-                "net_undercount": summary.net_undercount,
-                "percent_undercount": summary.percent_undercount,
-            }
-        entry["estimates"] = estimates
-        groups[label] = entry
 
     report = json.dumps({"level": args.level, "groups": groups}, indent=2, sort_keys=True)
     if args.out:
@@ -203,10 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (ConfigError, SchemaError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CoverageLabError as exc:

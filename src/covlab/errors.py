@@ -40,11 +40,6 @@ class DesignError(CoverageLabError):
     sizes are not positive."""
 
 
-class EmptyCell(CoverageLabError):
-    """A noninterview-adjustment cell has no interviewed household left,
-    even after the merge rule."""
-
-
 class ConfigError(CoverageLabError):
     """A configuration value is out of range or internally inconsistent."""
 

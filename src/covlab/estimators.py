@@ -2,10 +2,10 @@
 
 Two families are implemented.
 
-The empirical dual-system estimator assembles the census margin from field
-quantities: the census count less whole-person imputations, deflated by the
-estimated share of erroneous enumerations, then scaled by the inverse match
-rate of the survey,
+The empirical dual-system estimator scales the correct-enumeration margin
+(`matching.MatchTallies.census_correct`: the census count less whole-person
+imputations, deflated by the estimated share of erroneous enumerations) by
+the inverse match rate of the survey,
 
     t = (c - ii) * (1 - ee / ne) * (np / m).
 
@@ -44,11 +44,9 @@ __all__ = [
     "Procedure",
     "F30Placement",
     "MoverTallies",
-    "EmpiricalDsInputs",
     "FCodeTallies",
     "ProcedureCEstimates",
     "ProcedureCResult",
-    "empirical_ds_estimate",
     "mover_ratio",
     "net_undercount",
     "fcode_missed_both",
@@ -127,45 +125,6 @@ class MoverTallies:
         """Absolute in-mover versus out-mover imbalance, a diagnostic for
         how far procedure C's borrowed match rate is being stretched."""
         return abs(self.n_in - self.n_out)
-
-
-@dataclass(frozen=True)
-class EmpiricalDsInputs:
-    """Field quantities entering the empirical dual-system estimator."""
-
-    census_count: float
-    imputations: float
-    ee_weight: float
-    e_sample_weight: float
-    p_sample_weight: float
-    match_weight: float
-
-    def __post_init__(self) -> None:
-        _require_finite_nonneg(
-            [
-                ("census_count", self.census_count),
-                ("imputations", self.imputations),
-                ("ee_weight", self.ee_weight),
-                ("e_sample_weight", self.e_sample_weight),
-                ("p_sample_weight", self.p_sample_weight),
-                ("match_weight", self.match_weight),
-            ]
-        )
-        if self.imputations > self.census_count:
-            raise DomainError("imputations cannot exceed the census count")
-        if self.ee_weight > self.e_sample_weight:
-            raise DomainError("erroneous-enumeration weight cannot exceed the E-sample weight")
-        if self.match_weight > self.p_sample_weight:
-            raise DomainError("matched weight cannot exceed the P-sample weight")
-
-    def x1plus_hat(self) -> float:
-        """Estimated correct-enumeration margin (c - ii) * (1 - ee / ne).
-
-        Requires a positive E-sample weight.
-        """
-        return (self.census_count - self.imputations) * (
-            1.0 - self.ee_weight / self.e_sample_weight
-        )
 
 
 @dataclass(frozen=True)
@@ -254,16 +213,6 @@ class ProcedureCResult:
     table: DsTable
     estimate: float
     clamped: bool
-
-
-def empirical_ds_estimate(inputs: EmpiricalDsInputs) -> float:
-    """Empirical dual-system total (c - ii) * (1 - ee / ne) * (np / m)."""
-    if inputs.e_sample_weight == 0:
-        raise DegenerateInputs("E-sample weight is zero")
-    if inputs.match_weight == 0:
-        raise DegenerateInputs("matched weight is zero")
-    # (x1plus * np) / m, the same shape as the margin estimator.
-    return inputs.x1plus_hat() * inputs.p_sample_weight / inputs.match_weight
 
 
 def mover_ratio(tallies: MoverTallies, procedure: Procedure | str) -> float:

@@ -37,9 +37,11 @@ erroneous outcomes during follow-up.
 Excluded cells are either left out (the carry-forward of the field rules,
 `exclusion_mode="sci"`) or handled by a simulated full-information
 follow-up (`exclusion_mode="adjusted"`): '#' households are covered by
-reweighting interviewed survey households within district and address
-type, '§' households have their census-time members recovered as 42/2,
-and '¶' households are interviewed late, yielding 20s and 42/1s.
+reweighting interviewed survey households with the noninterview rule of
+`sampling.noninterview_factor` (within district and address type, then
+district, then national), '§' households have their census-time members
+recovered as 42/2, and '¶' households are interviewed late, yielding 20s
+and 42/1s.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .popsim import (
     Population,
     group_labels,
 )
+from .sampling import noninterview_factor
 
 __all__ = [
     "CODE_NONE",
@@ -549,58 +552,6 @@ def match_and_code(
     )
 
 
-def _survey_weight_factor(
-    pop: Population,
-    result: MatchResult,
-    weight: np.ndarray,
-) -> np.ndarray:
-    """Reweighting factor covering '#' households, by district and address
-    type with district-wide then global fallback."""
-    cell = result.hh_cell
-    mask = result.household_mask
-    interviewed = mask & (
-        (cell == CELL_PAIR) | (cell == CELL_BARE42) | (cell == CELL_PES_ONLY)
-    )
-    missing = mask & (cell == CELL_HASH)
-    factor = np.ones(pop.households.count, dtype=np.float64)
-    if not missing.any():
-        return factor
-
-    district = pop.households.district.astype(np.int64)
-    atype = pop.households.address_type.astype(np.int64)
-    n_districts = pop.districts.count
-    key = district * 3 + atype
-
-    def spread(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        base = np.bincount(keys[interviewed], weights=weight[interviewed], minlength=size)
-        extra = np.bincount(keys[missing], weights=weight[missing], minlength=size)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f = np.where(base > 0, (base + extra) / np.maximum(base, 1e-300), 1.0)
-        return f, base > 0, extra
-
-    f_fine, covered_fine, extra_fine = spread(key, n_districts * 3)
-    factor[interviewed] = f_fine[key[interviewed]]
-
-    # Cells with '#' mass but nothing interviewed fall back to the district.
-    orphan_fine = (~covered_fine) & (extra_fine > 0)
-    if orphan_fine.any():
-        carry = np.zeros(n_districts, dtype=np.float64)
-        np.add.at(carry, np.nonzero(orphan_fine)[0] // 3, extra_fine[orphan_fine])
-        base_d = np.bincount(
-            district[interviewed], weights=weight[interviewed] * factor[interviewed],
-            minlength=n_districts,
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f_d = np.where(base_d > 0, (base_d + carry) / np.maximum(base_d, 1e-300), 1.0)
-        factor[interviewed] *= f_d[district[interviewed]]
-        left = carry[base_d == 0].sum()
-        if left > 0:
-            total = (weight[interviewed] * factor[interviewed]).sum()
-            if total > 0:
-                factor[interviewed] *= (total + left) / total
-    return factor
-
-
 def record_table(
     pop: Population,
     census: CensusSim,
@@ -626,7 +577,14 @@ def record_table(
         if np.any(weight < 0) or not np.all(np.isfinite(weight)):
             raise DomainError("household weights must be finite and non-negative")
     if result.exclusion_mode == "adjusted":
-        survey_weight = weight * _survey_weight_factor(pop, result, weight)
+        cell = result.hh_cell
+        interviewed = result.household_mask & (
+            (cell == CELL_PAIR) | (cell == CELL_BARE42) | (cell == CELL_PES_ONLY)
+        )
+        survey_weight = weight * noninterview_factor(
+            pop.households.district, pop.households.address_type, weight,
+            interviewed, result.household_mask & (cell == CELL_HASH), pop.districts.count,
+        )
     else:
         survey_weight = weight
 

@@ -17,50 +17,47 @@ the reciprocal of
 A district no larger than the take is taken whole; an empty district is a
 unit of size zero and contributes no household.
 
-Household noninterview is repaired by spreading the weight of
-non-interviewed households across interviewed ones within adjustment cells
-keyed by district and basic address type.
+Household noninterview is repaired by `noninterview_factor`, the one
+noninterview rule: the weight of missing households is spread over
+interviewed households, in proportion to their weight,
+
+  1. within district x address type;
+  2. a cell with missing weight but no interview falls back to its district;
+  3. a district with no interview falls back to the national total;
+  4. the weight is dropped only when nothing in the sample was interviewed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .errors import DesignError, DomainError, EmptyCell
+from .errors import DesignError
 
 __all__ = [
     "URBAN",
     "RURAL",
     "STRATA",
-    "INTERVIEWED",
-    "TEMPORARILY_ABSENT",
-    "NOT_LISTED",
     "ADDRESS_TYPES",
     "DistrictFrame",
     "SampleDesign",
     "DrawnSample",
-    "WeightedHousehold",
     "systematic_indices",
     "select_psus",
     "select_households",
     "selection_probability",
-    "noninterview_adjust",
     "draw_sample",
+    "noninterview_factor",
 ]
 
 URBAN = "urban"
 RURAL = "rural"
 STRATA = (URBAN, RURAL)  # indexed by stratum code
 
-INTERVIEWED = "interviewed"
-TEMPORARILY_ABSENT = "temporarily_absent"
-NOT_LISTED = "not_listed"
-
-# Merge ladder for noninterview cells, in order.
+# Indexed by a household's address type code.
 ADDRESS_TYPES = ("single_unit", "multi_unit", "other")
 
 
@@ -150,26 +147,6 @@ class DrawnSample:
     probability: np.ndarray
     weight: np.ndarray
     short_districts: np.ndarray
-
-
-@dataclass(frozen=True)
-class WeightedHousehold:
-    """A sampled household with its design weight and interview status."""
-
-    household_id: str
-    district_id: str
-    base_weight: float
-    adjusted_weight: float
-    status: str = INTERVIEWED
-    address_type: str = "single_unit"
-
-    def __post_init__(self) -> None:
-        if self.status not in (INTERVIEWED, TEMPORARILY_ABSENT, NOT_LISTED):
-            raise DomainError(f"unknown interview status {self.status!r}")
-        if self.address_type not in ADDRESS_TYPES:
-            raise DomainError(f"unknown address type {self.address_type!r}")
-        if not math.isfinite(self.base_weight) or self.base_weight <= 0:
-            raise DomainError(f"base weight must be positive, got {self.base_weight!r}")
 
 
 def systematic_indices(total: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -287,58 +264,62 @@ def draw_sample(
     )
 
 
-def _default_cell_key(household: WeightedHousehold) -> tuple[str, str]:
-    return (household.district_id, household.address_type)
+def noninterview_factor(
+    district: np.ndarray,
+    address_type: np.ndarray,
+    weight: np.ndarray,
+    interviewed: np.ndarray,
+    missing: np.ndarray,
+    n_districts: int,
+) -> np.ndarray:
+    """Per-household factor that moves the weight of `missing` households
+    onto `interviewed` ones.
 
+    All arrays are per household: district code, address type code (an
+    index into ADDRESS_TYPES), weight and the two masks.  The rule:
 
-def noninterview_adjust(
-    households: Iterable[WeightedHousehold],
-    cell_key: Callable[[WeightedHousehold], tuple] | None = None,
-) -> list[WeightedHousehold]:
-    """Spread non-interviewed households' weight within adjustment cells.
+      1. within each district x address type cell, interviewed households
+         take the cell's missing weight in proportion to their weight;
+      2. a cell with missing weight but no interview falls back to its
+         district, spread over the district's interviewed households;
+      3. a district with no interview falls back to the national total,
+         spread over every interviewed household;
+      4. the weight is dropped only when nothing was interviewed.
 
-    Within each cell the interviewed households absorb the full base-weight
-    total, so the weighted total is conserved; non-interviewed households
-    end with zero adjusted weight.  A cell with no interviewed household is
-    merged into the next address type on the ladder within the same
-    district before adjustment; if a whole district has no interviewed
-    household, EmptyCell is raised.
+    So interviewed weight times the factor equals interviewed plus missing
+    weight whenever anything was interviewed.  Households that are not
+    interviewed keep factor 1.
     """
-    if cell_key is None:
-        cell_key = _default_cell_key
-    households = list(households)
-    cells: dict[tuple, list[int]] = {}
-    for position, household in enumerate(households):
-        cells.setdefault(cell_key(household), []).append(position)
+    factor = np.ones(weight.shape[0], dtype=np.float64)
+    if not missing.any():
+        return factor
 
-    def has_interview(key: tuple) -> bool:
-        return any(households[i].status == INTERVIEWED for i in cells.get(key, []))
+    district = district.astype(np.int64)
+    n_types = len(ADDRESS_TYPES)
+    key = district * n_types + address_type.astype(np.int64)
 
-    # Merge ladder applies only to the default (district, address_type) key.
-    merged: dict[tuple, list[int]] = {}
-    for key, members in cells.items():
-        target = key
-        if not has_interview(key) and len(key) == 2 and key[1] in ADDRESS_TYPES:
-            district, address_type = key
-            ladder = ADDRESS_TYPES.index(address_type)
-            for step in range(1, len(ADDRESS_TYPES)):
-                candidate = (district, ADDRESS_TYPES[(ladder + step) % len(ADDRESS_TYPES)])
-                if has_interview(candidate):
-                    target = candidate
-                    break
-        merged.setdefault(target, []).extend(members)
+    size = n_districts * n_types
+    base = np.bincount(key[interviewed], weights=weight[interviewed], minlength=size)
+    extra = np.bincount(key[missing], weights=weight[missing], minlength=size)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f_fine = np.where(base > 0, (base + extra) / np.maximum(base, 1e-300), 1.0)
+    factor[interviewed] = f_fine[key[interviewed]]
 
-    adjusted = list(households)
-    for key, members in merged.items():
-        base_total = sum(households[i].base_weight for i in members)
-        interviewed = [i for i in members if households[i].status == INTERVIEWED]
-        interviewed_total = sum(households[i].base_weight for i in interviewed)
-        if interviewed_total == 0:
-            raise EmptyCell(f"no interviewed household in adjustment cell {key!r}")
-        factor = base_total / interviewed_total
-        interviewed_set = set(interviewed)
-        for i in members:
-            household = households[i]
-            weight = household.base_weight * factor if i in interviewed_set else 0.0
-            adjusted[i] = replace(household, adjusted_weight=weight)
-    return adjusted
+    # Step 2, then step 3 for what no district could take.
+    orphan_fine = ~(base > 0) & (extra > 0)
+    if orphan_fine.any():
+        carry = np.zeros(n_districts, dtype=np.float64)
+        np.add.at(carry, np.nonzero(orphan_fine)[0] // n_types, extra[orphan_fine])
+        base_d = np.bincount(
+            district[interviewed], weights=weight[interviewed] * factor[interviewed],
+            minlength=n_districts,
+        )
+        with np.errstate(invalid="ignore", divide="ignore"):
+            f_d = np.where(base_d > 0, (base_d + carry) / np.maximum(base_d, 1e-300), 1.0)
+        factor[interviewed] *= f_d[district[interviewed]]
+        left = carry[base_d == 0].sum()
+        if left > 0:
+            total = (weight[interviewed] * factor[interviewed]).sum()
+            if total > 0:
+                factor[interviewed] *= (total + left) / total
+    return factor

@@ -26,16 +26,12 @@ from covlab.harness import ExperimentConfig, SampleSpec, build_world, run_experi
 from covlab.matching import tally_groups
 from covlab.popsim import PopulationConfig
 from covlab.sampling import (
-    INTERVIEWED,
-    NOT_LISTED,
     RURAL,
-    TEMPORARILY_ABSENT,
     URBAN,
     DistrictFrame,
     SampleDesign,
-    WeightedHousehold,
     draw_sample,
-    noninterview_adjust,
+    noninterview_factor,
 )
 from oracles import clean_expected
 
@@ -295,31 +291,23 @@ def test_criterion_08_design_weights_and_noninterview_conservation():
     )
     true_total = sum(counts)
 
-    statuses = (INTERVIEWED, TEMPORARILY_ABSENT, NOT_LISTED)
     totals = np.empty(2_000)
     worst_conservation = 0.0
     for k in range(2_000):
         sample = draw_sample(frame, design, np.random.SeedSequence(408, spawn_key=(k,)))
         totals[k] = sample.weight.sum()
         if k < 20:
-            households = [
-                WeightedHousehold(
-                    household_id=str(household),
-                    district_id=str(district),
-                    base_weight=weight,
-                    adjusted_weight=weight,
-                    status=statuses[int(rng.choice(3, p=(0.8, 0.1, 0.1)))],
-                )
-                for household, district, weight in zip(
-                    sample.households.tolist(), sample.district.tolist(), sample.weight.tolist()
-                )
-            ]
-            adjusted = noninterview_adjust(households)
-            base_total = sum(h.base_weight for h in households)
-            kept = sum(h.adjusted_weight for h in adjusted)
-            worst_conservation = max(
-                worst_conservation, abs(kept - base_total) / base_total
+            # Interviewed, missing ('#'), or neither (not listed).
+            n = sample.households.shape[0]
+            status = rng.choice(3, size=n, p=(0.8, 0.1, 0.1))
+            interviewed, missing = status == 0, status == 1
+            factor = noninterview_factor(
+                sample.district, rng.integers(3, size=n), sample.weight,
+                interviewed, missing, frame.count.shape[0],
             )
+            covered = sample.weight[interviewed | missing].sum()
+            kept = (sample.weight[interviewed] * factor[interviewed]).sum()
+            worst_conservation = max(worst_conservation, abs(kept - covered) / covered)
     mean = float(totals.mean())
     se = float(totals.std(ddof=1)) / math.sqrt(totals.size)
     ok = abs(mean - true_total) <= 3.0 * se and worst_conservation < 1e-9

@@ -14,53 +14,48 @@ from covlab.errors import (
     MissingField,
 )
 from covlab.estimators import (
-    EmpiricalDsInputs,
     F30Placement,
     FCodeTallies,
     MoverTallies,
     Procedure,
     ProcedureCEstimates,
-    empirical_ds_estimate,
     fcode_estimate,
     fcode_missed_both,
     mover_ratio,
     net_undercount,
     procedure_c_table,
 )
+from covlab.matching import MatchTallies
 
 weights = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 positive = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 
 
-def test_empirical_ds_round_numbers():
-    inputs = EmpiricalDsInputs(
-        census_count=1050,
-        imputations=50,
-        ee_weight=100,
-        e_sample_weight=1000,
-        p_sample_weight=1000,
-        match_weight=900,
+def _empirical_ds(census_count, imputations, ee_weight, e_sample_weight,
+                  p_sample_weight, match_weight):
+    """(c - ii) * (1 - ee / ne) * (np / m), with no movers."""
+    tallies = MatchTallies(
+        group="all",
+        fcode=FCodeTallies(f10=0.0, f30=0.0),
+        movers=MoverTallies(n_non=p_sample_weight, n_in=0, n_out=0,
+                            m_non=match_weight, m_out=0),
+        census_count=census_count,
+        imputations=imputations,
+        e_sample=e_sample_weight,
+        erroneous=ee_weight,
     )
-    assert inputs.x1plus_hat() == 900.0
-    assert empirical_ds_estimate(inputs) == 1000.0
+    return tallies.census_correct(), tallies.census_correct() * mover_ratio(tallies.movers, "a")
+
+
+def test_empirical_ds_round_numbers():
+    correct, estimate = _empirical_ds(1050, 50, 100, 1000, 1000, 900)
+    assert correct == 900.0
+    assert estimate == 1000.0
 
 
 def test_empirical_ds_clean_census():
-    inputs = EmpiricalDsInputs(1000, 0, 0, 900, 920, 880)
-    assert empirical_ds_estimate(inputs) == pytest.approx(1045.4545454545455)
-
-
-def test_empirical_ds_input_validation():
-    with pytest.raises(DomainError):
-        EmpiricalDsInputs(100, 200, 0, 900, 920, 880)  # imputations > count
-    with pytest.raises(DomainError):
-        EmpiricalDsInputs(1000, 0, 950, 900, 920, 880)  # ee > e sample
-    with pytest.raises(DomainError):
-        EmpiricalDsInputs(1000, 0, 0, 900, 880, 920)  # matches > p sample
-    with pytest.raises(DegenerateInputs):
-        empirical_ds_estimate(EmpiricalDsInputs(1000, 0, 0, 0, 920, 0))
-    with pytest.raises(DegenerateInputs):
-        empirical_ds_estimate(EmpiricalDsInputs(1000, 0, 0, 900, 920, 0))
+    _, estimate = _empirical_ds(1000, 0, 0, 900, 920, 880)
+    assert estimate == pytest.approx(1045.4545454545455)
 
 
 def test_mover_ratio_all_procedures():

@@ -475,6 +475,34 @@ def test_cli_simulate_estimate_validate(tmp_path, capsys):
     assert "fcode_numerator" not in estimates
 
 
+def test_cli_estimate_reports_a_zero_estimate_and_every_group(tmp_path, capsys):
+    # Every census record of one post-stratum imputed: its correct
+    # enumerations, and so its procedure A estimate, are zero.
+    out = _write_clean_microdata(tmp_path)
+    path = out / "census.csv"
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    kind, stratum = rows[0].index("kind"), rows[0].index("stratum")
+    for row in rows[1:]:
+        if row[stratum] == "m_a0":
+            row[kind] = "imputed"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\r\n").writerows(rows)
+
+    assert cli_main(["estimate", "--in", str(out), "--level", "post_stratum"]) == 0
+    groups = json.loads(capsys.readouterr().out)["groups"]
+    assert set(groups) == set(ingest_microdata(str(out), level="post_stratum"))
+    assert groups["m_a0"]["census_correct"] == 0.0
+    assert groups["m_a0"]["estimates"]["procedure_a"] == {
+        "error": "estimated total must be positive, got 0.0"
+    }
+    assert groups["m_a0"]["estimates"]["fcode_omitted"]["estimate"] > 0
+    assert all(
+        "estimate" in groups[label]["estimates"]["procedure_a"]
+        for label in groups if label != "m_a0"
+    )
+
+
 def test_cli_estimate_writes_report_file(tmp_path, capsys):
     out = tmp_path / "micro"
     cli_main(["simulate", "--out", str(out)])

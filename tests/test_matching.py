@@ -24,13 +24,13 @@ from covlab.matching import (
     CODE_52_4,
     CODE_NONE,
     CODE_PAIRED,
+    SOURCE_ROSTER,
     MatchErrorModel,
     MatchTallies,
     match_and_code,
     record_table,
     tally_groups,
 )
-from covlab.matching import _survey_weight_factor
 from covlab.popsim import (
     SCOPE_BORN,
     SCOPE_IN,
@@ -40,6 +40,7 @@ from covlab.popsim import (
     simulate_pes,
     synthesize_population,
 )
+from covlab.sampling import noninterview_factor
 from oracles import clean_expected
 
 
@@ -297,12 +298,19 @@ def test_hash_reweighting_conserves_survey_mass():
     assert (cell == CELL_HASH).any()
     rng = np.random.default_rng(0)
     weight = rng.uniform(0.5, 3.0, size=pop.households.count)
-    factor = _survey_weight_factor(pop, result, weight)
     interviewed = np.isin(cell, (CELL_PAIR, 6, 7))  # pair, bare 42, survey-only
+    factor = noninterview_factor(
+        pop.households.district, pop.households.address_type, weight,
+        interviewed, cell == CELL_HASH, pop.districts.count,
+    )
     covered = weight[interviewed].sum() + weight[cell == CELL_HASH].sum()
     respread = (weight[interviewed] * factor[interviewed]).sum()
     assert respread == pytest.approx(covered, rel=1e-9)
     assert (factor[~interviewed] == 1.0).all()
+    # Survey roster records carry exactly this reweighted household weight.
+    table = record_table(pop, cen, result, weight)
+    roster = table.source == SOURCE_ROSTER
+    assert (table.weight[roster] == (weight * factor)[table.household[roster]]).all()
 
 
 def test_household_mask_gates_every_code():

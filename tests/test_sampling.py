@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covlab.errors import DesignError, DomainError, EmptyCell
+from covlab.errors import DesignError
 from covlab.sampling import (
-    INTERVIEWED,
-    NOT_LISTED,
     RURAL,
-    TEMPORARILY_ABSENT,
     URBAN,
     DistrictFrame,
     SampleDesign,
-    WeightedHousehold,
     draw_sample,
-    noninterview_adjust,
+    noninterview_factor,
     select_households,
     select_psus,
     selection_probability,
@@ -212,61 +208,47 @@ def test_frame_from_households_lists_each_district_in_id_order():
     assert frame.districts_in(("p3", URBAN)).tolist() == []
 
 
-def _wh(hid, base, status=INTERVIEWED, district="d1", address="single_unit"):
-    return WeightedHousehold(
-        household_id=hid,
-        district_id=district,
-        base_weight=base,
-        adjusted_weight=base,
-        status=status,
-        address_type=address,
+def _adjusted(district, address_type, weight, interviewed, missing, n_districts=1):
+    """Weights after the noninterview rule: interviewed weight times the
+    factor, zero for every other household."""
+    weight = np.asarray(weight, dtype=np.float64)
+    interviewed = np.asarray(interviewed, dtype=bool)
+    factor = noninterview_factor(
+        np.asarray(district), np.asarray(address_type), weight, interviewed,
+        np.asarray(missing, dtype=bool), n_districts,
     )
+    return np.where(interviewed, weight * factor, 0.0)
 
 
 def test_noninterview_adjustment_conserves_weight():
-    households = [
-        _wh("a", 10.0),
-        _wh("b", 10.0, status=TEMPORARILY_ABSENT),
-        _wh("c", 5.0),
-    ]
-    adjusted = noninterview_adjust(households)
-    total_before = sum(h.base_weight for h in households)
-    total_after = sum(h.adjusted_weight for h in adjusted)
-    assert total_after == pytest.approx(total_before, rel=1e-12)
-    assert adjusted[1].adjusted_weight == 0.0
-    # Interviewed households share the absent weight by base weight.
-    assert adjusted[0].adjusted_weight == pytest.approx(10.0 * 25 / 15)
-    assert adjusted[2].adjusted_weight == pytest.approx(5.0 * 25 / 15)
+    # a and c interviewed, b missing, one district x address type cell.
+    adjusted = _adjusted([0, 0, 0], [0, 0, 0], [10.0, 10.0, 5.0],
+                         [True, False, True], [False, True, False])
+    assert adjusted.sum() == pytest.approx(25.0, rel=1e-12)
+    assert adjusted[1] == 0.0
+    # Interviewed households share the missing weight by base weight.
+    assert adjusted[0] == pytest.approx(10.0 * 25 / 15)
+    assert adjusted[2] == pytest.approx(5.0 * 25 / 15)
 
 
-def test_noninterview_adjustment_merge_ladder():
-    households = [
-        _wh("a", 10.0, address="single_unit"),
-        _wh("b", 4.0, status=NOT_LISTED, address="multi_unit"),
-    ]
-    adjusted = noninterview_adjust(households)
-    assert adjusted[0].adjusted_weight == pytest.approx(14.0)
-    assert adjusted[1].adjusted_weight == 0.0
+def test_noninterview_adjustment_district_fallback():
+    # The multi-unit cell has missing weight and no interview: its district
+    # takes it.  District 1's missing household stays within its own cell.
+    adjusted = _adjusted([0, 0, 1, 1], [0, 1, 0, 0], [10.0, 4.0, 6.0, 2.0],
+                         [True, False, True, False], [False, True, False, True], 2)
+    assert adjusted.tolist() == pytest.approx([14.0, 0.0, 8.0, 0.0])
 
 
-def test_noninterview_adjustment_empty_district_raises():
-    households = [
-        _wh("a", 10.0, status=TEMPORARILY_ABSENT),
-        _wh("b", 4.0, status=NOT_LISTED, address="multi_unit"),
-    ]
-    with pytest.raises(EmptyCell):
-        noninterview_adjust(households)
-
-
-def test_noninterview_adjustment_custom_cells():
-    households = [
-        _wh("a", 10.0, district="d1"),
-        _wh("b", 10.0, district="d2", status=TEMPORARILY_ABSENT),
-        _wh("c", 10.0, district="d2"),
-    ]
-    adjusted = noninterview_adjust(households, cell_key=lambda h: (h.district_id,))
-    assert adjusted[0].adjusted_weight == pytest.approx(10.0)
-    assert adjusted[2].adjusted_weight == pytest.approx(20.0)
+def test_noninterview_adjustment_national_fallback():
+    # District 0 has no interview at all; its 14 go to the national total.
+    # The household that is neither interviewed nor missing takes no part.
+    adjusted = _adjusted([0, 0, 1, 1], [0, 1, 2, 0], [10.0, 4.0, 6.0, 9.0],
+                         [False, False, True, False], [True, True, False, False], 2)
+    assert adjusted.tolist() == pytest.approx([0.0, 0.0, 20.0, 0.0])
+    # With nothing interviewed anywhere, the missing weight is dropped.
+    factor = noninterview_factor(np.array([0, 1]), np.array([0, 0]), np.array([3.0, 4.0]),
+                                 np.zeros(2, dtype=bool), np.ones(2, dtype=bool), 2)
+    assert factor.tolist() == [1.0, 1.0]
 
 
 @given(
@@ -277,23 +259,14 @@ def test_noninterview_adjustment_custom_cells():
 def test_noninterview_adjustment_conservation_property(n, absent, seed):
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 30.0, size=n)
-    statuses = [INTERVIEWED] * n
-    for i in rng.choice(n, size=min(absent, n - 1), replace=False):
-        statuses[int(i)] = TEMPORARILY_ABSENT
-    households = [_wh(f"h{i}", float(weights[i]), status=statuses[i]) for i in range(n)]
-    adjusted = noninterview_adjust(households)
-    assert sum(h.adjusted_weight for h in adjusted) == pytest.approx(
-        sum(h.base_weight for h in households), rel=1e-9
-    )
-
-
-def test_weighted_household_validation():
-    with pytest.raises(DomainError):
-        _wh("a", 10.0, status="refused")
-    with pytest.raises(DomainError):
-        _wh("a", 10.0, address="houseboat")
-    with pytest.raises(DomainError):
-        _wh("a", 0.0)
+    missing = np.zeros(n, dtype=bool)
+    missing[rng.choice(n, size=min(absent, n - 1), replace=False)] = True
+    # Three districts and three address types, so cells and whole
+    # districts can be left without an interview.
+    district = rng.integers(3, size=n)
+    address_type = rng.integers(3, size=n)
+    adjusted = _adjusted(district, address_type, weights, ~missing, missing, 3)
+    assert adjusted.sum() == pytest.approx(weights.sum(), rel=1e-9)
 
 
 def test_district_requires_known_stratum():
