@@ -23,14 +23,11 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .estimators import fcode_estimate, mover_ratio, net_undercount
+from .estimators import F30Placement, Procedure, fcode_estimate, mover_ratio, net_undercount
 from .harness.config import ExperimentConfig, load_config
 from .harness.experiment import build_world, run_experiment
 from .harness.ingest import ingest_microdata, write_microdata
 from .popsim import ground_truth_ledger
-
-_PROCEDURES = ("a", "b", "c")
-_PLACEMENTS = ("omitted", "numerator", "denominator")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,11 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="estimation grouping (default national)",
     )
     estimate.add_argument(
-        "--procedure", action="append", choices=_PROCEDURES,
+        "--procedure", action="append", choices=[p.value for p in Procedure],
         help="mover procedure, repeatable (default: a and c; b needs simulated matching)",
     )
     estimate.add_argument(
-        "--f30", action="append", choices=_PLACEMENTS, dest="placements",
+        "--f30", action="append", choices=[p.value for p in F30Placement], dest="placements",
         help="f30 placement for the code-tally estimator, repeatable (default: all three)",
     )
     estimate.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -133,7 +130,7 @@ def _estimate_entry(estimate: Callable[[], float], census_count: float) -> dict[
 def _cmd_estimate(args: argparse.Namespace) -> int:
     tallies = ingest_microdata(args.in_dir, level=args.level)
     procedures = args.procedure or ["a", "c"]
-    placements = args.placements or list(_PLACEMENTS)
+    placements = args.placements or [p.value for p in F30Placement]
 
     groups: dict[str, dict] = {}
     for label, tally in tallies.items():

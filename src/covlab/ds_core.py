@@ -58,7 +58,6 @@ class DsTable:
     x11: float
     x10: float
     x01: float
-    post_stratum: str = ""
 
     def __post_init__(self) -> None:
         for name in ("x11", "x10", "x01"):

@@ -27,6 +27,7 @@ with positive code-30 mass,
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,7 +46,6 @@ __all__ = [
     "F30Placement",
     "MoverTallies",
     "FCodeTallies",
-    "ProcedureCEstimates",
     "ProcedureCResult",
     "mover_ratio",
     "net_undercount",
@@ -99,7 +99,6 @@ class MoverTallies:
     m_non: float
     m_out: float
     m_in: float | None = None
-    post_stratum: str = ""
 
     def __post_init__(self) -> None:
         _require_finite_nonneg(
@@ -126,6 +125,13 @@ class MoverTallies:
         how far procedure C's borrowed match rate is being stretched."""
         return abs(self.n_in - self.n_out)
 
+    def m_in_indirect(self) -> float:
+        """Imputed matched in-movers: the in-movers n_in, matched at the
+        out-mover match rate m_out / n_out."""
+        if self.n_out == 0:
+            raise DegenerateInputs("procedure C: n_out = 0, the out-mover match rate is undefined")
+        return (self.m_out / self.n_out) * self.n_in
+
 
 @dataclass(frozen=True)
 class FCodeTallies:
@@ -141,17 +147,10 @@ class FCodeTallies:
     f52_2: float = 0.0
     f52_3: float = 0.0
     f52_4: float = 0.0
-    post_stratum: str = ""
 
     def __post_init__(self) -> None:
-        _require_finite_nonneg([(name, getattr(self, name)) for name in self._fields()])
-
-    @staticmethod
-    def _fields() -> tuple[str, ...]:
-        return (
-            "f10", "f30",
-            "f42_1", "f42_2", "f42_3", "f42_4",
-            "f52_1", "f52_2", "f52_3", "f52_4",
+        _require_finite_nonneg(
+            [(field.name, getattr(self, field.name)) for field in dataclasses.fields(self)]
         )
 
     @property
@@ -169,46 +168,6 @@ class FCodeTallies:
 
 
 @dataclass(frozen=True)
-class ProcedureCEstimates:
-    """The six field estimates feeding the procedure C table.
-
-    n_non, n_out and n_in are survey totals by mover status; m_non and
-    m_out are their matched parts; census_correct is the weighted total of
-    correct census enumerations in the same areas.  Matched in-movers are
-    never observed directly: they are imputed as (m_out / n_out) * n_in.
-    """
-
-    n_non: float
-    n_out: float
-    n_in: float
-    m_non: float
-    m_out: float
-    census_correct: float
-
-    def __post_init__(self) -> None:
-        _require_finite_nonneg(
-            [
-                ("n_non", self.n_non),
-                ("n_out", self.n_out),
-                ("n_in", self.n_in),
-                ("m_non", self.m_non),
-                ("m_out", self.m_out),
-                ("census_correct", self.census_correct),
-            ]
-        )
-        if self.m_non > self.n_non:
-            raise DomainError(f"m_non={self.m_non} exceeds n_non={self.n_non}")
-        if self.m_out > self.n_out:
-            raise DomainError(f"m_out={self.m_out} exceeds n_out={self.n_out}")
-
-    def m_in_indirect(self) -> float:
-        """Imputed matched in-movers, (m_out / n_out) * n_in."""
-        if self.n_out == 0:
-            raise DegenerateInputs("n_out = 0: the out-mover match rate is undefined")
-        return (self.m_out / self.n_out) * self.n_in
-
-
-@dataclass(frozen=True)
 class ProcedureCResult:
     table: DsTable
     estimate: float
@@ -220,7 +179,7 @@ def mover_ratio(tallies: MoverTallies, procedure: Procedure | str) -> float:
 
     procedure A:  (n_non + n_out) / (m_non + m_out)
     procedure B:  (n_non + n_in) / (m_non + m_in)       [needs m_in]
-    procedure C:  (n_non + n_in) / (m_non + (m_out / n_out) * n_in)
+    procedure C:  (n_non + n_in) / (m_non + m_in_indirect)
 
     Always at least 1, since matches never exceed totals.
     """
@@ -237,9 +196,7 @@ def mover_ratio(tallies: MoverTallies, procedure: Procedure | str) -> float:
         if denom == 0:
             raise DegenerateInputs("procedure B: no matched non-movers or in-movers")
         return (tallies.n_non + tallies.n_in) / denom
-    if tallies.n_out == 0:
-        raise DegenerateInputs("procedure C: n_out = 0, the out-mover match rate is undefined")
-    denom = tallies.m_non + (tallies.m_out / tallies.n_out) * tallies.n_in
+    denom = tallies.m_non + tallies.m_in_indirect()
     if denom == 0:
         raise DegenerateInputs("procedure C: matched weight is zero")
     return (tallies.n_non + tallies.n_in) / denom
@@ -312,12 +269,18 @@ def _difference(total: float, part: float) -> float:
 
 
 def procedure_c_table(
-    estimates: ProcedureCEstimates,
+    movers: MoverTallies,
+    census_correct: float,
     clamp_negative: bool = False,
 ) -> ProcedureCResult:
-    """Assemble the dual-system table implied by procedure C estimates.
+    """Assemble the dual-system table implied by procedure C.
 
-    x11 = m_non + imputed matched in-movers
+    `movers` are the survey totals and matches of one group by mover
+    status (`m_in` is not read) and `census_correct` is the weighted total
+    of correct census enumerations in the same areas, as
+    `matching.MatchTallies.census_correct` returns it:
+
+    x11 = m_non + m_in_indirect, the imputed matched in-movers
     x10 = census_correct - x11
     x01 = (n_non + n_in) - x11
 
@@ -332,17 +295,18 @@ def procedure_c_table(
     That raises InvalidEstimates unless `clamp_negative` is set, in which
     case the offending cell is clamped to zero and the result flagged.
     """
-    x11 = estimates.m_non + estimates.m_in_indirect()
+    _require_finite_nonneg([("census_correct", census_correct)])
+    x11 = movers.m_non + movers.m_in_indirect()
     if x11 == 0:
         raise DegenerateInputs("no matched mass: x11 = 0")
-    survey_total = estimates.n_non + estimates.n_in
-    x10 = _difference(estimates.census_correct, x11)
+    survey_total = movers.n_non + movers.n_in
+    x10 = _difference(census_correct, x11)
     x01 = _difference(survey_total, x11)
     clamped = False
     if x10 < 0 or x01 < 0:
         if not clamp_negative:
             raise InvalidEstimates(
-                f"matched mass {x11} exceeds census_correct={estimates.census_correct} "
+                f"matched mass {x11} exceeds census_correct={census_correct} "
                 f"or the survey total {survey_total}"
             )
         x10 = max(x10, 0.0)

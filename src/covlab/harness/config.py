@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import ConfigError
+from ..estimators import F30Placement, Procedure
 from ..matching import MatchErrorModel
 from ..popsim import PopulationConfig
 
@@ -20,8 +22,6 @@ __all__ = ["SCHEMA_VERSION", "SampleSpec", "ExperimentConfig", "load_config", "d
 SCHEMA_VERSION = 1
 
 _LEVELS = ("national", "province_stratum", "post_stratum")
-_PROCEDURES = ("a", "b", "c")
-_PLACEMENTS = ("omitted", "numerator", "denominator")
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ class ExperimentConfig:
     sample: SampleSpec | None = None
 
     def __post_init__(self) -> None:
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         if self.workers < 1:
@@ -84,17 +86,14 @@ class ExperimentConfig:
         object.__setattr__(self, "grouping", tuple(self.grouping))
         object.__setattr__(self, "procedures", tuple(self.procedures))
         object.__setattr__(self, "f30_placements", tuple(self.f30_placements))
-        for level in self.grouping:
-            if level not in _LEVELS:
-                raise ConfigError(f"unknown grouping level {level!r}, expected one of {_LEVELS}")
-        for proc in self.procedures:
-            if proc not in _PROCEDURES:
-                raise ConfigError(f"unknown procedure {proc!r}, expected one of {_PROCEDURES}")
-        for placement in self.f30_placements:
-            if placement not in _PLACEMENTS:
-                raise ConfigError(
-                    f"unknown f30 placement {placement!r}, expected one of {_PLACEMENTS}"
-                )
+        for kind, names, known in (
+            ("grouping level", self.grouping, _LEVELS),
+            ("procedure", self.procedures, tuple(p.value for p in Procedure)),
+            ("f30 placement", self.f30_placements, tuple(p.value for p in F30Placement)),
+        ):
+            for name in names:
+                if name not in known:
+                    raise ConfigError(f"unknown {kind} {name!r}, expected one of {known}")
         if "b" in self.procedures and not self.with_in_mover_matching:
             raise ConfigError("procedure b needs with_in_mover_matching enabled")
         if self.sample is not None:
@@ -159,8 +158,9 @@ class ExperimentConfig:
 
 def _checked_fields(prefix: str, cls: type, data: Any) -> dict[str, Any]:
     """`data` as keyword arguments for `cls`, each scalar of the JSON type
-    of the field's default; nested objects and lists are checked by the
-    caller.  Errors name the offending key with its `prefix`."""
+    of the field's default and each float finite; nested objects and lists
+    are checked by the caller.  Errors name the offending key with its
+    `prefix`."""
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix.rstrip('.')} must be a JSON object, got {data!r}")
     defaults = cls()
@@ -173,6 +173,8 @@ def _checked_fields(prefix: str, cls: type, data: Any) -> dict[str, Any]:
             ok = isinstance(value, bool)
         elif expected is float:
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{prefix}{key} must be a finite number, got {value!r}")
         elif expected in (int, str):
             ok = isinstance(value, expected) and not isinstance(value, bool)
         else:

@@ -46,6 +46,7 @@ and 42/1s.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -89,7 +90,6 @@ __all__ = [
     "CODE_52_3",
     "CODE_52_4",
     "CODE_LABELS",
-    "CELL_NAMES",
     "EXCLUSION_MARKERS",
     "MatchErrorModel",
     "MatchResult",
@@ -148,21 +148,6 @@ CELL_SECT = 9
 CELL_PILCROW = 10
 CELL_INSTITUTIONAL = 11
 
-CELL_NAMES = {
-    CELL_DARK: "dark",
-    CELL_PAIR: "pair",
-    CELL_PRESUME: "presume",
-    CELL_CEN_NL: "census_only_not_listed",
-    CELL_CEN_VAC: "census_only_vacated",
-    CELL_CEN_VACM: "census_only_vacated_missed",
-    CELL_BARE42: "bare_42",
-    CELL_PES_ONLY: "survey_only",
-    CELL_HASH: "#",
-    CELL_SECT: "§",
-    CELL_PILCROW: "¶",
-    CELL_INSTITUTIONAL: "institutional",
-}
-
 EXCLUSION_MARKERS = {
     CELL_HASH: "temp-absent-no-questionnaire",
     CELL_SECT: "not-listed-no-questionnaire",
@@ -191,13 +176,6 @@ class MatchErrorModel:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {rate}")
-
-    @property
-    def any_error(self) -> bool:
-        return bool(
-            self.false_nonmatch or self.false_match
-            or self.resolution_flip or self.household_false_nonmatch
-        )
 
 
 @dataclass(frozen=True)
@@ -245,7 +223,6 @@ class MatchResult:
 class MatchTallies:
     """Everything the estimators need for one estimation group."""
 
-    group: str
     fcode: FCodeTallies
     movers: MoverTallies
     census_count: float
@@ -677,10 +654,10 @@ def _fields_of(side: int, code: int, role: int, matched: bool) -> tuple[str, ...
     return ()
 
 
-_FCODE_FIELDS = tuple(f"f{c}" for c in ("10", "30", "42_1", "42_2", "42_3", "42_4",
-                                        "52_1", "52_2", "52_3", "52_4"))
 _MOVER_FIELDS = ("n_non", "n_in", "n_out", "m_non", "m_out")
-_TALLY_FIELDS = _FCODE_FIELDS + _MOVER_FIELDS + ("m_in", "erroneous")
+_TALLY_FIELDS = (
+    *(field.name for field in dataclasses.fields(FCodeTallies)), *_MOVER_FIELDS, "m_in", "erroneous"
+)
 # 0/1 membership of each tally field, for every (side, code, role, matched)
 # slot in the order tally_records numbers them.
 _SLOT_FIELDS = np.array([
@@ -727,13 +704,12 @@ def tally_records(
     for g, label in enumerate(labels):
         value = {name: float(column[g]) for name, column in values.items()}
         out[label] = MatchTallies(
-            group=label,
-            fcode=FCodeTallies(**{name: value[name] for name in _FCODE_FIELDS},
-                               post_stratum=label),
+            fcode=FCodeTallies(
+                **{field.name: value[field.name] for field in dataclasses.fields(FCodeTallies)}
+            ),
             movers=MoverTallies(
                 **{name: value[name] for name in _MOVER_FIELDS},
                 m_in=value["m_in"] if with_in_mover_matching else None,
-                post_stratum=label,
             ),
             census_count=float(counts[:, g].sum()),
             imputations=float(counts[KIND_IMPUTED, g]),

@@ -233,9 +233,6 @@ class Population:
     def n_post_strata(self) -> int:
         return len(self.stratum_labels)
 
-    def household_non_institutional(self) -> np.ndarray:
-        return ~self.households.institutional
-
     def in_target(self) -> np.ndarray:
         """Census target scope: existed at census time, in an ordinary
         (non-institutional) household."""

@@ -17,7 +17,7 @@ from covlab.ds_core import (
     mle_by_search,
 )
 from covlab.estimators import (
-    ProcedureCEstimates,
+    MoverTallies,
     fcode_estimate,
     mover_ratio,
     procedure_c_table,
@@ -52,16 +52,10 @@ def test_criterion_01_procedure_c_cells_equal_margin_form():
         m_non = int(rng.integers(1, n_non + 1))
         m_out = int(rng.integers(1, n_out + 1))
         x11 = m_non + (m_out / n_out) * n_in
-        estimates = ProcedureCEstimates(
-            n_non=n_non, n_out=n_out, n_in=n_in, m_non=m_non, m_out=m_out,
-            census_correct=x11 + float(rng.uniform(0.0, 3_000.0)),
-        )
-        cells = procedure_c_table(estimates).estimate
-        margin = (
-            estimates.census_correct
-            * (estimates.n_non + estimates.n_in)
-            / (estimates.m_non + estimates.m_in_indirect())
-        )
+        movers = MoverTallies(n_non=n_non, n_out=n_out, n_in=n_in, m_non=m_non, m_out=m_out)
+        census_correct = x11 + float(rng.uniform(0.0, 3_000.0))
+        cells = procedure_c_table(movers, census_correct).estimate
+        margin = census_correct * (n_non + n_in) / (movers.m_non + movers.m_in_indirect())
         worst = max(worst, abs(cells - margin) / margin)
     elapsed = perf_counter() - start
     ok = worst < 1e-12 and elapsed < 1.0

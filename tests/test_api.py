@@ -1,15 +1,24 @@
 """The public surface: exported names resolve, error classes are raised."""
 
+import importlib
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import covlab
 from covlab import errors
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in covlab.__all__ if not hasattr(covlab, name)]
+@pytest.mark.parametrize("module", [
+    "covlab", "covlab.ds_core", "covlab.estimators", "covlab.matching", "covlab.sampling",
+    "covlab.popsim", "covlab.harness", "covlab.harness.config", "covlab.harness.experiment",
+    "covlab.harness.ingest",
+])
+def test_every_exported_name_resolves(module):
+    namespace = importlib.import_module(module)
+    missing = [name for name in namespace.__all__ if not hasattr(namespace, name)]
     assert missing == []
 
 

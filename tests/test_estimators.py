@@ -18,7 +18,6 @@ from covlab.estimators import (
     FCodeTallies,
     MoverTallies,
     Procedure,
-    ProcedureCEstimates,
     fcode_estimate,
     fcode_missed_both,
     mover_ratio,
@@ -35,7 +34,6 @@ def _empirical_ds(census_count, imputations, ee_weight, e_sample_weight,
                   p_sample_weight, match_weight):
     """(c - ii) * (1 - ee / ne) * (np / m), with no movers."""
     tallies = MatchTallies(
-        group="all",
         fcode=FCodeTallies(f10=0.0, f30=0.0),
         movers=MoverTallies(n_non=p_sample_weight, n_in=0, n_out=0,
                             m_non=match_weight, m_out=0),
@@ -187,11 +185,9 @@ def test_fcode_placement_ordering(f10, f30, f42, f52):
 
 
 def test_procedure_c_table_round_numbers():
-    estimates = ProcedureCEstimates(
-        n_non=800, n_out=100, n_in=100, m_non=720, m_out=80, census_correct=900
-    )
-    assert estimates.m_in_indirect() == pytest.approx(80.0)
-    result = procedure_c_table(estimates)
+    movers = MoverTallies(n_non=800, n_out=100, n_in=100, m_non=720, m_out=80)
+    assert movers.m_in_indirect() == pytest.approx(80.0)
+    result = procedure_c_table(movers, census_correct=900)
     assert result.table.x11 == pytest.approx(800.0)
     assert result.table.x10 == pytest.approx(100.0)
     assert result.table.x01 == pytest.approx(100.0)
@@ -200,30 +196,29 @@ def test_procedure_c_table_round_numbers():
 
 
 def test_procedure_c_table_second_oracle():
-    estimates = ProcedureCEstimates(
-        n_non=500, n_out=50, n_in=50, m_non=400, m_out=40, census_correct=540
-    )
-    result = procedure_c_table(estimates)
+    movers = MoverTallies(n_non=500, n_out=50, n_in=50, m_non=400, m_out=40)
+    result = procedure_c_table(movers, census_correct=540)
     assert result.estimate == pytest.approx(675.0)
 
 
 def test_procedure_c_negative_cell_raises_unless_clamped():
-    estimates = ProcedureCEstimates(
-        n_non=800, n_out=100, n_in=100, m_non=720, m_out=80, census_correct=700
-    )
+    movers = MoverTallies(n_non=800, n_out=100, n_in=100, m_non=720, m_out=80)
     with pytest.raises(InvalidEstimates):
-        procedure_c_table(estimates)
-    result = procedure_c_table(estimates, clamp_negative=True)
+        procedure_c_table(movers, census_correct=700)
+    result = procedure_c_table(movers, census_correct=700, clamp_negative=True)
     assert result.clamped
     assert result.table.x10 == 0.0
 
 
 def test_procedure_c_no_matches():
-    estimates = ProcedureCEstimates(
-        n_non=10, n_out=5, n_in=5, m_non=0, m_out=0, census_correct=12
-    )
-    with pytest.raises(DegenerateInputs):
-        procedure_c_table(estimates)
+    movers = MoverTallies(n_non=10, n_out=5, n_in=5, m_non=0, m_out=0)
+    with pytest.raises(DegenerateInputs, match="x11 = 0"):
+        procedure_c_table(movers, census_correct=12)
+    with pytest.raises(DegenerateInputs, match="n_out = 0"):
+        procedure_c_table(MoverTallies(n_non=10, n_out=0, n_in=5, m_non=8, m_out=0), 12)
+    for census_correct in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="census_correct"):
+            procedure_c_table(movers, census_correct)
 
 
 @given(
@@ -243,16 +238,12 @@ def test_procedure_c_table_equals_margin_form(
     n_non, n_out, n_in, match_rate, out_rate, census_extra
 ):
     """The completed-cells form equals census_correct * survey / matched."""
-    estimates = ProcedureCEstimates(
-        n_non=n_non,
-        n_out=n_out,
-        n_in=n_in,
-        m_non=n_non * match_rate,
-        m_out=n_out * out_rate,
-        census_correct=n_non * match_rate + out_rate * n_in + census_extra,
+    movers = MoverTallies(
+        n_non=n_non, n_out=n_out, n_in=n_in, m_non=n_non * match_rate, m_out=n_out * out_rate
     )
-    x11 = estimates.m_non + estimates.m_in_indirect()
+    census_correct = n_non * match_rate + out_rate * n_in + census_extra
+    x11 = movers.m_non + movers.m_in_indirect()
     assume(x11 > 1e-9)
-    result = procedure_c_table(estimates)
-    margin_form = estimates.census_correct * (n_non + n_in) / x11
+    result = procedure_c_table(movers, census_correct)
+    margin_form = census_correct * (n_non + n_in) / x11
     assert math.isclose(result.estimate, margin_form, rel_tol=REL_TOL_IDENTITY)

@@ -5,13 +5,24 @@ experiment; a refactor of the simulation, sampling or tally layers must
 leave them unchanged.  The SHA-256 digests below were recorded before the
 array sample frame, the shared record table and the bincount ledger
 replaced the earlier implementations.
+
+The JSON report of `covlab estimate` is pinned the same way, on microdata
+written from two worlds.  Its digests were recorded before procedure C's
+inputs were folded into `MoverTallies`.
 """
 
 import hashlib
 
 import pytest
 
-from covlab.harness import ExperimentConfig, SampleSpec, run_experiment
+from covlab.cli import main as cli_main
+from covlab.harness import (
+    ExperimentConfig,
+    SampleSpec,
+    build_world,
+    run_experiment,
+    write_microdata,
+)
 from covlab.matching import MatchErrorModel
 from covlab.popsim import PopulationConfig
 
@@ -73,3 +84,41 @@ def output_digests(config, out_dir):
 @pytest.mark.parametrize("name", sorted(LOCKED))
 def test_experiment_outputs_are_byte_identical_to_locked_hashes(tmp_path, name):
     assert output_digests(LOCKED[name], tmp_path) == DIGESTS[name]
+
+
+_ALL_ESTIMATORS = ("--procedure", "a", "--procedure", "b", "--procedure", "c",
+                   "--f30", "omitted", "--f30", "numerator", "--f30", "denominator")
+
+# World, then the `covlab estimate` arguments after `--in`.  With no
+# movers and no deaths n_out is 0, so procedure C reports an error entry.
+ESTIMATE_LOCKED = {
+    "every-knob-post-stratum": (
+        LOCKED["every-knob"], ("--level", "post_stratum") + _ALL_ESTIMATORS,
+    ),
+    "no-movers-national": (
+        ExperimentConfig(
+            name="lock-no-movers", base_seed=24, population=PopulationConfig(persons=3000),
+            ee_rate=0.02, ii_rate=0.01,
+        ),
+        ("--level", "national", "--procedure", "c"),
+    ),
+}
+
+ESTIMATE_DIGESTS = {
+    "every-knob-post-stratum": "6e95faedb93487bed2ec8046639a97fd659385c7e36e328b247ea420990c8d58",
+    "no-movers-national": "15079fba3d6d944294385f9e8912df6e6e6bbe887a206946451977c85e511f96",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_LOCKED))
+def test_estimate_report_is_byte_identical_to_locked_hash(tmp_path, name):
+    config, args = ESTIMATE_LOCKED[name]
+    bundle = build_world(config, 0)
+    micro = tmp_path / "micro"
+    write_microdata(
+        str(micro), bundle.pop, bundle.census, bundle.pes, bundle.result,
+        bundle.household_weight,
+    )
+    report = tmp_path / "report.json"
+    assert cli_main(["estimate", "--in", str(micro), *args, "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == ESTIMATE_DIGESTS[name]

@@ -543,14 +543,28 @@ def test_cli_experiment_runs_from_config(tmp_path, capsys):
         ({"sample": {"psus_per_stratum": 3, "urban_take": 50, "rural_take": 100}},
          "sample.psus_per_stratum"),
         (None, "absent.json"),
+        # json reads NaN and Infinity; a negative seed or replicate index
+        # has no random stream.
+        ({"base_seed": -1}, "base_seed"),
+        ({"population": {"persons": 500, "mean_household_size": math.nan}},
+         "population.mean_household_size"),
+        ({"population": {"persons": 500, "mean_household_size": math.inf}},
+         "population.mean_household_size"),
+        ({"heterogeneity": math.nan}, "heterogeneity"),
+        # A tuple replaces the `experiment` command, on the unedited config.
+        (("experiment", "--seed", "-1"), "base_seed"),
+        (("simulate", "--replicate", "-1"), "replicate"),
     ],
 )
 def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, edit, named):
+    command = ("experiment",)
+    if isinstance(edit, tuple):
+        command, edit = edit, {}
     path = tmp_path / "absent.json"
     if edit is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**_small_config().to_json(), **edit}), encoding="utf-8")
-    code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "run")])
+    code = cli_main([*command, "--config", str(path), "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and named in err
