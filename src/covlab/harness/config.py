@@ -71,6 +71,10 @@ class ExperimentConfig:
     sample: SampleSpec | None = None
 
     def __post_init__(self) -> None:
+        for item in dataclasses.fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{item.name} must be a finite number, got {value!r}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
         if self.replicates < 1:
@@ -158,8 +162,9 @@ class ExperimentConfig:
 
 def _checked_fields(prefix: str, cls: type, data: Any) -> dict[str, Any]:
     """`data` as keyword arguments for `cls`, each scalar of the JSON type
-    of the field's default and each float finite; nested objects and lists
-    are checked by the caller.  Errors name the offending key with its
+    of the field's default, each float finite and each integer within the
+    64-bit range the simulator computes in; nested objects and lists are
+    checked by the caller.  Errors name the offending key with its
     `prefix`."""
     if not isinstance(data, dict):
         raise ConfigError(f"{prefix.rstrip('.')} must be a JSON object, got {data!r}")
@@ -169,6 +174,8 @@ def _checked_fields(prefix: str, cls: type, data: Any) -> dict[str, Any]:
         raise ConfigError(f"unknown config keys: {[prefix + key for key in unknown]}")
     for key, value in data.items():
         expected = type(getattr(defaults, key))
+        if type(value) is int and not -(2**63) <= value < 2**63:
+            raise ConfigError(f"{prefix}{key} is out of the 64-bit integer range, got {value}")
         if expected is bool:
             ok = isinstance(value, bool)
         elif expected is float:
@@ -190,7 +197,7 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long integer
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return ExperimentConfig.from_json(data)
 

@@ -9,14 +9,17 @@ Four files describe one matched world:
     codes.csv    final code per record, one row per matched pair or
                  unmatched record (the census half of a pair is omitted to
                  keep ingest from double counting), plus household
-                 exclusion markers (#, §, ¶)
-    weights.csv  household weight for every sampled household; doubles as
-                 the sample membership list
+                 exclusion markers (#, §, ¶); a marker's phase is followup
+                 when the adjusted-mode follow-up covered the household
+    weights.csv  for every sampled household: its district, address type,
+                 whether the survey interviewed it (0/1) and its weight;
+                 doubles as the sample membership list
 
 Files are UTF-8 text, comma separated, one record per line.  Fields may be
 quoted as the csv module quotes them; any other deviation (bytes that are
-not UTF-8, a wrong header, a row with the wrong number of fields) raises
-SchemaError naming the file and row.
+not UTF-8, a NUL byte, a wrong header, a row with the wrong number of
+fields, a quote never closed, a field longer than 256 bytes in a column
+ingest reads) raises SchemaError naming the file and row.
 
 Both directions go through `matching.RecordTable`: the writer formats the
 table that `tally_groups` reduces, and ingest parses the files back into
@@ -24,16 +27,22 @@ the same columns and reduces them with the same `tally_records`.  Ingest
 validates before it tallies and reports every problem at once, so a bad
 delivery surfaces as one exception listing all issues.
 
-The files do not carry the '#' reweighting of adjusted exclusion mode (they
-have no address type to rebuild it from), so estimates from adjusted-mode
-files differ from the simulation path's; perfbench counts this as the known
-defect `adjusted-ingest-skips-hash-reweighting`.
+Adjusted exclusion mode covers '#' households by reweighting.  Their
+followup-phase markers and the weights file hold everything
+`sampling.noninterview_factor` needs, so ingest applies the same rule as
+`record_table`: survey records found at an interview take their
+household's adjusted weight, every other record the plain weight, and
+the estimates equal the simulation path's.
+
+Both directions work on whole columns.  The writer builds each file as one
+uint8 matrix with a NUL-padded row per record and drops the padding on
+write; ingest finds every field's bounds in one scan of the bytes, slices
+the columns out of the buffer, and joins ids as integer keys.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import os
 
@@ -58,7 +67,9 @@ from ..matching import (
     ID_PREFIXES,
     KIND_FABRICATED,
     ROLE_BIRTH,
+    ROLE_DEATH,
     ROLE_IN_MOVER,
+    ROLE_OUT_MOVER,
     ROSTER_ROLES,
     SIDE_CENSUS,
     SIDE_SURVEY,
@@ -71,6 +82,7 @@ from ..matching import (
     tally_records,
 )
 from ..popsim import CensusSim, PesSim, Population
+from ..sampling import ADDRESS_TYPES, noninterview_factor
 
 __all__ = ["write_microdata", "ingest_microdata"]
 
@@ -82,7 +94,17 @@ _PES_HEADER = [
     "reported_status",
 ]
 _CODES_HEADER = ["record_id", "phase", "code", "exclusion"]
-_WEIGHTS_HEADER = ["household_id", "weight"]
+_WEIGHTS_HEADER = ["household_id", "district_id", "address_type", "interviewed", "weight"]
+
+# No field of the schema comes near this many bytes; a longer one (a stray
+# quote can swallow many lines into one field) is refused before any column
+# is sized by it.
+_MAX_FIELD = 256
+
+# Phase of a household marker: the adjusted-mode follow-up covers marked
+# households, and a '#' household then has its weight moved onto the
+# interviewed households by the noninterview adjustment.
+_PHASES = ("initial", "followup")
 
 # Survey household status labels, indexed by the PES_* status.
 _PES_STATUSES = ("with_q", "absent", "not_listed", "vacant", "vacant_missed")
@@ -94,23 +116,65 @@ _MARKER_CELLS = {"#": CELL_HASH, "§": CELL_SECT, "¶": CELL_PILCROW}
 _INITIAL_CODES = (CODE_10, CODE_20, CODE_30, CODE_42_1, CODE_42_2)
 
 
-def _write(path: str, header: list[str], *blocks: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\r\n")
-        handle.writelines(blocks)
+def _write(path: str, header: list[str], *rows: np.ndarray) -> None:
+    """Write the header and the row matrices, dropping their NUL padding."""
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\r\n").encode("utf-8"))
+        for matrix in rows:
+            handle.write(matrix.tobytes().replace(b"\0", b""))
 
 
-def _lines(fmt: str, *columns: np.ndarray) -> str:
-    """One line `fmt % row` for every row of the columns."""
-    return "".join(map(fmt.__mod__, zip(*(column.tolist() for column in columns))))
+def _matrix(*parts: np.ndarray | bytes) -> np.ndarray:
+    """One uint8 row per record: the parts side by side, each a matrix with
+    a row per record or a bytes literal repeated on every row."""
+    n = next(part.shape[0] for part in parts if isinstance(part, np.ndarray))
+    parts = tuple(np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
+                  for part in parts)
+    out = np.empty((n, sum(part.shape[-1] for part in parts)), dtype=np.uint8)
+    at = 0
+    for part in parts:
+        out[:, at:at + part.shape[-1]] = part
+        at += part.shape[-1]
+    return out
 
 
-def _joined(*vocabularies) -> np.ndarray:
-    """Every comma-joined combination of one word from each vocabulary,
-    indexed by the mixed-radix position of the words."""
-    return np.array(
-        [",".join(map(str, words)) for words in itertools.product(*vocabularies)], dtype=object
+def _table(words) -> np.ndarray:
+    """Each word's UTF-8 bytes as one NUL-padded row."""
+    encoded = [str(word).encode("utf-8") for word in words]
+    width = max(map(len, encoded), default=1) or 1
+    return np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
+
+
+def _joined(*vocabularies, end: str = "") -> np.ndarray:
+    """Every comma-joined combination of one word from each vocabulary, plus
+    `end`, indexed by the mixed-radix position of the words."""
+    return _table(",".join(map(str, words)) + end for words in itertools.product(*vocabularies))
+
+
+def _digits(values: np.ndarray, min_width: int = 1) -> np.ndarray:
+    """`%0{min_width}d` of non-negative integers, one right-aligned row of
+    ASCII digits each; positions left of a number's digits are NUL."""
+    values = np.asarray(values, dtype=np.int64)
+    top = int(values.max()) if values.shape[0] else 0
+    width = max(min_width, len(str(top)))
+    out = np.empty((width, values.shape[0]), dtype=np.uint8)
+    rest = values.astype(np.uint32) if top < 2**32 else values
+    for position in range(width - 1, -1, -1):
+        quotient = rest // 10
+        np.subtract(rest, quotient * 10, out=out[position], casting="unsafe")
+        rest = quotient
+    out += ord("0")
+    for power in range(min_width, width):
+        out[width - 1 - power][values < 10**power] = 0
+    return out.T
+
+
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """`repr` of each float, as rows; repr runs once per distinct value."""
+    bits, index = np.unique(
+        np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
     )
+    return _table(map(repr, bits.view(np.float64).tolist()))[index]
 
 
 def write_microdata(
@@ -123,43 +187,38 @@ def write_microdata(
 ) -> None:
     """Write the four-file microdata set for one matched world.
 
-    Each line is one `%` format of a few columns; columns that take only a
-    few values are joined beforehand into one lookup table.
+    Each file is built as one uint8 matrix with a NUL-padded row per
+    record: integers become digits by array arithmetic, and columns that
+    take only a few values are gathered from tables of their joined text.
     """
     os.makedirs(out_dir, exist_ok=True)
     table = record_table(pop, census, result, household_weight)
     strata = pop.stratum_labels
-    place = np.array(
-        [f"h{hh},d{d:04d}" for hh, d in enumerate(pop.households.district.tolist())],
-        dtype=object,
-    )
+    households = pop.households
+    place = _matrix(b"h", _digits(np.arange(households.count)), b",d",
+                    _digits(households.district, min_width=4))
 
-    kind = table.census_kind.astype(np.int64)
-    person_id = table.census_number.astype(object)
-    person_id[kind == KIND_FABRICATED] = ""
-    _write(os.path.join(out_dir, "census.csv"), _CENSUS_HEADER, _lines(
-        "%s%d,%s,%s,%s\r\n",
-        np.array(("c", "c", "d", "f"), dtype=object)[kind],  # id prefix by kind
-        table.census_number,
-        person_id,
-        place[table.census_household],
-        _joined(strata, CENSUS_KINDS, (0, 1))[
+    kind = table.census_kind
+    number = _digits(table.census_number)
+    person_id = number.copy()
+    person_id[kind == KIND_FABRICATED] = 0
+    _write(os.path.join(out_dir, "census.csv"), _CENSUS_HEADER, _matrix(
+        _table("ccdf")[kind],  # id prefix by kind
+        number, b",", person_id, b",", place[table.census_household], b",",
+        _joined(strata, CENSUS_KINDS, (0, 1), end="\r\n")[
             (table.census_stratum * len(CENSUS_KINDS) + kind) * 2 + table.census_in_scope
         ],
     ))
 
-    prefix = np.array(ID_PREFIXES, dtype=object)[table.source]
+    prefix = _table(ID_PREFIXES)[table.source]
     survey = np.flatnonzero(table.side == SIDE_SURVEY)
     # Roster records first, then reports, each by person.
     survey = survey[np.lexsort((table.number[survey], table.source[survey]))]
     household = table.household[survey]
-    _write(os.path.join(out_dir, "pes.csv"), _PES_HEADER, _lines(
-        "%s%d,%d,%s,%s\r\n",
-        prefix[survey],
-        table.number[survey],
-        table.number[survey],
-        place[household],
-        _joined(strata, ROSTER_ROLES, _PES_STATUSES)[
+    number = _digits(table.number[survey])
+    _write(os.path.join(out_dir, "pes.csv"), _PES_HEADER, _matrix(
+        prefix[survey], number, b",", number, b",", place[household], b",",
+        _joined(strata, ROSTER_ROLES, _PES_STATUSES, end="\r\n")[
             (table.stratum[survey] * len(ROSTER_ROLES) + table.role[survey]) * len(_PES_STATUSES)
             + pes.hh_status[household]
         ],
@@ -170,31 +229,35 @@ def write_microdata(
         (table.source == SOURCE_ROSTER) & recovered
     )
     codes = sorted(CODE_LABELS)
-    phase_code = _joined(("initial", "followup"), [CODE_LABELS[c] for c in codes], ("",))
+    phase_code = _joined(_PHASES, [CODE_LABELS[c] for c in codes], ("",), end="\r\n")
     mask = result.household_mask
+    marker_phase = _PHASES[result.exclusion_mode == "adjusted"]
     _write(
         os.path.join(out_dir, "codes.csv"), _CODES_HEADER,
-        _lines("%s%d,%s\r\n", prefix, table.number,
-               phase_code[followup * len(codes) + np.searchsorted(codes, table.code)]),
-        *(_lines(f"h%d,initial,{code},{EXCLUSION_MARKERS[cell]}\r\n",
-                 np.flatnonzero((result.hh_cell == cell) & mask))
+        _matrix(prefix, _digits(table.number), b",",
+                phase_code[followup * len(codes) + np.searchsorted(codes, table.code)]),
+        *(_matrix(b"h", _digits(np.flatnonzero((result.hh_cell == cell) & mask)),
+                  f",{marker_phase},{code},{EXCLUSION_MARKERS[cell]}\r\n".encode("utf-8"))
           for code, cell in _MARKER_CELLS.items()),
     )
 
     sampled = np.flatnonzero(mask)
-    weight = np.ones(pop.households.count) if household_weight is None else household_weight
-    _write(os.path.join(out_dir, "weights.csv"), _WEIGHTS_HEADER,
-           _lines("h%d,%r\r\n", sampled, np.asarray(weight, dtype=np.float64)[sampled]))
+    weight = np.ones(households.count) if household_weight is None else household_weight
+    _write(os.path.join(out_dir, "weights.csv"), _WEIGHTS_HEADER, _matrix(
+        place[sampled], b",", _table(ADDRESS_TYPES)[households.address_type[sampled]], b",",
+        _table("01")[result.interviewed()[sampled].view(np.int8)], b",",
+        _float_text(np.asarray(weight)[sampled]), b"\r\n",
+    ))
 
 
 def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str, ...]
                   ) -> dict[str, np.ndarray]:
     """The named columns of one file, each field as its UTF-8 bytes.
 
-    One np.loadtxt pass parses the file, with every field width measured
-    from the data first so that no field is truncated.  loadtxt reads the
-    bytes as latin-1, one character per byte, so the byte-string columns
-    it returns hold each field's UTF-8 bytes unchanged.
+    One scan of the bytes finds every comma and newline outside quotes,
+    which gives each field's start and end; every column is then sliced
+    straight out of the buffer, a quoted field without its enclosing quotes
+    and with its doubled quotes undoubled, as the csv module reads it.
     """
     path = os.path.join(in_dir, name)
     try:
@@ -202,18 +265,29 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
             raw = handle.read()
     except FileNotFoundError:
         raise SchemaError("file is missing", path=path) from None
+    if not raw:
+        raise SchemaError("file is empty, expected a header", path=path, row=1)
+    nul = raw.find(b"\0")
+    if nul >= 0:
+        raise SchemaError(f"NUL byte at offset {nul}", path=path,
+                          row=raw.count(b"\n", 0, nul) + 1)
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"not UTF-8: byte {raw[exc.start]:#04x} at offset {exc.start}",
+                path=path, row=raw.count(b"\n", 0, exc.start) + 1,
+            ) from None
+    line = raw.find(b"\n")
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(
-            f"not UTF-8: byte {raw[exc.start]:#04x} at offset {exc.start}",
-            path=path, row=raw.count(b"\n", 0, exc.start) + 1,
-        ) from None
-    first = next(csv.reader(io.StringIO(text, newline="")), None)
-    if first is None:
-        raise SchemaError("file is empty, expected a header", path=path)
+        first = next(csv.reader([raw[:line if line >= 0 else len(raw)].decode("utf-8")]))
+    except csv.Error as exc:
+        raise SchemaError(f"header is not comma separated text: {exc}",
+                          path=path, row=1) from None
     if first != header:
-        raise SchemaError(f"header mismatch: expected {header}, found {first}", path=path)
+        raise SchemaError(f"header mismatch: expected {header}, found {first}",
+                          path=path, row=1)
     if not raw.endswith(b"\n"):
         raw += b"\n"
 
@@ -221,27 +295,83 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
     # quoting, and a doubled quote inside a quoted field toggles it twice.
     buf = np.frombuffer(raw, dtype=np.uint8)
     cut = (buf == ord(",")) | (buf == ord("\n"))
-    if b'"' in raw:
-        cut &= (np.cumsum(buf == ord('"'), dtype=np.uint8) & 1) == 0
+    quoted = b'"' in raw
+    if quoted:
+        quote = buf == ord('"')
+        outside = (np.cumsum(quote, dtype=np.uint8) & 1) == 0
+        cut &= outside
+        if not outside[-1]:
+            opened = int(np.flatnonzero(quote)[-1])
+            lines = np.count_nonzero(cut[:opened] & (buf[:opened] == ord("\n")))
+            raise SchemaError("quote is never closed", path=path, row=int(lines) + 1)
     ends = np.flatnonzero(cut)
-    line_ends = np.flatnonzero(buf[ends] == ord("\n"))
-    fields = np.diff(line_ends, prepend=-1)
-    wrong = np.flatnonzero(fields != len(header))
-    if wrong.size:
-        raise SchemaError(f"expected {len(header)} fields, found {fields[wrong[0]]}",
-                          path=path, row=int(wrong[0]) + 1)
-    if line_ends.shape[0] == 1:
-        return {column: np.empty(0, dtype="S1") for column in columns}
-    # Every row has len(header) fields, so the field widths after the
-    # header reshape to one row per record.
-    widths = (np.diff(ends) - 1)[line_ends[0]:].reshape(-1, len(header)).max(axis=0)
-    usecols = [header.index(column) for column in columns]
-    parsed = np.loadtxt(
-        io.StringIO(raw.decode("latin-1")),
-        dtype=[(column, f"S{max(int(widths[i]), 1)}") for column, i in zip(columns, usecols)],
-        delimiter=",", quotechar='"', comments=None, skiprows=1, usecols=usecols, ndmin=1,
-    )
-    return {column: parsed[column] for column in columns}
+    newline = buf[ends] == ord("\n")
+    n_fields = len(header)
+    if (ends.shape[0] != np.count_nonzero(newline) * n_fields
+            or not newline[n_fields - 1::n_fields].all()):
+        fields = np.bincount(np.cumsum(newline) - newline)
+        row = int(np.flatnonzero(fields != n_fields)[0])
+        raise SchemaError(f"expected {n_fields} fields, found {fields[row]}",
+                          path=path, row=row + 1)
+    # Every row has n_fields fields: one row of field ends per line.
+    ends = ends.reshape(-1, n_fields)
+
+    bounds = []
+    for column in columns:
+        i = header.index(column)
+        start = (ends[1:, i - 1] if i else ends[:-1, -1]) + 1
+        end = ends[1:, i].copy()
+        if i == n_fields - 1:
+            # A line ending in \r\n: the \r is not part of the last field.
+            end -= (end > start) & (buf[end - 1] == ord("\r"))
+        if quoted:
+            enclosed = (end - start >= 2) & quote[start] & quote[end - 1]
+            start += enclosed
+            end -= enclosed
+        bounds.append((start, end))
+    if quoted:
+        # The first quote of each doubled pair: it closes quoting and the
+        # next byte reopens it.
+        doubled = np.flatnonzero(quote[:-1] & outside[:-1] & quote[1:])
+        if doubled.size:
+            bounds = [
+                (start - np.searchsorted(doubled, start), end - np.searchsorted(doubled, end))
+                for start, end in bounds
+            ]
+            buf = np.delete(buf, doubled)
+
+    # Each field as little-endian 8-byte words read from its start, with
+    # the bytes past its end masked off; the words viewed as bytes are the
+    # field, NUL padded.
+    lengths = [end - start for start, end in bounds]
+    widths = [int(length.max(initial=0)) for length in lengths]
+    for column, length, width in zip(columns, lengths, widths):
+        if width > _MAX_FIELD:
+            raise SchemaError(f"field is longer than {_MAX_FIELD} bytes", path=path,
+                              row=int(np.argmax(length > _MAX_FIELD)) + 2, column=column)
+    padded = np.concatenate([buf, np.zeros(max(widths, default=0) + 8, dtype=np.uint8)])
+    word_at = np.ndarray(shape=(padded.shape[0] - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    low_bytes = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+    out = {}
+    for column, (start, _), length, width in zip(columns, bounds, lengths, widths):
+        field = np.zeros((start.shape[0], max(width + 7 >> 3, 1)), dtype="<u8")
+        field[:, 0] = word_at[start] & low_bytes[np.minimum(length, 8)]
+        for word in range(1, field.shape[1]):
+            long = np.flatnonzero(length > 8 * word)
+            field[long, word] = (word_at[start[long] + 8 * word]
+                                 & low_bytes[np.minimum(length[long] - 8 * word, 8)])
+        out[column] = field.view(f"S{8 * field.shape[1]}").ravel()
+    return out
+
+
+def _keys(*columns: np.ndarray) -> list[np.ndarray]:
+    """The byte-string columns as keys that sort and compare as the bytes
+    do: a field of up to 8 bytes read as one big-endian integer, NUL
+    padded; the bytes themselves when a field is longer."""
+    width = max(column.dtype.itemsize for column in columns)
+    if width > 8:
+        return [column.astype(f"S{width}") for column in columns]
+    return [column.astype("S8").view(">u8").astype(np.uint64) for column in columns]
 
 
 def _repeats(values: np.ndarray) -> np.ndarray:
@@ -254,18 +384,38 @@ def _repeats(values: np.ndarray) -> np.ndarray:
 
 
 def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Row of the first key equal to each query, -1 where none is."""
+    """Row of the first key equal to each query, -1 where none is.
+
+    The queries are searched in sorted order: a binary search over random
+    queries costs more than sorting them first.
+    """
+    row = np.full(queries.shape[0], -1, dtype=np.int64)
     if keys.shape[0] == 0:
-        return np.full(queries.shape[0], -1, dtype=np.int64)
+        return row
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    at = np.minimum(np.searchsorted(ordered, queries), keys.shape[0] - 1)
-    return np.where(ordered[at] == queries, order[at], -1)
+    by_query = np.argsort(queries)
+    query = queries[by_query]
+    at = np.minimum(np.searchsorted(ordered, query), keys.shape[0] - 1)
+    row[by_query] = np.where(ordered[at] == query, order[at], -1)
+    return row
 
 
 def _index_of(values: np.ndarray, vocabulary) -> np.ndarray:
-    """Position of each value in `vocabulary` (strings), -1 where absent."""
-    return _lookup(np.array([word.encode("utf-8") for word in vocabulary]), values)
+    """Position of each value in `vocabulary` (strings), -1 where absent:
+    one comparison of whole 8-byte words per vocabulary word."""
+    n_words = max(-(-values.dtype.itemsize // 8), 1)
+    words = values.astype(f"S{8 * n_words}").view("<u8").reshape(-1, n_words)
+    index = np.full(values.shape[0], -1, dtype=np.int64)
+    for position, word in enumerate(vocabulary):
+        encoded = word.encode("utf-8")
+        if len(encoded) <= 8 * n_words:
+            target = np.frombuffer(encoded.ljust(8 * n_words, b"\0"), dtype="<u8")
+            equal = words[:, 0] == target[0]
+            for column in range(1, n_words):
+                equal &= words[:, column] == target[column]
+            index[equal] = position
+    return index
 
 
 def _check(issues: list[str], name: str, fields: dict[str, np.ndarray],
@@ -304,8 +454,10 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     `level` is "national" or "post_stratum"; finer geography is not in the
     file schema.  In-mover matching is not reconstructible from files, so
     the returned tallies always have m_in unset and procedure B needs the
-    simulation path.  Adjusted-mode files lack the '#' reweighting, so their
-    tallies differ from the simulation path's (see the module docstring).
+    simulation path.  Households under a '#' marker of the followup phase
+    have their weight moved onto the interviewed households by
+    `sampling.noninterview_factor`, as the simulation path does in adjusted
+    exclusion mode (see the module docstring).
     """
     if level not in ("national", "post_stratum"):
         raise ConfigError(f"ingest supports national or post_stratum grouping, got {level!r}")
@@ -314,31 +466,41 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
                            ("record_id", "household_id", "stratum", "kind", "target_scope"))
     pes = _read_columns(in_dir, "pes.csv", _PES_HEADER,
                         ("record_id", "household_id", "stratum", "roster"))
-    codes = _read_columns(in_dir, "codes.csv", _CODES_HEADER, ("record_id", "code", "exclusion"))
-    weights = _read_columns(in_dir, "weights.csv", _WEIGHTS_HEADER, ("household_id", "weight"))
+    codes = _read_columns(in_dir, "codes.csv", _CODES_HEADER, tuple(_CODES_HEADER))
+    weights = _read_columns(in_dir, "weights.csv", _WEIGHTS_HEADER, tuple(_WEIGHTS_HEADER))
     issues: list[str] = []
+    # Ids as integer keys, one representation across the files.
+    census_id, census_home, pes_id, pes_home, code_id, weight_home = _keys(
+        census["record_id"], census["household_id"], pes["record_id"], pes["household_id"],
+        codes["record_id"], weights["household_id"],
+    )
 
     value, not_number = _parse_weights(weights["weight"])
     with np.errstate(invalid="ignore"):
         bad_value = ~not_number & ~(np.isfinite(value) & (value >= 0))
+    address_type = _index_of(weights["address_type"], ADDRESS_TYPES)
+    interviewed = _index_of(weights["interviewed"], ("0", "1"))
     weighted = _check(issues, "weights.csv", weights, [
-        (_repeats(weights["household_id"]), "duplicate household {household_id}"),
+        (_repeats(weight_home), "duplicate household {household_id}"),
         (not_number, "weight for {household_id} is not a number: {weight!r}"),
         (bad_value, "weight for {household_id} must be finite and non-negative"),
+        (address_type < 0, "household {household_id} has unknown address_type {address_type!r}"),
+        (interviewed < 0, "household {household_id} has bad interviewed flag {interviewed!r}"),
     ])
-    households = weights["household_id"][weighted]
+    households = weight_home[weighted]
     value = value[weighted]
+    interviewed = interviewed[weighted] == 1
 
     kind = _index_of(census["kind"], CENSUS_KINDS)
     scope = _index_of(census["target_scope"], ("0", "1"))
     census_rows = np.flatnonzero(_check(issues, "census.csv", census, [
-        (_repeats(census["record_id"]), "duplicate record_id {record_id}"),
+        (_repeats(census_id), "duplicate record_id {record_id}"),
         (kind < 0, "record {record_id} has unknown kind {kind!r}"),
         (scope < 0, "record {record_id} has bad target_scope {target_scope!r}"),
     ]))
     role = _index_of(pes["roster"], ROSTER_ROLES)
     pes_rows = np.flatnonzero(_check(issues, "pes.csv", pes, [
-        (_repeats(pes["record_id"]), "duplicate record_id {record_id}"),
+        (_repeats(pes_id), "duplicate record_id {record_id}"),
         (role < 0, "record {record_id} has unknown roster {roster!r}"),
     ]))
 
@@ -346,36 +508,50 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     # census record before a survey record of the same id; the extra last
     # entry stands in for records that are not found.
     n_census = census_rows.shape[0]
-    records = np.concatenate([census["record_id"][census_rows], pes["record_id"][pes_rows]])
+    records = np.concatenate([census_id[census_rows], pes_id[pes_rows]])
+    # Each record's row in the weights file, -1 outside the sample.
+    record_row = np.append(
+        _lookup(households, np.concatenate([census_home[census_rows], pes_home[pes_rows]])), -1
+    )
     record_household = np.concatenate(
         [census["household_id"][census_rows], pes["household_id"][pes_rows], [b""]]
     )
+    census_strata, pes_strata = _keys(census["stratum"], pes["stratum"])
     record_stratum = np.concatenate(
-        [census["stratum"][census_rows], pes["stratum"][pes_rows], [b""]]
+        [census_strata[census_rows], pes_strata[pes_rows], np.zeros(1, census_strata.dtype)]
     )
     record_role = np.concatenate([np.zeros(n_census, dtype=np.int64), role[pes_rows], [0]])
 
     label = codes["code"]
     # The code each label names, -1 for labels that name none.
     numeric = np.append(list(CODE_BY_LABEL.values()), -1)[_index_of(label, CODE_BY_LABEL)]
-    marker = _index_of(label, _MARKER_CELLS) >= 0
-    found = _lookup(records, codes["record_id"])
+    marker = _index_of(label, _MARKER_CELLS)
+    is_marker = marker >= 0
+    phase = _index_of(codes["phase"], _PHASES)
+    found = _lookup(records, code_id)
     at = np.where(found >= 0, found, records.shape[0])
-    household_id = record_household[at]
-    weight_row = _lookup(households, household_id)
+    weight_row = record_row[at]
     side = np.where((found >= 0) & (found < n_census), SIDE_CENSUS, SIDE_SURVEY)
     belongs = np.full(numeric.shape[0], -1)
     for code, code_side in CODE_SIDE.items():
         belongs[numeric == code] = code_side
-    fields = {**codes, "household_id": household_id,
+    # '#' households covered by the follow-up, and their weights-file rows.
+    reweighted = (marker == list(_MARKER_CELLS).index("#")) & (phase == _PHASES.index("followup"))
+    marker_row = np.full(label.shape[0], -1)
+    marker_row[reweighted] = _lookup(households, code_id[reweighted])
+    fields = {**codes, "household_id": record_household[at],
               "side": np.array([b"survey", b"census"])[side]}
     _check(issues, "codes.csv", fields, [
-        (_repeats(codes["record_id"]), "duplicate record_id {record_id}"),
-        ((numeric < 0) & ~marker, "unknown code {code!r}"),
-        (marker & (_index_of(codes["exclusion"], EXCLUSION_MARKERS.values()) < 0),
+        (_repeats(code_id), "duplicate record_id {record_id}"),
+        (~is_marker & (numeric < 0), "unknown code {code!r}"),
+        (is_marker & (_index_of(codes["exclusion"], EXCLUSION_MARKERS.values()) < 0),
          "marker {code} needs an exclusion reason"),
-        (~marker & (found < 0), "record {record_id} not found in census or pes files"),
-        (~marker & (weight_row < 0), "household {household_id} has no weight"),
+        (is_marker & (phase < 0), "marker {code} has unknown phase {phase!r}"),
+        (reweighted & (marker_row < 0), "household {record_id} has no weight"),
+        (reweighted & np.append(interviewed, False)[marker_row],
+         "household {record_id} is interviewed and marked #"),
+        (~is_marker & (found < 0), "record {record_id} not found in census or pes files"),
+        (~is_marker & (weight_row < 0), "household {household_id} has no weight"),
         ((belongs >= 0) & (belongs != side), "code {code} on a {side} record {record_id}"),
         ((numeric >= CODE_42_1) & (numeric <= CODE_42_4)
          & np.isin(record_role[at], (ROLE_IN_MOVER, ROLE_BIRTH)),
@@ -384,9 +560,24 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     if issues:
         raise ValidationError(issues)
 
-    coded = np.flatnonzero(~marker)
-    census_household = _lookup(households, census["household_id"][census_rows])
-    census_text = census["stratum"][census_rows]
+    missing = np.zeros(households.shape[0], dtype=bool)
+    missing[marker_row[reweighted]] = True
+    districts, district = np.unique(
+        _keys(weights["district_id"])[0][weighted], return_inverse=True
+    )
+    factor = noninterview_factor(
+        district, address_type[weighted], value, interviewed, missing, districts.shape[0]
+    )
+
+    coded = np.flatnonzero(~is_marker)
+    row = weight_row[coded]
+    coded_role = record_role[at[coded]]
+    # Survey records found at the interview take their household's
+    # noninterview-adjusted weight; out-mover and death reports, and codes on
+    # census records, the plain weight.
+    roster = (side[coded] == SIDE_SURVEY) & ~np.isin(coded_role, (ROLE_OUT_MOVER, ROLE_DEATH))
+    census_household = record_row[:n_census]
+    census_text = census_strata[census_rows]
     in_scope = scope[census_rows] == 1
     coded_text = record_stratum[at[coded]]
     strata = np.unique(np.concatenate([census_text[in_scope], coded_text]))
@@ -402,15 +593,17 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         census_weight=np.where(census_household >= 0, value[census_household], 0.0),
         side=side[coded],
         code=numeric[coded],
-        role=record_role[at[coded]],
-        household=weight_row[coded],
+        role=coded_role,
+        household=row,
         stratum=np.searchsorted(strata, coded_text),
-        weight=value[weight_row[coded]],
+        weight=value[row] * np.where(roster, factor[row], 1.0),
         matched_in_mover=np.zeros(coded.shape[0], dtype=bool),
     )
     if level == "national":
         return tally_records(
             table, ("all",), np.zeros_like(table.census_stratum), np.zeros_like(table.stratum)
         )
+    if strata.dtype.kind == "u":
+        strata = strata.astype(">u8").view("S8")
     labels = tuple(stratum.decode("utf-8") for stratum in strata.tolist())
     return tally_records(table, labels, table.census_stratum, table.stratum)

@@ -203,6 +203,14 @@ class MatchResult:
     exclusion_mode: str
     household_mask: np.ndarray
 
+    def interviewed(self) -> np.ndarray:
+        """Sampled households whose survey roster was collected, the
+        interviewed set of the noninterview adjustment."""
+        cell = self.hh_cell
+        return self.household_mask & (
+            (cell == CELL_PAIR) | (cell == CELL_BARE42) | (cell == CELL_PES_ONLY)
+        )
+
     def code_counts(self) -> dict[str, int]:
         """Unweighted tally of every emitted code, labels as keys."""
         counts: dict[str, int] = {}
@@ -555,9 +563,7 @@ def record_table(
             raise DomainError("household weights must be finite and non-negative")
     if result.exclusion_mode == "adjusted":
         cell = result.hh_cell
-        interviewed = result.household_mask & (
-            (cell == CELL_PAIR) | (cell == CELL_BARE42) | (cell == CELL_PES_ONLY)
-        )
+        interviewed = result.interviewed()
         survey_weight = weight * noninterview_factor(
             pop.households.district, pop.households.address_type, weight,
             interviewed, result.household_mask & (cell == CELL_HASH), pop.districts.count,

@@ -126,8 +126,8 @@ class PopulationConfig:
             raise ConfigError("each province needs at least one urban and one rural district")
         if not 0.0 <= self.urban_share <= 1.0:
             raise ConfigError(f"urban_share must lie in [0, 1], got {self.urban_share}")
-        if self.mean_household_size <= 0:
-            raise ConfigError("mean_household_size must be positive")
+        if not 0 < self.mean_household_size < np.inf:
+            raise ConfigError("mean_household_size must be positive and finite")
         for name in ("mover_rate", "birth_rate", "death_rate", "institutional_rate"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:

@@ -1,6 +1,7 @@
 """Experiment harness: config files, replication, microdata round trips, CLI."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from covlab.cli import main as cli_main
-from covlab.errors import ConfigError, SchemaError, ValidationError
+from covlab.constants import REL_TOL_IDENTITY
+from covlab.errors import ConfigError, DegenerateInputs, SchemaError, ValidationError
 from covlab.estimators import fcode_estimate, mover_ratio
 from covlab.harness import (
     ExperimentConfig,
@@ -80,6 +82,27 @@ def test_config_field_validation():
         _small_config(procedures=("b",), with_in_mover_matching=False)
     with pytest.raises(ConfigError):
         SampleSpec(psus_per_stratum=0)
+
+
+def test_config_built_in_python_rejects_non_finite_floats():
+    names = [item.name for item in dataclasses.fields(ExperimentConfig)
+             if isinstance(getattr(ExperimentConfig(), item.name), float)]
+    assert "dependence" in names and "ee_rate" in names
+    for name in names:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=name):
+                ExperimentConfig(**{name: value})
+    for value in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="mean_household_size"):
+            PopulationConfig(mean_household_size=value)
+
+
+def test_load_config_rejects_an_integer_too_long_to_parse(tmp_path):
+    # json refuses integers of more than 4300 digits with a plain ValueError.
+    path = tmp_path / "config.json"
+    path.write_text('{"schema_version": 1, "base_seed": ' + "9" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(path))
 
 
 def test_run_replicate_is_deterministic():
@@ -271,8 +294,11 @@ def test_ingest_rejects_unsupported_level(tmp_path):
         _round_trip_tallies(tmp_path, config, level="province_stratum")
 
 
-# SHA-256 of the four files written for two fixed worlds, as the earlier
-# row-by-row csv.writer implementation wrote them: the file format is fixed.
+# SHA-256 of the four files written for two fixed worlds.  census.csv and
+# pes.csv, and the sci world's codes.csv, are as the earlier row-by-row
+# csv.writer implementation wrote them; weights.csv gained the district,
+# address type and interviewed columns, and adjusted-mode markers the
+# followup phase, so those three hashes were recorded again.
 _GOLDEN_PATHOLOGY = dict(
     ee_rate=0.02,
     ii_rate=0.01,
@@ -299,7 +325,7 @@ _GOLDEN_WORLDS = {
             "census.csv": "fa4bb0f401eebf451a04218d40053ef8c1a34a02fbf4d328d9064b2e155c523b",
             "pes.csv": "86175ed87da60efaab8b892a0d1906b79ff18efe4a13db0b701b795af604000f",
             "codes.csv": "ca97ab8b6e98089368f9a6ae2ecd0d359c6884c8d379144c620595f1f321af88",
-            "weights.csv": "17124750cb5851b6e51df563d81e8068f62acf9a4aec8bead2e93b100b591f19",
+            "weights.csv": "756837414d852a411f66e57d6d8b99e9cfbba13ac3af71ccd5b025371de2da60",
         },
     ),
     "adjusted-sampled": (
@@ -313,8 +339,8 @@ _GOLDEN_WORLDS = {
         {
             "census.csv": "2374830cffe595ec0e11f445bfbaab4565acc07f5df0dd4d1b98da92927337d8",
             "pes.csv": "c468d093329debb0ebf9a484cbd80e4ff1f8fd1a5c637c674b439798d9f9d4c6",
-            "codes.csv": "9ed2a2f17b6e843d55b9e6d86be52202f5728d09b6d8e5f3743c648414f0437c",
-            "weights.csv": "4477df56e29cfd024be8ab91a9dd9821c6e7af11fefca14bfcb0255e97cf81f2",
+            "codes.csv": "6a9ad667a00a14d88b7ef7c21490df48f7eb45b1b31fb4794d8d4c438e1a66f2",
+            "weights.csv": "aea73c2401d1b45b8c1ff111489f1809a2a01ac4523f9c64d1ba662430197be3",
         },
     ),
 }
@@ -369,7 +395,7 @@ def _edit_third_line(path, edit):
 @pytest.mark.parametrize(
     "name, case",
     [(name, "not-utf8") for name in ("census.csv", "pes.csv", "codes.csv", "weights.csv")]
-    + [("codes.csv", "extra-field"), ("codes.csv", "quoted")],
+    + [("codes.csv", "extra-field"), ("codes.csv", "quoted"), ("codes.csv", "unclosed-quote")],
 )
 def test_ingest_file_boundary(tmp_path, name, case):
     out = _write_clean_microdata(tmp_path)
@@ -388,6 +414,10 @@ def test_ingest_file_boundary(tmp_path, name, case):
     if case == "not-utf8":
         _edit_third_line(path, lambda line: line + b"\xff")
         message = "not UTF-8"
+    elif case == "unclosed-quote":
+        # An extra field whose opening quote swallows the rest of the file.
+        _edit_third_line(path, lambda line: line + b',"')
+        message = "quote is never closed"
     else:
         _edit_third_line(path, lambda line: line + b",extra")
         message = "expected 4 fields, found 5"
@@ -425,7 +455,15 @@ def test_ingest_validation_issue_catalogue(tmp_path):
     _append(out / "census.csv", [cid, "0", chh, "d0000", "m_a0", "person", "1"])
     _append(out / "census.csv", ["cx", "9", chh, "d0000", "m_a0", "alias", "1"])
     _append(out / "pes.csv", ["px", "9", chh, "d0000", "m_a0", "lodger", "with_q"])
-    _append(out / "weights.csv", ["h-unknown", "not-a-number"])
+    with open(out / "weights.csv", newline="", encoding="utf-8") as handle:
+        seen = [r for r in csv.DictReader(handle) if r["interviewed"] == "1"][-1]
+    _append(out / "weights.csv", ["h-unknown", "d0000", "single_unit", "1", "not-a-number"])
+    _append(out / "weights.csv", ["h-attic", "d0000", "attic", "1", "1.0"])
+    _append(out / "weights.csv", ["h-flag", "d0000", "single_unit", "yes", "1.0"])
+    reason = "temp-absent-no-questionnaire"
+    _append(out / "codes.csv", ["h-phase", "later", "#", reason])    # unknown marker phase
+    _append(out / "codes.csv", [seen["household_id"], "followup", "#", reason])  # interviewed
+    _append(out / "codes.csv", ["h-none", "followup", "#", reason])  # not in the sample
 
     with pytest.raises(ValidationError) as excinfo:
         ingest_microdata(str(out))
@@ -439,18 +477,21 @@ def test_ingest_validation_issue_catalogue(tmp_path):
     assert "unknown kind" in text
     assert "unknown roster" in text
     assert "not a number" in text
+    assert "unknown address_type 'attic'" in text
+    assert "bad interviewed flag 'yes'" in text
+    assert "marker # has unknown phase 'later'" in text
+    assert f"household {seen['household_id']} is interviewed and marked #" in text
+    assert "household h-none has no weight" in text
 
 
 def test_ingest_flags_missing_weight(tmp_path):
     out = _write_clean_microdata(tmp_path)
     with open(out / "weights.csv", newline="", encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
-    rows = rows[1:]  # drop one household's weight
     with open(out / "weights.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["household_id", "weight"])
-        for row in rows:
-            writer.writerow([row["household_id"], row["weight"]])
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows[1:])  # drop one household's weight
     with pytest.raises(ValidationError) as excinfo:
         ingest_microdata(str(out))
     assert any("has no weight" in issue for issue in excinfo.value.issues)
@@ -473,6 +514,50 @@ def test_cli_simulate_estimate_validate(tmp_path, capsys):
     assert "error" in estimates["procedure_b"]
     assert "percent_undercount" in estimates["fcode_omitted"]
     assert "fcode_numerator" not in estimates
+
+
+def _expected_estimate(estimate):
+    try:
+        return estimate()
+    except DegenerateInputs:
+        return None
+
+
+def test_cli_estimate_matches_simulation_in_adjusted_mode(tmp_path, capsys):
+    # A sampled adjusted world with '#' households: the files carry their
+    # reweighting, so the printed estimates are the simulation path's.
+    config = _GOLDEN_WORLDS["adjusted-sampled"][0]
+    config_path = tmp_path / "config.json"
+    dump_config(config, str(config_path))
+    out = tmp_path / "micro"
+    assert cli_main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert ",followup,#," in (out / "codes.csv").read_text(encoding="utf-8")
+    bundle = build_world(config, 0)
+    for level in ("national", "post_stratum"):
+        assert cli_main(["estimate", "--in", str(out), "--level", level]) == 0
+        groups = json.loads(capsys.readouterr().out)["groups"]
+        direct = tally_groups(bundle.pop, bundle.census, bundle.result, level=level,
+                              household_weight=bundle.household_weight)
+        assert set(groups) == set(direct)
+        for label, tally in direct.items():
+            expected = {
+                f"procedure_{p}": _expected_estimate(
+                    lambda: tally.census_correct() * mover_ratio(tally.movers, p))
+                for p in ("a", "c")
+            }
+            expected.update({
+                f"fcode_{p}": _expected_estimate(lambda: fcode_estimate(tally.fcode, p))
+                for p in ("omitted", "numerator", "denominator")
+            })
+            printed = groups[label]["estimates"]
+            assert any(value is not None for value in expected.values())
+            for name, value in expected.items():
+                if value is None:
+                    assert "error" in printed[name], (level, label, name)
+                else:
+                    assert printed[name]["estimate"] == pytest.approx(
+                        value, rel=REL_TOL_IDENTITY), (level, label, name)
 
 
 def test_cli_estimate_reports_a_zero_estimate_and_every_group(tmp_path, capsys):
@@ -554,6 +639,10 @@ def test_cli_experiment_runs_from_config(tmp_path, capsys):
         # A tuple replaces the `experiment` command, on the unedited config.
         (("experiment", "--seed", "-1"), "base_seed"),
         (("simulate", "--replicate", "-1"), "replicate"),
+        # Integers past the 64-bit range the simulator computes in.
+        ({"population": {"persons": 10**30}}, "population.persons"),
+        ({"population": {"persons": 500, "mean_household_size": 10**400}},
+         "population.mean_household_size"),
     ],
 )
 def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, edit, named):
