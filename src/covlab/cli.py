@@ -73,14 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["base_seed"] = args.seed
-    if getattr(args, "replicates", None) is not None:
-        overrides["replicates"] = args.replicates
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    return dataclasses.replace(config, **overrides) if overrides else config
+    flags = {"base_seed": "seed", "replicates": "replicates", "workers": "workers"}
+    overrides = {key: getattr(args, flag) for key, flag in flags.items()
+                 if getattr(args, flag, None) is not None}
+    return dataclasses.replace(config, **overrides)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -199,7 +195,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, SchemaError, ValidationError) as exc:
+    # Every path the commands open is named on the command line, so an
+    # OSError is the user's input error, not a fault of the program.
+    except (ConfigError, SchemaError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CoverageLabError as exc:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_fields
 from .estimators import FCodeTallies, MoverTallies
 from .popsim import (
     CEN_NOT_LISTED,
@@ -172,6 +172,7 @@ class MatchErrorModel:
     household_false_nonmatch: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in ("false_nonmatch", "false_match", "resolution_flip", "household_false_nonmatch"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:

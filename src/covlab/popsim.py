@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_fields
 
 __all__ = [
     "SCOPE_IN",
@@ -118,24 +118,19 @@ class PopulationConfig:
     age_groups: int = 5
 
     def __post_init__(self) -> None:
-        if self.persons <= 0:
-            raise ConfigError(f"persons must be positive, got {self.persons}")
-        if self.provinces <= 0:
-            raise ConfigError(f"provinces must be positive, got {self.provinces}")
-        if self.urban_districts < 1 or self.rural_districts < 1:
-            raise ConfigError("each province needs at least one urban and one rural district")
-        if not 0.0 <= self.urban_share <= 1.0:
-            raise ConfigError(f"urban_share must lie in [0, 1], got {self.urban_share}")
-        if not 0 < self.mean_household_size < np.inf:
-            raise ConfigError("mean_household_size must be positive and finite")
+        check_fields(self)
+        for name in ("persons", "provinces", "urban_districts", "rural_districts", "age_groups"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("urban_share", "new_household_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if self.mean_household_size <= 0:
+            raise ConfigError("mean_household_size must be positive")
         for name in ("mover_rate", "birth_rate", "death_rate", "institutional_rate"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {value}")
-        if not 0.0 <= self.new_household_rate <= 1.0:
-            raise ConfigError("new_household_rate must lie in [0, 1]")
-        if self.age_groups < 1:
-            raise ConfigError("age_groups must be at least 1")
 
     @property
     def n_post_strata(self) -> int:

@@ -1,0 +1,176 @@
+"""The config boundary: one field check for configs built in Python and read
+from JSON.
+
+Every malformed config, however it was made, must fail with a `ConfigError`
+that names the offending key (dotted inside a nested object, as
+`population.persons`); every config that loads must survive
+`load_config(dump_config(c))` unchanged.
+"""
+
+import dataclasses
+import json
+import math
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from covlab.errors import ConfigError
+from covlab.harness import ExperimentConfig, SampleSpec, dump_config, load_config
+from covlab.matching import MatchErrorModel
+from covlab.popsim import PopulationConfig
+from test_golden_outputs import LOCKED
+
+# Where each nested config class sits in an ExperimentConfig.
+_NESTED = {"population": PopulationConfig, "errors": MatchErrorModel, "sample": SampleSpec}
+
+
+def _names(message, key):
+    """Whether `message` names `key` itself, not a longer or nested key."""
+    return re.search(rf"(?<![\w.]){re.escape(key)}\b", message) is not None
+
+
+def _round_trips(config, tmp_path):
+    path = tmp_path / "config.json"
+    dump_config(config, str(path))
+    return load_config(str(path)) == config
+
+
+@pytest.mark.parametrize("cls, kwargs, named", [
+    (ExperimentConfig, {"replicates": "3"}, "replicates"),
+    (ExperimentConfig, {"capture_census": "0.9"}, "capture_census"),
+    (ExperimentConfig, {"grouping": "national"}, "grouping"),
+    (ExperimentConfig, {"workers": 2.5}, "workers"),
+    (ExperimentConfig, {"replicates": True}, "replicates"),
+    (ExperimentConfig, {"name": 5}, "name"),
+    (ExperimentConfig, {"with_in_mover_matching": "yes"}, "with_in_mover_matching"),
+    (ExperimentConfig, {"errors": None}, "errors"),
+    (ExperimentConfig, {"population": {"persons": 10}}, "population"),
+    (ExperimentConfig, {"sample": {"psus_per_stratum": 1}}, "sample"),
+    (ExperimentConfig, {"base_seed": 2**63}, "base_seed"),
+    (PopulationConfig, {"persons": 1000.5}, "persons"),
+    (PopulationConfig, {"persons": "10"}, "persons"),
+    (PopulationConfig, {"age_groups": True}, "age_groups"),
+    (PopulationConfig, {"persons": 10**30}, "persons"),
+    (PopulationConfig, {"rural_districts": 0}, "rural_districts"),
+    (SampleSpec, {"urban_take": 2.5}, "urban_take"),
+    (SampleSpec, {"rural_take": 0}, "rural_take"),
+    (MatchErrorModel, {"false_match": "0.1"}, "false_match"),
+    # A repeated name repeats every estimate row of a replicate, which
+    # doubles `replicates` and `valid` and understates `sd` and `mc_se`;
+    # an empty list estimates nothing.
+    (ExperimentConfig, {"procedures": ("a", "a")}, "procedures"),
+    (ExperimentConfig, {"grouping": ("national", "national")}, "grouping"),
+    (ExperimentConfig, {"f30_placements": ["omitted", "numerator", "omitted"]}, "f30_placements"),
+    (ExperimentConfig, {"grouping": ()}, "grouping"),
+    (ExperimentConfig, {"procedures": (), "f30_placements": ()}, "procedures"),
+])
+def test_config_built_in_python_is_checked_like_json(cls, kwargs, named):
+    with pytest.raises(ConfigError) as excinfo:
+        cls(**kwargs)
+    assert _names(str(excinfo.value), named), str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", sorted(LOCKED))
+def test_locked_configs_round_trip(tmp_path, name):
+    assert _round_trips(LOCKED[name], tmp_path)
+
+
+# Values of every type a field can hold, and of none.
+_ANY_VALUE = (
+    None, True, False, 0, 3, -1, 2**63, 2.5, math.nan, "x", "national", b"x",
+    ["national"], ("a", "a"), [1], {}, {"persons": 10},
+    PopulationConfig(), MatchErrorModel(), SampleSpec(), ExperimentConfig(),
+)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, item.name)
+    for cls in (ExperimentConfig, *_NESTED.values())
+    for item in dataclasses.fields(cls)
+])
+def test_every_field_takes_a_value_of_any_type_or_names_itself(tmp_path, cls, name):
+    outer = {nested: key for key, nested in _NESTED.items()}.get(cls)
+    for value in _ANY_VALUE:
+        try:
+            config = cls(**{name: value})
+            if outer is not None:
+                config = ExperimentConfig(**{outer: config})
+        except ConfigError as exc:
+            named = name if outer is None else f"{outer}.{name}"
+            assert _names(str(exc), name) or _names(str(exc), named), (value, str(exc))
+        else:
+            assert _round_trips(config, tmp_path), value
+
+
+# Paths of every key of a config whose nested objects are all present.
+_FULL = dataclasses.replace(LOCKED["adjusted-sampled"], errors=MatchErrorModel(false_match=0.1))
+_PATHS = sorted(
+    [f"{key}.{inner}" for key, value in _FULL.to_json().items() if isinstance(value, dict)
+     for inner in value]
+    + list(_FULL.to_json())
+)
+
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.sampled_from([0, 1, 2**63, -(2**63) - 1, 10**400, "national", "a", "adjusted"]),
+              st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+
+_MUTATION = st.tuples(
+    st.sampled_from(["drop", "add", "retype", "nest", "wrap", "move-in", "move-out"]),
+    st.sampled_from(_PATHS),
+    _JSON_VALUE,
+)
+
+
+def _mutate(data, kind, path, value):
+    """Apply one mutation to the JSON object `data` in place and return the
+    paths of the keys it touched: none when `path` is not there, the old
+    and the new place of a moved key."""
+    *parents, key = path.split(".")
+    target = data
+    for parent in parents:
+        target = target.get(parent) if isinstance(target, dict) else None
+    if not isinstance(target, dict) or key not in target:
+        return []
+    if kind == "drop":
+        del target[key]
+    elif kind == "add":
+        target[key + "_extra"] = value
+        return [path + "_extra"]
+    elif kind == "retype":
+        target[key] = value
+    elif kind == "nest":
+        target[key] = {key: target[key]}
+    elif kind == "wrap":
+        target[key] = [target[key]]
+    elif kind == "move-in" and not parents and isinstance(data.get("population"), dict):
+        if key != "population":
+            data["population"][key] = data.pop(key)
+            return [path, f"population.{key}"]
+    elif kind == "move-out" and parents:
+        data[key] = target.pop(key)
+        return [path, key]
+    return [path]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from([*sorted(LOCKED), "full"]),
+       mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_config_json_loads_or_names_the_key(tmp_path, base, mutations):
+    data = (_FULL if base == "full" else LOCKED[base]).to_json()
+    touched = [path for mutation in mutations for path in _mutate(data, *mutation)]
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    try:
+        config = load_config(str(path))
+    except ConfigError as exc:
+        assert any(_names(str(exc), key) for key in touched), (touched, str(exc))
+    else:
+        assert _round_trips(config, tmp_path)

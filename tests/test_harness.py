@@ -643,6 +643,9 @@ def test_cli_experiment_runs_from_config(tmp_path, capsys):
         ({"population": {"persons": 10**30}}, "population.persons"),
         ({"population": {"persons": 500, "mean_household_size": 10**400}},
          "population.mean_household_size"),
+        # A repeated name would repeat every estimate row.
+        ({"procedures": ["a", "a"]}, "procedures"),
+        ({"grouping": []}, "grouping"),
     ],
 )
 def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, edit, named):
@@ -657,6 +660,34 @@ def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, edit, name
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("simulate", "--out", "{file}"),
+        ("experiment", "--replicates", "1", "--out", "{file}"),
+        ("estimate", "--in", "{micro}", "--out", "{micro}"),
+        ("estimate", "--in", "{micro}", "--out", "{missing}/report.json"),
+        ("estimate", "--in", "{file}"),
+        ("validate", "--in", "{file}"),
+    ],
+)
+def test_cli_filesystem_errors_exit_2_without_traceback(tmp_path, capsys, command):
+    paths = {"file": tmp_path / "plain.txt", "micro": tmp_path / "micro",
+             "missing": tmp_path / "missing"}
+    paths["file"].write_text("not a directory\n", encoding="utf-8")
+    if "{micro}" in command:
+        _write_clean_microdata(tmp_path)
+    config = tmp_path / "config.json"
+    dump_config(_small_config(), str(config))
+    argv = [part.format(**paths) for part in command]
+    if argv[0] in ("simulate", "experiment"):
+        argv += ["--config", str(config)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
     assert "Traceback" not in err
 
 
