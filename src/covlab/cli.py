@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Callable
 
@@ -81,6 +82,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the world is built
     bundle = build_world(config, args.replicate)
     write_microdata(
         args.out, bundle.pop, bundle.census, bundle.pes, bundle.result,

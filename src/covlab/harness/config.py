@@ -85,6 +85,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must lie strictly inside (0, 1)")
         if self.heterogeneity < 0.0:
             raise ConfigError("heterogeneity must be non-negative")
+        for name in ("ee_rate", "ii_rate", "listed_nonresponse_rate", "proxy_miss",
+                     "absent_rate", "unlisted_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {value}")
+        if self.absent_rate + self.unlisted_rate >= 1.0:
+            raise ConfigError("absent_rate + unlisted_rate must stay below 1")
         if self.exclusion_mode not in ("sci", "adjusted"):
             raise ConfigError(f"unknown exclusion_mode {self.exclusion_mode!r}")
         # A repeated name would repeat every estimate row of a replicate.
@@ -124,7 +131,8 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
+        # true and 1.0 compare equal to 1 but are not the integer 1.
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema_version {version!r}, this build reads {SCHEMA_VERSION}"
             )

@@ -257,7 +257,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
 
     Replicate seeds depend only on (base_seed, replicate index), and results
     are collected in index order, so the output is invariant to `workers`.
+    `out_dir` is created before the first replicate, so a path that cannot
+    hold the artifacts fails before any work is done.
     """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             per_replicate = list(
@@ -269,7 +273,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     summary = summarize(config, rows)
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_replicates_csv(rows, os.path.join(out_dir, "replicates.csv"))
         write_summary_json(summary, os.path.join(out_dir, "summary.json"))
         write_summary_text(summary, os.path.join(out_dir, "summary.txt"))

@@ -321,10 +321,7 @@ def _classify_households(
     pes: PesSim,
 ) -> np.ndarray:
     n_hh = pop.households.count
-    origin = np.where(pop.census_household >= 0, pop.census_household, 0)
-    occupied_at_census = (
-        np.bincount(origin[pop.scope != SCOPE_BORN], minlength=n_hh) > 0
-    )
+    occupied_at_census = pop.occupied_at_census()
 
     cs = census.hh_status
     ss = pes.hh_status
@@ -350,6 +347,16 @@ def _classify_households(
 
     cell[pop.households.institutional] = CELL_INSTITUTIONAL
     return cell
+
+
+def _scatter(values: np.ndarray, keep: np.ndarray | slice, n: int) -> np.ndarray:
+    """Person-length array holding `values` at the persons `keep` selects
+    and zero elsewhere."""
+    if isinstance(keep, slice):
+        return values
+    out = np.zeros(n, dtype=values.dtype)
+    out[keep] = values
+    return out
 
 
 def match_and_code(
@@ -388,42 +395,59 @@ def match_and_code(
     cell = _classify_households(pop, census, pes)
     rng = np.random.default_rng(seed)
 
-    zeros = np.zeros(n, dtype=bool)
-    fnm = rng.random(n) < model.false_nonmatch if model.false_nonmatch else zeros
-    fm = rng.random(n) < model.false_match if model.false_match else zeros
-    if model.resolution_flip:
-        flip40 = rng.random(n) < model.resolution_flip
-        flip50 = rng.random(n) < model.resolution_flip
-    else:
-        flip40 = zeros
-        flip50 = zeros
+    # Whole-population flags, reported as they are.
+    birth = pop.scope == SCOPE_BORN
+    leaver = (pop.is_mover() | (pop.scope == SCOPE_DIED)) & (pop.census_household >= 0)
+
+    # Every rule below codes a person only through a sampled census-time
+    # (o_in) or survey-time (d_in) household.  Under a mask the rules run
+    # over those persons alone; everyone else keeps code 0.
+    origin = pop.census_home()
+    dest = pop.survey_home()
+    has_origin = pop.census_household >= 0
+    has_dest = pop.pes_household >= 0
+    o_in, d_in, keep = has_origin, has_dest, slice(None)
+    if household_mask is not None:
+        o_in = hh_in[origin] & has_origin
+        d_in = hh_in[dest] & has_dest
+        keep = np.flatnonzero(o_in | d_in)
+        o_in, d_in = o_in[keep], d_in[keep]
+    origin, dest, has_origin, has_dest = origin[keep], dest[keep], has_origin[keep], has_dest[keep]
+    scope = pop.scope[keep]
+    born = birth[keep]
+    mover = pop.is_mover()[keep]
+    out_role = leaver[keep]
+    m_captured = census.captured[keep] & ~census.imputed[keep]
+    listed = pes.listed[keep]
+    proxy_ok = pes.proxy_ok[keep]
+    duplicated = census.duplicated[keep]
+    n_kept = scope.shape[0]
+
+    def draw(rate: float) -> np.ndarray:
+        """One uniform per person, kept for the persons coded: a mask
+        changes no draw."""
+        return rng.random(n)[keep] < rate if rate else np.zeros(n_kept, dtype=bool)
+
+    fnm = draw(model.false_nonmatch)
+    fm = draw(model.false_match)
+    flip40 = draw(model.resolution_flip)
+    flip50 = draw(model.resolution_flip)
     hh_fnm = (
         rng.random(n_hh) < model.household_false_nonmatch
         if model.household_false_nonmatch
         else np.zeros(n_hh, dtype=bool)
     )
+    dup_flip = draw(model.resolution_flip)
 
-    origin = np.where(pop.census_household >= 0, pop.census_household, 0)
-    dest = np.where(pop.pes_household >= 0, pop.pes_household, 0)
-    has_origin = pop.census_household >= 0
-    has_dest = pop.pes_household >= 0
     ocell = np.where(has_origin, cell[origin], CELL_DARK)
     dcell = np.where(has_dest, cell[dest], CELL_DARK)
     o_status = pes.hh_status[origin]
-    o_in = hh_in[origin] & has_origin
-    d_in = hh_in[dest] & has_dest
-
-    born = pop.scope == SCOPE_BORN
-    mover = pop.is_mover()
-    out_role = (mover | (pop.scope == SCOPE_DIED)) & has_origin
     in_role = (mover | born) & has_dest
-    non_mover = (pop.scope == SCOPE_IN) & ~mover
-    m_captured = census.captured & ~census.imputed
-    listed = pes.listed
+    non_mover = (scope == SCOPE_IN) & ~mover
 
-    pes_code = np.zeros(n, dtype=np.int16)
-    cen_code = np.zeros(n, dtype=np.int16)
-    orphan_code = np.zeros(n, dtype=np.int16)
+    pes_code = np.zeros(n_kept, dtype=np.int16)
+    cen_code = np.zeros(n_kept, dtype=np.int16)
+    orphan_code = np.zeros(n_kept, dtype=np.int16)
 
     # --- non-movers: one household, both sides ---
     nm = non_mover & o_in
@@ -465,7 +489,7 @@ def match_and_code(
     # --- out-roles: movers-out and deaths, resolved at the origin ---
     avail = out_role & o_in & (ocell != CELL_INSTITUTIONAL) & (ocell != CELL_PRESUME)
     reported = (
-        avail & listed & pes.proxy_ok
+        avail & listed & proxy_ok
         & ((o_status == PES_WITH_Q) | (o_status == PES_VACANT))
     )
     linked = reported & m_captured & ~fnm
@@ -499,17 +523,13 @@ def match_and_code(
         pes_code[pilcrow & in_role] = CODE_20
 
     # --- duplicate and fabricated census records ---
-    dup_code = np.zeros(n, dtype=np.int16)
-    dup = census.duplicated & o_in & (ocell != CELL_INSTITUTIONAL)
+    dup_code = np.zeros(n_kept, dtype=np.int16)
+    dup = duplicated & o_in & (ocell != CELL_INSTITUTIONAL)
     dup_code[dup & (ocell == CELL_PRESUME)] = CODE_10
     dup_seen = dup & (ocell != CELL_PRESUME)
-    if model.resolution_flip:
-        dup_flip = rng.random(n) < model.resolution_flip
-    else:
-        dup_flip = zeros
     dup_code[dup_seen] = np.where(dup_flip[dup_seen], CODE_52_4, CODE_51)
 
-    fab_home = origin[census.fab_person]
+    fab_home = pop.census_home()[census.fab_person]
     fab_cell = cell[fab_home]
     fab_in = hh_in[fab_home] & (fab_cell != CELL_INSTITUTIONAL)
     fab_code = np.zeros(census.fab_person.shape[0], dtype=np.int16)
@@ -524,13 +544,13 @@ def match_and_code(
     in_mover_matched = (pes_code == CODE_20) & ~born & m_captured & ~fnm
 
     return MatchResult(
-        pes_code=pes_code,
-        cen_code=cen_code,
-        orphan_code=orphan_code,
-        birth=born,
-        out_role=out_role,
-        in_mover_matched=in_mover_matched,
-        dup_code=dup_code,
+        pes_code=_scatter(pes_code, keep, n),
+        cen_code=_scatter(cen_code, keep, n),
+        orphan_code=_scatter(orphan_code, keep, n),
+        birth=birth,
+        out_role=leaver,
+        in_mover_matched=_scatter(in_mover_matched, keep, n),
+        dup_code=_scatter(dup_code, keep, n),
         fab_code=fab_code,
         hh_cell=cell,
         exclusion_mode=exclusion_mode,
@@ -572,8 +592,8 @@ def record_table(
     else:
         survey_weight = weight
 
-    origin = np.where(pop.census_household >= 0, pop.census_household, 0)
-    dest = np.where(pop.pes_household >= 0, pop.pes_household, 0)
+    origin = pop.census_home()
+    dest = pop.survey_home()
     fab_person = census.fab_person
     n_fab = fab_person.shape[0]
 

@@ -23,12 +23,17 @@ Both knobs at zero give independent homogeneous captures, the model under
 which dual-system estimation is exact.
 
 All person-level state lives in parallel numpy arrays so that Monte Carlo
-replication stays cheap at census-like sizes.
+replication stays cheap at census-like sizes.  The arrays every stage
+derives from a world -- the census-time and survey-time homes, the
+households occupied at census time, the target scope, the movers and the
+home district -- are computed once per `Population`, on first use, and
+returned read-only: a caller that needs to change one copies it first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -87,12 +92,50 @@ def _logit(p: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    expx = np.exp(x[~positive])
-    out[~positive] = expx / (1.0 + expx)
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, from
+    one exp: exp(-|x|) is exp(-x) on the first branch and exp(x) on the
+    second, so each entry takes exactly its branch's operations."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x < 0, e, 1.0)
+    e += 1.0
+    out /= e
     return out
+
+
+# Buckets of the categorical draw's lookup table, a power of two so that
+# a uniform's bucket is exact.
+_CHOICE_BUCKETS = 4096
+_BUCKET_EDGES = np.arange(_CHOICE_BUCKETS + 1) / _CHOICE_BUCKETS
+
+
+def _choice(rng: np.random.Generator, p, size: int) -> np.ndarray:
+    """`rng.choice(len(p), size, p=p)`: the same draw, the same indices.
+
+    Generator.choice binary-searches the normalized cdf for each uniform.
+    Here a uniform first finds its bucket of [0, 1); every uniform in a
+    bucket that no cdf edge crosses has that bucket's index, and only the
+    rest are searched.
+    """
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    lower = cdf.searchsorted(_BUCKET_EDGES[:-1], side="right")
+    upper = cdf.searchsorted(_BUCKET_EDGES[1:], side="left")
+    bucket = (u * _CHOICE_BUCKETS).astype(np.intp)
+    index = lower[bucket]
+    crossed = (lower != upper)[bucket]
+    index[crossed] = cdf.searchsorted(u[crossed], side="right")
+    return index
+
+
+def _occupied(household: np.ndarray, n_households: int) -> np.ndarray:
+    """Households holding at least one person; -1 marks a person without a
+    household and lands in a spare last slot that is dropped."""
+    occupied = np.zeros(n_households + 1, dtype=bool)
+    occupied[household] = True
+    return occupied[:-1]
 
 
 @dataclass(frozen=True)
@@ -209,7 +252,11 @@ class Households:
 
 @dataclass(frozen=True)
 class Population:
-    """One synthetic world, frozen after generation."""
+    """One synthetic world, frozen after generation.
+
+    The derived person and household arrays below are computed on first
+    use, kept for the life of the world and returned read-only.
+    """
 
     census_household: np.ndarray   # household index, -1 for persons born later
     pes_household: np.ndarray      # household index, -1 for persons who died
@@ -219,6 +266,9 @@ class Population:
     households: Households
     districts: Districts
     stratum_labels: tuple[str, ...]
+    _derived: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
@@ -228,25 +278,63 @@ class Population:
     def n_post_strata(self) -> int:
         return len(self.stratum_labels)
 
+    def _memo(self, name: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        array = self._derived.get(name)
+        if array is None:
+            array = self._derived[name] = compute()
+            array.setflags(write=False)
+        return array
+
+    def census_home(self) -> np.ndarray:
+        """Census-time household per person, 0 for persons born later;
+        pair it with `census_household >= 0`."""
+        return self._memo(
+            "census_home",
+            lambda: np.where(self.census_household >= 0, self.census_household, 0),
+        )
+
+    def survey_home(self) -> np.ndarray:
+        """Survey-time household per person, 0 for persons who died; pair
+        it with `pes_household >= 0`."""
+        return self._memo(
+            "survey_home",
+            lambda: np.where(self.pes_household >= 0, self.pes_household, 0),
+        )
+
+    def occupied_at_census(self) -> np.ndarray:
+        """Households with at least one census-time resident, that is a
+        person not born later."""
+        return self._memo(
+            "occupied_at_census",
+            lambda: _occupied(self.census_household, self.households.count),
+        )
+
     def in_target(self) -> np.ndarray:
         """Census target scope: existed at census time, in an ordinary
         (non-institutional) household."""
-        home = np.where(self.census_household >= 0, self.census_household, 0)
-        ordinary = ~self.households.institutional[home]
-        return (self.scope != SCOPE_BORN) & ordinary
+        return self._memo(
+            "in_target",
+            lambda: (self.scope != SCOPE_BORN)
+            & ~self.households.institutional[self.census_home()],
+        )
 
     def home_district(self) -> np.ndarray:
         """District of the census-time household, falling back to the
         survey-time household for persons born after the census."""
-        home = np.where(self.census_household >= 0, self.census_household, self.pes_household)
-        return self.households.district[home]
+        return self._memo(
+            "home_district",
+            lambda: self.households.district[
+                np.where(self.census_household >= 0, self.census_household, self.pes_household)
+            ],
+        )
 
     def is_mover(self) -> np.ndarray:
-        return (
-            (self.scope == SCOPE_IN)
+        return self._memo(
+            "is_mover",
+            lambda: (self.scope == SCOPE_IN)
             & (self.census_household >= 0)
             & (self.pes_household >= 0)
-            & (self.census_household != self.pes_household)
+            & (self.census_household != self.pes_household),
         )
 
 
@@ -338,13 +426,13 @@ def synthesize_population(
     district_weight = district_weight / district_weight.sum()
 
     n_households = max(1, round(config.persons / config.mean_household_size))
-    hh_district = rng.choice(n_districts, size=n_households, p=district_weight).astype(np.int32)
-    hh_address = rng.choice(3, size=n_households, p=_ADDRESS_PROBS).astype(np.int8)
+    hh_district = _choice(rng, district_weight, n_households).astype(np.int32)
+    hh_address = _choice(rng, _ADDRESS_PROBS, n_households).astype(np.int8)
     hh_institutional = rng.random(n_households) < config.institutional_rate
     if hh_institutional.all():
         raise ConfigError("institutional_rate left no ordinary household")
 
-    census_hh = rng.integers(0, n_households, size=config.persons).astype(np.int64)
+    census_hh = rng.integers(0, n_households, size=config.persons).astype(np.int64, copy=False)
     scope = np.zeros(config.persons, dtype=np.int8)
     scope[rng.random(config.persons) < config.death_rate] = SCOPE_DIED
 
@@ -358,8 +446,8 @@ def synthesize_population(
 
     new_count = int(forms_new.sum())
     if new_count:
-        new_district = rng.choice(n_districts, size=new_count, p=district_weight).astype(np.int32)
-        new_address = rng.choice(3, size=new_count, p=_ADDRESS_PROBS).astype(np.int8)
+        new_district = _choice(rng, district_weight, new_count).astype(np.int32)
+        new_address = _choice(rng, _ADDRESS_PROBS, new_count).astype(np.int8)
         hh_district = np.concatenate([hh_district, new_district])
         hh_address = np.concatenate([hh_address, new_address])
         hh_institutional = np.concatenate([hh_institutional, np.zeros(new_count, dtype=bool)])
@@ -411,6 +499,30 @@ def synthesize_population(
     )
 
 
+def _capture_logits(
+    pop: Population,
+    base: np.ndarray,
+    probs: CaptureProbabilities,
+    census_missed: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per person, the logit of the post-stratum `base` probability, plus
+    the heterogeneity-scaled shared propensity, minus `dependence` where
+    `census_missed` is set.
+
+    The logit is taken per post-stratum and gathered after, and the sum is
+    built in place; each entry is the same sum of the same terms.
+    """
+    ps = pop.post_stratum.astype(np.intp)  # gathers with an intp index are fastest
+    logits = probs.heterogeneity[ps]
+    logits *= pop.propensity
+    logits += _logit(base)[ps]
+    if census_missed is not None:
+        penalty = probs.dependence[ps]
+        penalty *= census_missed
+        logits -= penalty
+    return logits
+
+
 def simulate_census(
     pop: Population,
     probs: CaptureProbabilities,
@@ -443,13 +555,10 @@ def simulate_census(
     rng = np.random.default_rng(seed)
     n = pop.size
     n_hh = pop.households.count
-    ps = pop.post_stratum
-
-    logits = _logit(probs.census[ps]) + probs.heterogeneity[ps] * pop.propensity
-    p_capture = _sigmoid(logits)
+    p_capture = _sigmoid(_capture_logits(pop, probs.census, probs))
 
     eligible = pop.scope != SCOPE_BORN
-    home = np.where(pop.census_household >= 0, pop.census_household, 0)
+    home = pop.census_home()
 
     noq_hh = (
         rng.random(n_hh) < listed_nonresponse_rate
@@ -468,13 +577,13 @@ def simulate_census(
         duplicated = np.zeros(n, dtype=bool)
         fab_person = np.zeros(0, dtype=np.int64)
 
-    occupied = np.bincount(home[eligible], minlength=n_hh) > 0
-    record_hh = np.concatenate([home[captured], home[fab_person]])
-    has_records = np.bincount(record_hh, minlength=n_hh) > 0
+    has_records = np.zeros(n_hh, dtype=bool)
+    has_records[home[captured]] = True
+    has_records[home[fab_person]] = True
 
     hh_status = np.full(n_hh, CEN_NOT_LISTED, dtype=np.int8)
     hh_status[has_records] = CEN_WITH_Q
-    hh_status[noq_hh & occupied] = CEN_WITHOUT_Q
+    hh_status[noq_hh & pop.occupied_at_census()] = CEN_WITHOUT_Q
     return CensusSim(
         captured=captured,
         imputed=imputed,
@@ -521,18 +630,11 @@ def simulate_pes(
     rng = np.random.default_rng(seed)
     n = pop.size
     n_hh = pop.households.count
-    ps = pop.post_stratum
-
-    logits = (
-        _logit(probs.pes[ps])
-        + probs.heterogeneity[ps] * pop.propensity
-        - probs.dependence[ps] * (~census.captured)
-    )
+    logits = _capture_logits(pop, probs.pes, probs, census_missed=~census.captured)
     listed = rng.random(n) < _sigmoid(logits)
     proxy_ok = rng.random(n) >= proxy_miss if proxy_miss else np.ones(n, dtype=bool)
 
-    here = np.where(pop.pes_household >= 0, pop.pes_household, 0)
-    pes_occupied = np.bincount(here[pop.pes_household >= 0], minlength=n_hh) > 0
+    pes_occupied = _occupied(pop.pes_household, n_hh)
 
     roll = rng.random(n_hh)
     hh_status = np.full(n_hh, PES_WITH_Q, dtype=np.int8)

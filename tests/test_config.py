@@ -65,11 +65,30 @@ def _round_trips(config, tmp_path):
     (ExperimentConfig, {"f30_placements": ["omitted", "numerator", "omitted"]}, "f30_placements"),
     (ExperimentConfig, {"grouping": ()}, "grouping"),
     (ExperimentConfig, {"procedures": (), "f30_placements": ()}, "procedures"),
+    # Survey and census rates fail at load, not when the first replicate runs.
+    (ExperimentConfig, {"ee_rate": 5.0}, "ee_rate"),
+    (ExperimentConfig, {"ii_rate": 1.0}, "ii_rate"),
+    (ExperimentConfig, {"listed_nonresponse_rate": -0.01}, "listed_nonresponse_rate"),
+    (ExperimentConfig, {"proxy_miss": -0.1}, "proxy_miss"),
+    (ExperimentConfig, {"absent_rate": 1.0}, "absent_rate"),
+    (ExperimentConfig, {"unlisted_rate": math.nan}, "unlisted_rate"),
+    (ExperimentConfig, {"absent_rate": 0.6, "unlisted_rate": 0.4}, "absent_rate"),
+    (ExperimentConfig, {"absent_rate": 0.6, "unlisted_rate": 0.4}, "unlisted_rate"),
 ])
 def test_config_built_in_python_is_checked_like_json(cls, kwargs, named):
     with pytest.raises(ConfigError) as excinfo:
         cls(**kwargs)
     assert _names(str(excinfo.value), named), str(excinfo.value)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, 2, "1", None])
+def test_schema_version_must_be_the_integer_one(tmp_path, version):
+    data = ExperimentConfig().to_json()
+    data["schema_version"] = version
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ConfigError, match="schema_version"):
+        load_config(str(path))
 
 
 @pytest.mark.parametrize("name", sorted(LOCKED))

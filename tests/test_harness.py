@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+import covlab.cli
+import covlab.harness.experiment
 from covlab.cli import main as cli_main
 from covlab.constants import REL_TOL_IDENTITY
 from covlab.errors import ConfigError, DegenerateInputs, SchemaError, ValidationError
@@ -674,7 +676,7 @@ def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, edit, name
         ("validate", "--in", "{file}"),
     ],
 )
-def test_cli_filesystem_errors_exit_2_without_traceback(tmp_path, capsys, command):
+def test_cli_filesystem_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, command):
     paths = {"file": tmp_path / "plain.txt", "micro": tmp_path / "micro",
              "missing": tmp_path / "missing"}
     paths["file"].write_text("not a directory\n", encoding="utf-8")
@@ -685,10 +687,15 @@ def test_cli_filesystem_errors_exit_2_without_traceback(tmp_path, capsys, comman
     argv = [part.format(**paths) for part in command]
     if argv[0] in ("simulate", "experiment"):
         argv += ["--config", str(config)]
+    # A bad --out fails before any world is built.
+    built = []
+    for module in (covlab.cli, covlab.harness.experiment):
+        monkeypatch.setattr(module, "build_world", lambda *args: built.append(args))
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert built == []
 
 
 def test_cli_missing_directory_is_a_schema_error(tmp_path, capsys):

@@ -411,3 +411,45 @@ def test_code_counts_reports_every_slot():
         for arr in (result.pes_code, result.orphan_code, result.dup_code, result.fab_code)
     ) + int(((result.cen_code != CODE_NONE) & (result.cen_code != CODE_PAIRED)).sum())
     assert total_emitted == emitted
+
+
+@pytest.mark.parametrize("exclusion_mode", ["sci", "adjusted"])
+def test_household_mask_equals_unmasked_codes_outside_the_sample_zeroed(exclusion_mode):
+    """A mask only zeroes codes: every record keeps its unmasked code when
+    the household that owns it is sampled, and gets none otherwise."""
+    pop, cen, sur = _world(
+        seed=48, ee_rate=0.04, ii_rate=0.03, listed_nonresponse_rate=0.08,
+        absent_rate=0.08, unlisted_rate=0.06, proxy_miss=0.1,
+    )
+    errors = MatchErrorModel(
+        false_nonmatch=0.05, false_match=0.05, resolution_flip=0.1,
+        household_false_nonmatch=0.05,
+    )
+    full = match_and_code(pop, cen, sur, error_model=errors, seed=9,
+                          exclusion_mode=exclusion_mode)
+    # Roster codes belong to the survey-time household; census, report
+    # and orphan codes, duplicates and fabrications to the census-time one.
+    has_origin = pop.census_household >= 0
+    has_dest = pop.pes_household >= 0
+    origin = np.where(has_origin, pop.census_household, 0)
+    dest = np.where(has_dest, pop.pes_household, 0)
+    n_hh = pop.households.count
+    rng = np.random.default_rng(5)
+    masks = [np.zeros(n_hh, dtype=bool), np.ones(n_hh, dtype=bool)]
+    masks += [rng.random(n_hh) < share for share in (0.05, 0.3, 0.7)]
+    for mask in masks:
+        masked = match_and_code(pop, cen, sur, error_model=errors, seed=9,
+                                exclusion_mode=exclusion_mode, household_mask=mask)
+        d_in = mask[dest] & has_dest
+        o_in = mask[origin] & has_origin
+        assert np.array_equal(masked.pes_code, np.where(d_in, full.pes_code, CODE_NONE))
+        assert np.array_equal(masked.in_mover_matched, full.in_mover_matched & d_in)
+        for name in ("cen_code", "orphan_code", "dup_code"):
+            expected = np.where(o_in, getattr(full, name), CODE_NONE)
+            assert np.array_equal(getattr(masked, name), expected), name
+        fab_in = mask[origin[cen.fab_person]]
+        assert np.array_equal(masked.fab_code, np.where(fab_in, full.fab_code, CODE_NONE))
+        assert np.array_equal(masked.birth, full.birth)
+        assert np.array_equal(masked.out_role, full.out_role)
+        assert np.array_equal(masked.hh_cell, full.hh_cell)
+        assert np.array_equal(masked.household_mask, mask)

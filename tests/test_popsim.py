@@ -18,6 +18,8 @@ from covlab.popsim import (
     SCOPE_IN,
     CaptureProbabilities,
     PopulationConfig,
+    _choice,
+    _sigmoid,
     ground_truth_ledger,
     group_labels,
     person_groups,
@@ -319,3 +321,83 @@ def test_group_labels_and_person_groups_agree():
         group_labels(pop, "county")
     with pytest.raises(ConfigError):
         person_groups(pop, "county")
+
+
+def _two_branch_sigmoid(x):
+    """The logistic function as two masked branches, the reference the
+    one-exp kernel must match bit for bit."""
+    out = np.empty_like(x, dtype=np.float64)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    expx = np.exp(x[~positive])
+    out[~positive] = expx / (1.0 + expx)
+    return out
+
+
+def test_sigmoid_is_bit_equal_to_the_two_branch_reference():
+    edges = np.array([0.0, 1e-300, 40.0, 745.0, 1e300])
+    rng = np.random.default_rng(3)
+    wide = np.concatenate([
+        rng.standard_normal(5000) * 10.0,
+        np.ldexp(rng.random(5000), rng.integers(-1074, 1000, size=5000)),
+    ])
+    for x in (np.concatenate([edges, -edges]), wide, -wide):
+        got, expected = _sigmoid(x), _two_branch_sigmoid(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("p, size", [
+    ([1.0], 50),
+    ([0.0, 1.0, 0.0], 50),
+    ([0.5, 0.0, 0.0, 0.5], 500),
+    ([0.6, 0.3, 0.1], 0),
+    ([1e-12, 1.0 - 2e-12, 1e-12], 2000),
+])
+def test_choice_draws_as_generator_choice_on_degenerate_weights(p, size):
+    ours, numpys = np.random.default_rng(12), np.random.default_rng(12)
+    got = _choice(ours, p, size)
+    expected = numpys.choice(len(p), size=size, p=p)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert ours.random() == numpys.random()
+
+
+def test_choice_draws_as_generator_choice_on_random_weights():
+    source = np.random.default_rng(8)
+    for trial in range(200):
+        k = int(source.integers(1, 600))
+        p = source.random(k) ** 3
+        p[source.random(k) < 0.2] = 0.0
+        if not p.any():
+            p[0] = 1.0
+        p /= p.sum()
+        size = int(source.integers(0, 3000))
+        ours, numpys = np.random.default_rng(trial), np.random.default_rng(trial)
+        assert np.array_equal(_choice(ours, p, size), numpys.choice(k, size=size, p=p)), trial
+        assert ours.random() == numpys.random()
+
+
+def test_derived_person_arrays_are_read_only_fresh_and_per_world():
+    _, pop = _world(institutional_rate=0.05)
+    _, other = _world(seed=12, institutional_rate=0.05)
+    census, survey = pop.census_household, pop.pes_household
+    home = np.where(census >= 0, census, 0)
+    fresh = {
+        "census_home": home,
+        "survey_home": np.where(survey >= 0, survey, 0),
+        "occupied_at_census": np.bincount(
+            home[pop.scope != SCOPE_BORN], minlength=pop.households.count
+        ) > 0,
+        "in_target": (pop.scope != SCOPE_BORN) & ~pop.households.institutional[home],
+        "is_mover": (pop.scope == SCOPE_IN) & (census >= 0) & (survey >= 0) & (census != survey),
+        "home_district": pop.households.district[np.where(census >= 0, census, survey)],
+    }
+    for name, expected in fresh.items():
+        array = getattr(pop, name)()
+        assert array is getattr(pop, name)(), name
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+        assert np.array_equal(array, expected), name
+        assert not np.shares_memory(array, getattr(other, name)()), name
