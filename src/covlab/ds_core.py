@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TIE_TOL_SEARCH
-from .errors import DegenerateTable, DomainError, InvalidMargins
+from .errors import DegenerateInputs, DomainError, InvalidMargins
 
 __all__ = [
     "DsTable",
@@ -44,6 +44,12 @@ __all__ = [
     "log_likelihood",
     "mle_by_search",
 ]
+
+
+def _require_finite_nonneg(pairs: list[tuple[str, float]]) -> None:
+    for name, value in pairs:
+        if not math.isfinite(value) or value < 0:
+            raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,7 @@ class DsTable:
     x01: float
 
     def __post_init__(self) -> None:
-        for name in ("x11", "x10", "x01"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
+        _require_finite_nonneg([("x11", self.x11), ("x10", self.x10), ("x01", self.x01)])
 
     def x1plus(self) -> float:
         """Census margin x11 + x10."""
@@ -122,13 +125,13 @@ def estimate_x00(table: DsTable) -> float:
     x00 = x10 * x01 / x11.  The estimate is exactly zero when either
     single-system cell is empty.
 
-    Raises DegenerateTable when x11 = 0 while both off cells are positive,
+    Raises DegenerateInputs when x11 = 0 while both off cells are positive,
     because no finite completion has unit odds ratio there.
     """
     if table.x11 == 0:
         if table.x10 * table.x01 == 0:
             return 0.0
-        raise DegenerateTable(
+        raise DegenerateInputs(
             "x11 = 0 with both single-system cells positive: the both-missed "
             "cell has no finite independence completion"
         )
@@ -137,11 +140,9 @@ def estimate_x00(table: DsTable) -> float:
 
 def ds_estimate_margins(x1plus: float, xplus1: float, x11: float) -> float:
     """Dual-system total from the capture margins: x1plus * xplus1 / x11."""
-    for name, value in (("x1plus", x1plus), ("xplus1", xplus1), ("x11", x11)):
-        if not math.isfinite(value) or value < 0:
-            raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
+    _require_finite_nonneg([("x1plus", x1plus), ("xplus1", xplus1), ("x11", x11)])
     if x11 == 0:
-        raise DegenerateTable("x11 = 0: the dual-system ratio is undefined")
+        raise DegenerateInputs("x11 = 0: the dual-system ratio is undefined")
     if x1plus < x11 or xplus1 < x11:
         raise InvalidMargins(
             f"margins must contain the matched cell: x1plus={x1plus}, "
@@ -160,7 +161,7 @@ def ds_estimate_cells(table: DsTable) -> float:
     x10 * x01 = 0.
     """
     if table.x11 == 0:
-        raise DegenerateTable("x11 = 0: the dual-system total is undefined")
+        raise DegenerateInputs("x11 = 0: the dual-system total is undefined")
     return table.x_seen() + estimate_x00(table)
 
 
@@ -245,7 +246,7 @@ def mle_by_search(table: DsTable, t_max: int) -> MleResult:
     """
     x11, x10, x01 = _require_integer_cells(table)
     if x11 == 0:
-        raise DegenerateTable("x11 = 0: capture probabilities are not identifiable")
+        raise DegenerateInputs("x11 = 0: capture probabilities are not identifiable")
     x_seen = x11 + x10 + x01
     t_max = int(t_max)
     if t_max < x_seen:

@@ -20,21 +20,14 @@ class DomainError(CoverageLabError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class DegenerateTable(CoverageLabError):
-    """A dual-system table has no matched mass, so ratios are undefined."""
-
-
 class InvalidMargins(CoverageLabError):
-    """A margin is smaller than the matched cell it must contain."""
+    """A margin is smaller than the matched cell it must contain (for
+    example more matches than correct enumerations)."""
 
 
 class DegenerateInputs(CoverageLabError):
-    """An estimator denominator is zero or otherwise unusable."""
-
-
-class InvalidEstimates(CoverageLabError):
-    """Field estimates are mutually inconsistent (for example more matches
-    than correct enumerations)."""
+    """An estimator denominator is zero or otherwise unusable, as when a
+    dual-system table has no matched mass."""
 
 
 class MissingField(CoverageLabError):

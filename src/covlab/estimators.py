@@ -33,13 +33,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .constants import REL_TOL_IDENTITY
-from .ds_core import CoverageSummary, DsTable, ds_estimate_cells
-from .errors import (
-    DegenerateInputs,
-    DomainError,
-    InvalidEstimates,
-    MissingField,
-)
+from .ds_core import CoverageSummary, DsTable, _require_finite_nonneg, ds_estimate_cells
+from .errors import DegenerateInputs, DomainError, InvalidMargins, MissingField
 
 __all__ = [
     "Procedure",
@@ -75,12 +70,6 @@ class F30Placement(str, Enum):
     OMITTED = "omitted"
     IN_NUMERATOR = "numerator"
     IN_DENOMINATOR = "denominator"
-
-
-def _require_finite_nonneg(pairs: list[tuple[str, float]]) -> None:
-    for name, value in pairs:
-        if not math.isfinite(value) or value < 0:
-            raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -292,7 +281,7 @@ def procedure_c_table(
     the larger of the two terms it is the difference of is rounding noise
     (x11 and census_correct can agree in exact arithmetic), and is zero.
     Inconsistent field estimates make x10 or x01 negative beyond that.
-    That raises InvalidEstimates unless `clamp_negative` is set, in which
+    That raises InvalidMargins unless `clamp_negative` is set, in which
     case the offending cell is clamped to zero and the result flagged.
     """
     _require_finite_nonneg([("census_correct", census_correct)])
@@ -305,7 +294,7 @@ def procedure_c_table(
     clamped = False
     if x10 < 0 or x01 < 0:
         if not clamp_negative:
-            raise InvalidEstimates(
+            raise InvalidMargins(
                 f"matched mass {x11} exceeds census_correct={census_correct} "
                 f"or the survey total {survey_total}"
             )

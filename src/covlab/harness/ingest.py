@@ -565,10 +565,6 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     districts, district = np.unique(
         _keys(weights["district_id"])[0][weighted], return_inverse=True
     )
-    factor = noninterview_factor(
-        district, address_type[weighted], value, interviewed, missing, districts.shape[0]
-    )
-
     coded = np.flatnonzero(~is_marker)
     row = weight_row[coded]
     coded_role = record_role[at[coded]]
@@ -577,6 +573,22 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     # census records, the plain weight.
     roster = (side[coded] == SIDE_SURVEY) & ~np.isin(coded_role, (ROLE_OUT_MOVER, ROLE_DEATH))
     census_household = record_row[:n_census]
+    # Finite weights can still sum past the float range; the totals are
+    # checked here, so every tally built from them is finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = noninterview_factor(
+            district, address_type[weighted], value, interviewed, missing, districts.shape[0]
+        )
+        record_weight = value[row] * np.where(roster, factor[row], 1.0)
+        census_weight = np.where(census_household >= 0, value[census_household], 0.0)
+        finite = np.isfinite(record_weight.sum()) and np.isfinite(census_weight.sum())
+    if not finite:
+        largest = np.flatnonzero(weighted)[np.argmax(value)]
+        raise ValidationError([
+            f"weights.csv row {largest + 2}: weight {weights['weight'][largest].decode('utf-8')}"
+            f" of household {weights['household_id'][largest].decode('utf-8')}"
+            " makes the weighted totals overflow"
+        ])
     census_text = census_strata[census_rows]
     in_scope = scope[census_rows] == 1
     coded_text = record_stratum[at[coded]]
@@ -590,13 +602,13 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         # Out-of-scope records may sit in a stratum nothing else has; they
         # never reach a tally, so any valid index does.
         census_stratum=np.minimum(np.searchsorted(strata, census_text), strata.shape[0] - 1),
-        census_weight=np.where(census_household >= 0, value[census_household], 0.0),
+        census_weight=census_weight,
         side=side[coded],
         code=numeric[coded],
         role=coded_role,
         household=row,
         stratum=np.searchsorted(strata, coded_text),
-        weight=value[row] * np.where(roster, factor[row], 1.0),
+        weight=record_weight,
         matched_in_mover=np.zeros(coded.shape[0], dtype=bool),
     )
     if level == "national":

@@ -183,20 +183,22 @@ class MatchErrorModel:
 class MatchResult:
     """Final codes for one matched world.
 
-    Each person owns two slots: `pes_code` for their survey-side record
-    (pair codes 10, roster codes 20/41/42/x) and `cen_code` for their
-    census-side resolution (PAIRED sentinel, presumed 10, 30, 51, 52/x,
-    plus 42/x for out-mover reports with no census record to land on).
-    `orphan_code` carries the stranded report when a false nonmatch splits
-    an out-mover link.  Duplicate and fabricated census records get their
-    own code arrays.
+    `person` lists, in ascending order, the persons matching coded: those
+    whose census-time or survey-time household is sampled, every person
+    without a mask.  Each listed person owns one entry in every slot
+    array: `pes_code` for their survey-side record (pair codes 10, roster
+    codes 20/41/42/x) and `cen_code` for their census-side resolution
+    (PAIRED sentinel, presumed 10, 30, 51, 52/x, plus 42/x for out-mover
+    reports with no census record to land on).  `orphan_code` carries the
+    stranded report when a false nonmatch splits an out-mover link, and
+    `dup_code` the person's duplicate census record.  Fabricated census
+    records get their own code array, one entry per fabrication.
     """
 
+    person: np.ndarray
     pes_code: np.ndarray
     cen_code: np.ndarray
     orphan_code: np.ndarray
-    birth: np.ndarray
-    out_role: np.ndarray
     in_mover_matched: np.ndarray   # would match under a nationwide in-mover search
     dup_code: np.ndarray
     fab_code: np.ndarray
@@ -349,16 +351,6 @@ def _classify_households(
     return cell
 
 
-def _scatter(values: np.ndarray, keep: np.ndarray | slice, n: int) -> np.ndarray:
-    """Person-length array holding `values` at the persons `keep` selects
-    and zero elsewhere."""
-    if isinstance(keep, slice):
-        return values
-    out = np.zeros(n, dtype=values.dtype)
-    out[keep] = values
-    return out
-
-
 def match_and_code(
     pop: Population,
     census: CensusSim,
@@ -377,7 +369,10 @@ def match_and_code(
     `household_mask` restricts coding to a sampled household set; a
     record is coded only when the household it was collected at is in the
     sample.  Out-mover reports belong to the census-time household, roster
-    records to the survey-time one.
+    records to the survey-time one.  The result lists the persons with a
+    sampled household of either kind (`MatchResult.person`) and holds the
+    codes of those persons alone; every random draw is made for the whole
+    population all the same, so a mask changes no code it keeps.
     """
     if exclusion_mode not in ("sci", "adjusted"):
         raise ConfigError(f"exclusion_mode must be 'sci' or 'adjusted', got {exclusion_mode!r}")
@@ -395,33 +390,27 @@ def match_and_code(
     cell = _classify_households(pop, census, pes)
     rng = np.random.default_rng(seed)
 
-    # Whole-population flags, reported as they are.
-    birth = pop.scope == SCOPE_BORN
-    leaver = (pop.is_mover() | (pop.scope == SCOPE_DIED)) & (pop.census_household >= 0)
-
     # Every rule below codes a person only through a sampled census-time
-    # (o_in) or survey-time (d_in) household.  Under a mask the rules run
-    # over those persons alone; everyone else keeps code 0.
+    # (o_in) or survey-time (d_in) household, so the rules run over those
+    # persons alone, `keep`.
     origin = pop.census_home()
     dest = pop.survey_home()
     has_origin = pop.census_household >= 0
     has_dest = pop.pes_household >= 0
-    o_in, d_in, keep = has_origin, has_dest, slice(None)
-    if household_mask is not None:
-        o_in = hh_in[origin] & has_origin
-        d_in = hh_in[dest] & has_dest
-        keep = np.flatnonzero(o_in | d_in)
-        o_in, d_in = o_in[keep], d_in[keep]
+    o_in = hh_in[origin] & has_origin
+    d_in = hh_in[dest] & has_dest
+    keep = np.flatnonzero(o_in | d_in)
+    o_in, d_in = o_in[keep], d_in[keep]
     origin, dest, has_origin, has_dest = origin[keep], dest[keep], has_origin[keep], has_dest[keep]
     scope = pop.scope[keep]
-    born = birth[keep]
+    born = scope == SCOPE_BORN
     mover = pop.is_mover()[keep]
-    out_role = leaver[keep]
+    out_role = (mover | (scope == SCOPE_DIED)) & has_origin
     m_captured = census.captured[keep] & ~census.imputed[keep]
     listed = pes.listed[keep]
     proxy_ok = pes.proxy_ok[keep]
     duplicated = census.duplicated[keep]
-    n_kept = scope.shape[0]
+    n_kept = keep.shape[0]
 
     def draw(rate: float) -> np.ndarray:
         """One uniform per person, kept for the persons coded: a mask
@@ -544,13 +533,12 @@ def match_and_code(
     in_mover_matched = (pes_code == CODE_20) & ~born & m_captured & ~fnm
 
     return MatchResult(
-        pes_code=_scatter(pes_code, keep, n),
-        cen_code=_scatter(cen_code, keep, n),
-        orphan_code=_scatter(orphan_code, keep, n),
-        birth=birth,
-        out_role=leaver,
-        in_mover_matched=_scatter(in_mover_matched, keep, n),
-        dup_code=_scatter(dup_code, keep, n),
+        person=keep,
+        pes_code=pes_code,
+        cen_code=cen_code,
+        orphan_code=orphan_code,
+        in_mover_matched=in_mover_matched,
+        dup_code=dup_code,
         fab_code=fab_code,
         hh_cell=cell,
         exclusion_mode=exclusion_mode,
@@ -607,6 +595,9 @@ def record_table(
     ])
     census_household = origin[census_person]
 
+    # Slot records are named by the persons they belong to, fabricated
+    # records by their fabrication.
+    named = result.person
     report = np.isin(result.cen_code, REPORT_CODES)
     roster = np.flatnonzero(result.pes_code != CODE_NONE)
     reports = np.flatnonzero(report)
@@ -615,11 +606,11 @@ def record_table(
     dups = np.flatnonzero(result.dup_code != CODE_NONE)
     fabs = np.flatnonzero(result.fab_code != CODE_NONE)
     segments = (
-        (SOURCE_ROSTER, roster, roster, result.pes_code),
-        (SOURCE_REPORT, reports, reports, result.cen_code),
-        (SOURCE_REPORT, orphans, orphans, result.orphan_code),
-        (SOURCE_CENSUS, resolved, resolved, result.cen_code),
-        (SOURCE_DUPLICATE, dups, dups, result.dup_code),
+        (SOURCE_ROSTER, named[roster], roster, result.pes_code),
+        (SOURCE_REPORT, named[reports], reports, result.cen_code),
+        (SOURCE_REPORT, named[orphans], orphans, result.orphan_code),
+        (SOURCE_CENSUS, named[resolved], resolved, result.cen_code),
+        (SOURCE_DUPLICATE, named[dups], dups, result.dup_code),
         (SOURCE_FABRICATED, fab_person[fabs], fabs, result.fab_code),
     )
     person = np.concatenate([persons for _, persons, _, _ in segments])
@@ -641,6 +632,10 @@ def record_table(
     role[on_report & moved] = ROLE_OUT_MOVER
     role[on_report & (scope == SCOPE_DIED)] = ROLE_DEATH
 
+    # Only roster records, the first segment, can be matched in-movers.
+    matched_in_mover = np.zeros(person.shape[0], dtype=bool)
+    matched_in_mover[:roster.shape[0]] = result.in_mover_matched[roster]
+
     return RecordTable(
         census_kind=census_kind,
         census_in_scope=~pop.households.institutional[census_household],
@@ -653,9 +648,9 @@ def record_table(
         household=household,
         stratum=pop.post_stratum[person],
         weight=np.where(on_roster, survey_weight[household], weight[household]),
-        matched_in_mover=on_roster & result.in_mover_matched[person],
+        matched_in_mover=matched_in_mover,
         census_number=np.concatenate([captured, duplicated, np.arange(n_fab)]),
-        number=np.concatenate([index for _, _, index, _ in segments]),
+        number=np.concatenate([*(persons for _, persons, _, _ in segments[:-1]), fabs]),
         source=source,
     )
 

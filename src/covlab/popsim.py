@@ -162,14 +162,14 @@ class PopulationConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("persons", "provinces", "urban_districts", "rural_districts", "age_groups"):
+        # A mean household size below 1 makes more households than persons.
+        for name in ("persons", "provinces", "urban_districts", "rural_districts", "age_groups",
+                     "mean_household_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("urban_share", "new_household_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if self.mean_household_size <= 0:
-            raise ConfigError("mean_household_size must be positive")
         for name in ("mover_rate", "birth_rate", "death_rate", "institutional_rate"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:

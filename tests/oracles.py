@@ -68,6 +68,15 @@ def clean_expected(pop, cen, sur):
     )
 
 
+def person_codes(result, n, name):
+    """The slot array `name` of a MatchResult spread to person length:
+    each listed person's entry at their index, zero for everyone else."""
+    values = getattr(result, name)
+    out = np.zeros(n, dtype=values.dtype)
+    out[result.person] = values
+    return out
+
+
 def ledger_reference(pop, census, level):
     """Per-group ledgers from one masked bincount per quantity."""
     labels = group_labels(pop, level)

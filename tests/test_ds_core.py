@@ -16,7 +16,7 @@ from covlab.ds_core import (
     log_likelihood,
     mle_by_search,
 )
-from covlab.errors import DegenerateTable, DomainError, InvalidMargins
+from covlab.errors import DegenerateInputs, DomainError, InvalidMargins
 
 cells = st.integers(min_value=0, max_value=100)
 matched = st.integers(min_value=1, max_value=100)
@@ -33,7 +33,7 @@ def test_x00_empty_matched_cell():
     # A zero matched cell is fine only while an off cell is empty too.
     assert estimate_x00(DsTable(0, 0, 9)) == 0.0
     assert estimate_x00(DsTable(0, 4, 0)) == 0.0
-    with pytest.raises(DegenerateTable):
+    with pytest.raises(DegenerateInputs):
         estimate_x00(DsTable(0, 4, 9))
 
 
@@ -43,7 +43,7 @@ def test_margin_estimate_known_values():
 
 
 def test_margin_estimate_rejects_bad_inputs():
-    with pytest.raises(DegenerateTable):
+    with pytest.raises(DegenerateInputs):
         ds_estimate_margins(90, 80, 0)
     with pytest.raises(InvalidMargins):
         ds_estimate_margins(50, 80, 72)
@@ -180,7 +180,7 @@ def test_mle_non_integer_optimum_floors():
 
 
 def test_mle_input_checks():
-    with pytest.raises(DegenerateTable):
+    with pytest.raises(DegenerateInputs):
         mle_by_search(DsTable(0, 4, 9), t_max=50)
     with pytest.raises(DomainError):
         mle_by_search(DsTable(72, 18, 8), t_max=90)

@@ -10,7 +10,7 @@ from covlab.constants import REL_TOL_IDENTITY
 from covlab.errors import (
     DegenerateInputs,
     DomainError,
-    InvalidEstimates,
+    InvalidMargins,
     MissingField,
 )
 from covlab.estimators import (
@@ -203,7 +203,7 @@ def test_procedure_c_table_second_oracle():
 
 def test_procedure_c_negative_cell_raises_unless_clamped():
     movers = MoverTallies(n_non=800, n_out=100, n_in=100, m_non=720, m_out=80)
-    with pytest.raises(InvalidEstimates):
+    with pytest.raises(InvalidMargins):
         procedure_c_table(movers, census_correct=700)
     result = procedure_c_table(movers, census_correct=700, clamp_negative=True)
     assert result.clamped

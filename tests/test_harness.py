@@ -648,6 +648,12 @@ def test_cli_experiment_runs_from_config(tmp_path, capsys):
         # A repeated name would repeat every estimate row.
         ({"procedures": ["a", "a"]}, "procedures"),
         ({"grouping": []}, "grouping"),
+        # Fewer persons than households: 1e-300 asked the simulator for
+        # 1e303 households.
+        ({"population": {"persons": 500, "mean_household_size": 1e-300}},
+         "mean_household_size must be at least 1"),
+        ({"population": {"persons": 500, "mean_household_size": 0.5}},
+         "mean_household_size must be at least 1"),
     ],
 )
 def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, edit, named):

@@ -5,12 +5,14 @@ import csv
 import io
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from covlab.cli import main as cli_main
 from covlab.errors import SchemaError, ValidationError
 from covlab.harness import ExperimentConfig, SampleSpec, build_world, ingest_microdata
 from covlab.harness import write_microdata
@@ -164,3 +166,23 @@ def test_mutated_microdata_fails_only_with_located_errors(tmp_path, clean_files,
     except ValidationError as exc:
         assert exc.issues
         assert all(_ISSUE.match(issue) for issue in exc.issues), exc.issues
+
+
+@pytest.mark.parametrize("rows", ["two", "all"])
+@pytest.mark.parametrize("command", ["validate", "estimate"])
+def test_weights_overflowing_the_totals_exit_2(tmp_path, capsys, clean_files, rows, command):
+    # Each weight is finite, but their weighted totals pass the float range;
+    # with every weight that large, 0 * inf in the tally would make NaN.
+    lines = clean_files["weights.csv"].split(b"\r\n")
+    for i in range(1, 3 if rows == "two" else len(lines)):
+        if lines[i]:
+            lines[i] = lines[i].rsplit(b",", 1)[0] + b",1e308"
+    for name, data in clean_files.items():
+        (tmp_path / name).write_bytes(b"\r\n".join(lines) if name == "weights.csv" else data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main([command, "--in", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(r"weights\.csv row \d+: weight 1e308 .* overflow", err), err
+    assert "Traceback" not in err and "Warning" not in err

@@ -33,6 +33,7 @@ from covlab.matching import (
 )
 from covlab.popsim import (
     SCOPE_BORN,
+    SCOPE_DIED,
     SCOPE_IN,
     CaptureProbabilities,
     PopulationConfig,
@@ -41,7 +42,7 @@ from covlab.popsim import (
     synthesize_population,
 )
 from covlab.sampling import noninterview_factor
-from oracles import clean_expected
+from oracles import clean_expected, person_codes
 
 
 def _world(
@@ -113,12 +114,16 @@ def test_procedure_a_equals_fcode_denominator_placement():
 def test_pair_slots_are_consistent():
     pop, cen, sur = _world(seed=35, absent_rate=0.05, unlisted_rate=0.05, ee_rate=0.02)
     result = match_and_code(pop, cen, sur)
+    # Without a mask every person is listed, in order.
+    assert np.array_equal(result.person, np.arange(pop.size))
     paired_pes = result.pes_code == CODE_10
     paired_cen = result.cen_code == CODE_PAIRED
     assert np.array_equal(paired_pes, paired_cen)
     # Roster codes only for survey-time arrivals, origin codes only for leavers.
-    assert np.all(result.birth[result.pes_code == CODE_20] | pop.is_mover()[result.pes_code == CODE_20])
-    assert np.all(result.out_role[result.cen_code == CODE_30])
+    birth = pop.scope == SCOPE_BORN
+    leaver = (pop.is_mover() | (pop.scope == SCOPE_DIED)) & (pop.census_household >= 0)
+    assert np.all(birth[result.pes_code == CODE_20] | pop.is_mover()[result.pes_code == CODE_20])
+    assert np.all(leaver[result.cen_code == CODE_30])
 
 
 def test_in_mover_match_flag_against_direct_count():
@@ -127,7 +132,7 @@ def test_in_mover_match_flag_against_direct_count():
     tallies = tally_groups(pop, cen, result, with_in_mover_matching=True)["all"]
     direct = (
         (result.pes_code == CODE_20)
-        & ~result.birth
+        & (pop.scope != SCOPE_BORN)
         & cen.captured
         & ~cen.imputed
     ).sum()
@@ -269,7 +274,7 @@ def test_adjusted_mode_recovers_the_excluded_cells():
     result = match_and_code(pop, cen, sur, exclusion_mode="adjusted")
     origin = np.where(pop.census_household >= 0, pop.census_household, 0)
     dest = np.where(pop.pes_household >= 0, pop.pes_household, 0)
-    born = result.birth
+    born = pop.scope == SCOPE_BORN
 
     in_sect = (result.hh_cell[origin] == CELL_SECT) & (pop.census_household >= 0) & ~born
     assert in_sect.sum() > 0
@@ -320,10 +325,13 @@ def test_household_mask_gates_every_code():
     result = match_and_code(pop, cen, sur, household_mask=mask)
     origin = np.where(pop.census_household >= 0, pop.census_household, 0)
     dest = np.where(pop.pes_household >= 0, pop.pes_household, 0)
-    assert mask[dest[result.pes_code != CODE_NONE]].all()
-    cen_rows = (result.cen_code != CODE_NONE) & (result.cen_code != CODE_PAIRED)
+    pes_code, cen_code, dup_code = (
+        person_codes(result, pop.size, name) for name in ("pes_code", "cen_code", "dup_code")
+    )
+    assert mask[dest[pes_code != CODE_NONE]].all()
+    cen_rows = (cen_code != CODE_NONE) & (cen_code != CODE_PAIRED)
     assert mask[origin[cen_rows]].all()
-    assert mask[origin[result.dup_code != CODE_NONE]].all()
+    assert mask[origin[dup_code != CODE_NONE]].all()
     fab_rows = result.fab_code != CODE_NONE
     assert mask[origin[cen.fab_person][fab_rows]].all()
 
@@ -442,14 +450,21 @@ def test_household_mask_equals_unmasked_codes_outside_the_sample_zeroed(exclusio
                                 exclusion_mode=exclusion_mode, household_mask=mask)
         d_in = mask[dest] & has_dest
         o_in = mask[origin] & has_origin
-        assert np.array_equal(masked.pes_code, np.where(d_in, full.pes_code, CODE_NONE))
-        assert np.array_equal(masked.in_mover_matched, full.in_mover_matched & d_in)
+        # The masked result lists exactly the persons with a sampled household.
+        assert np.array_equal(masked.person, np.flatnonzero(d_in | o_in))
+        for name in ("pes_code", "cen_code", "orphan_code", "dup_code", "in_mover_matched"):
+            assert getattr(masked, name).shape == masked.person.shape, name
+        n = pop.size
+        assert np.array_equal(
+            person_codes(masked, n, "pes_code"), np.where(d_in, full.pes_code, CODE_NONE)
+        )
+        assert np.array_equal(
+            person_codes(masked, n, "in_mover_matched"), full.in_mover_matched & d_in
+        )
         for name in ("cen_code", "orphan_code", "dup_code"):
             expected = np.where(o_in, getattr(full, name), CODE_NONE)
-            assert np.array_equal(getattr(masked, name), expected), name
+            assert np.array_equal(person_codes(masked, n, name), expected), name
         fab_in = mask[origin[cen.fab_person]]
         assert np.array_equal(masked.fab_code, np.where(fab_in, full.fab_code, CODE_NONE))
-        assert np.array_equal(masked.birth, full.birth)
-        assert np.array_equal(masked.out_role, full.out_role)
         assert np.array_equal(masked.hh_cell, full.hh_cell)
         assert np.array_equal(masked.household_mask, mask)
