@@ -206,6 +206,13 @@ def net_undercount(estimated_total: float, census_count: float) -> CoverageSumma
     )
 
 
+def _product_over(a: float, b: float, denom: float) -> float:
+    """a * b / denom, or (a / denom) * b where a * b, of order weight
+    squared for weighted tallies, leaves the float range."""
+    product = a * b
+    return product / denom if math.isfinite(product) else a / denom * b
+
+
 def fcode_missed_both(
     tallies: FCodeTallies,
     placement: F30Placement | str = F30Placement.OMITTED,
@@ -226,12 +233,12 @@ def fcode_missed_both(
         denom = tallies.f10 + tallies.f30
         if denom == 0:
             raise DegenerateInputs("f10 + f30 = 0: no matched mass")
-        return f42 * f52 / denom
+        return _product_over(f42, f52, denom)
     if tallies.f10 == 0:
         raise DegenerateInputs("f10 = 0: no matched mass")
     if placement is F30Placement.IN_NUMERATOR:
-        return f42 * (tallies.f30 + f52) / tallies.f10
-    return f42 * f52 / tallies.f10
+        return _product_over(f42, tallies.f30 + f52, tallies.f10)
+    return _product_over(f42, f52, tallies.f10)
 
 
 def fcode_estimate(

@@ -22,10 +22,12 @@ fields, a quote never closed, a field longer than 256 bytes in a column
 ingest reads) raises SchemaError naming the file and row.
 
 Both directions go through `matching.RecordTable`: the writer formats the
-table that `tally_groups` reduces, and ingest parses the files back into
-the same columns and reduces them with the same `tally_records`.  Ingest
-validates before it tallies and reports every problem at once, so a bad
-delivery surfaces as one exception listing all issues.
+coded records of the table that `tally_groups` reduces, beside every
+census record, and ingest parses the files back into the same kind of
+table, post-strata as its census cells, and reduces it with the same
+`tally_records`.  Ingest validates before it tallies and reports every
+problem at once, so a bad delivery surfaces as one exception listing all
+issues.
 
 Adjusted exclusion mode covers '#' households by reweighting.  Their
 followup-phase markers and the weights file hold everything
@@ -78,6 +80,7 @@ from ..matching import (
     MatchResult,
     MatchTallies,
     RecordTable,
+    census_records,
     record_table,
     tally_records,
 )
@@ -198,15 +201,21 @@ def write_microdata(
     place = _matrix(b"h", _digits(np.arange(households.count)), b",d",
                     _digits(households.district, min_width=4))
 
-    kind = table.census_kind
-    number = _digits(table.census_number)
+    n_fab = census.fab_person.shape[0]
+    person, kind = census_records(census, np.arange(pop.size), np.arange(n_fab))
+    census_household = pop.census_home()[person]
+    fabricated = kind == KIND_FABRICATED
+    number = person.copy()
+    number[fabricated] = np.arange(n_fab)  # a fabrication is numbered by its index
+    number = _digits(number)
     person_id = number.copy()
-    person_id[kind == KIND_FABRICATED] = 0
+    person_id[fabricated] = 0
     _write(os.path.join(out_dir, "census.csv"), _CENSUS_HEADER, _matrix(
         _table("ccdf")[kind],  # id prefix by kind
-        number, b",", person_id, b",", place[table.census_household], b",",
+        number, b",", person_id, b",", place[census_household], b",",
         _joined(strata, CENSUS_KINDS, (0, 1), end="\r\n")[
-            (table.census_stratum * len(CENSUS_KINDS) + kind) * 2 + table.census_in_scope
+            (pop.post_stratum[person] * len(CENSUS_KINDS) + kind) * 2
+            + ~pop.households.institutional[census_household]
         ],
     ))
 
@@ -214,13 +223,14 @@ def write_microdata(
     survey = np.flatnonzero(table.side == SIDE_SURVEY)
     # Roster records first, then reports, each by person.
     survey = survey[np.lexsort((table.number[survey], table.source[survey]))]
+    person = table.number[survey]  # survey records are numbered by their person
     household = table.household[survey]
-    number = _digits(table.number[survey])
+    number = _digits(person)
     _write(os.path.join(out_dir, "pes.csv"), _PES_HEADER, _matrix(
         prefix[survey], number, b",", number, b",", place[household], b",",
         _joined(strata, ROSTER_ROLES, _PES_STATUSES, end="\r\n")[
-            (table.stratum[survey] * len(ROSTER_ROLES) + table.role[survey]) * len(_PES_STATUSES)
-            + pes.hh_status[household]
+            (pop.post_stratum[person] * len(ROSTER_ROLES) + table.role[survey])
+            * len(_PES_STATUSES) + pes.hh_status[household]
         ],
     ))
 
@@ -572,6 +582,9 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     # noninterview-adjusted weight; out-mover and death reports, and codes on
     # census records, the plain weight.
     roster = (side[coded] == SIDE_SURVEY) & ~np.isin(coded_role, (ROLE_OUT_MOVER, ROLE_DEATH))
+    # Only in-scope census records reach a tally, post-strata as their
+    # cells; a record outside the sample weighs 0, which adds nothing.
+    in_scope = scope[census_rows] == 1
     census_household = record_row[:n_census]
     # Finite weights can still sum past the float range; the totals are
     # checked here, so every tally built from them is finite.
@@ -580,7 +593,7 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
             district, address_type[weighted], value, interviewed, missing, districts.shape[0]
         )
         record_weight = value[row] * np.where(roster, factor[row], 1.0)
-        census_weight = np.where(census_household >= 0, value[census_household], 0.0)
+        census_weight = np.where(census_household >= 0, value[census_household], 0.0)[in_scope]
         finite = np.isfinite(record_weight.sum()) and np.isfinite(census_weight.sum())
     if not finite:
         largest = np.flatnonzero(weighted)[np.argmax(value)]
@@ -589,33 +602,32 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
             f" of household {weights['household_id'][largest].decode('utf-8')}"
             " makes the weighted totals overflow"
         ])
-    census_text = census_strata[census_rows]
-    in_scope = scope[census_rows] == 1
+    census_text = census_strata[census_rows][in_scope]
     coded_text = record_stratum[at[coded]]
-    strata = np.unique(np.concatenate([census_text[in_scope], coded_text]))
+    strata = np.unique(np.concatenate([census_text, coded_text]))
     if strata.shape[0] == 0:
         return {}
+    n_strata = strata.shape[0]
+    census_kind = kind[census_rows][in_scope]
+    census_cell = np.searchsorted(strata, census_text)
     table = RecordTable(
-        census_kind=kind[census_rows],
-        census_in_scope=in_scope,
-        census_household=census_household,
-        # Out-of-scope records may sit in a stratum nothing else has; they
-        # never reach a tally, so any valid index does.
-        census_stratum=np.minimum(np.searchsorted(strata, census_text), strata.shape[0] - 1),
+        census_count=np.bincount(
+            census_kind * n_strata + census_cell, minlength=len(CENSUS_KINDS) * n_strata
+        ).reshape(len(CENSUS_KINDS), n_strata),
+        census_kind=census_kind,
+        census_cell=census_cell,
         census_weight=census_weight,
         side=side[coded],
         code=numeric[coded],
         role=coded_role,
         household=row,
-        stratum=np.searchsorted(strata, coded_text),
+        cell=np.searchsorted(strata, coded_text),
         weight=record_weight,
         matched_in_mover=np.zeros(coded.shape[0], dtype=bool),
     )
     if level == "national":
-        return tally_records(
-            table, ("all",), np.zeros_like(table.census_stratum), np.zeros_like(table.stratum)
-        )
+        return tally_records(table, ("all",), np.zeros(n_strata, dtype=np.int64))
     if strata.dtype.kind == "u":
         strata = strata.astype(">u8").view("S8")
     labels = tuple(stratum.decode("utf-8") for stratum in strata.tolist())
-    return tally_records(table, labels, table.census_stratum, table.stratum)
+    return tally_records(table, labels, np.arange(n_strata))

@@ -58,6 +58,11 @@ from .popsim import (
     CEN_NOT_LISTED,
     CEN_WITH_Q,
     CEN_WITHOUT_Q,
+    CENSUS_KINDS,
+    KIND_DUPLICATE,
+    KIND_FABRICATED,
+    KIND_IMPUTED,
+    KIND_PERSON,
     PES_ABSENT,
     PES_NOT_LISTED,
     PES_VACANT,
@@ -69,7 +74,10 @@ from .popsim import (
     CensusSim,
     PesSim,
     Population,
+    cell_groups,
+    census_counts,
     group_labels,
+    joint_cell,
 )
 from .sampling import noninterview_factor
 
@@ -95,6 +103,7 @@ __all__ = [
     "MatchResult",
     "MatchTallies",
     "RecordTable",
+    "census_records",
     "match_and_code",
     "record_table",
     "tally_groups",
@@ -250,10 +259,6 @@ class MatchTallies:
         return base * (1.0 - self.erroneous / self.e_sample)
 
 
-# Kinds of census record, the census file's `kind` column.
-CENSUS_KINDS = ("person", "imputed", "duplicate", "fabricated")
-KIND_PERSON, KIND_IMPUTED, KIND_DUPLICATE, KIND_FABRICATED = range(len(CENSUS_KINDS))
-
 # Roster role of a survey record, the survey file's `roster` column.
 ROSTER_ROLES = ("non_mover", "in_mover", "out_mover", "birth", "death")
 ROLE_NON_MOVER, ROLE_IN_MOVER, ROLE_OUT_MOVER, ROLE_BIRTH, ROLE_DEATH = range(len(ROSTER_ROLES))
@@ -285,34 +290,36 @@ _CODE_SLOT[list(CODE_LABELS)] = np.arange(len(CODE_LABELS))
 
 @dataclass(frozen=True)
 class RecordTable:
-    """One matched world as columns: its census records and its codes.
+    """One matched world as columns: its census side and its codes.
 
-    Census records (`census_*`) are the rows of the census file.  Coded
-    records carry one final code each, on a survey record or on the census
-    record it resolves (`side`).  `household` is where a record was
-    collected, `stratum` the post-stratum, the finest group key the files
-    carry, and `weight` the survey weight.  `census_weight` is a census
-    record's household weight inside the survey sample, 0 outside it.
+    `census_count` counts the in-scope census records by kind (a row per
+    `CENSUS_KINDS` entry) and cell (a column each), the finest group key at
+    hand.  `census_kind`, `census_cell` and `census_weight` are the
+    weighted rows: in-scope census records in census file order, those of
+    sampled households at least (a record outside the sample weighs 0), or
+    under unit weights on a full frame one row per kind and cell, weighted
+    by its count.
 
+    Coded records carry one final code each, on a survey record or on the
+    census record it resolves (`side`).  `household` is where a record was
+    collected, `cell` its cell and `weight` the survey weight.
     `matched_in_mover` marks in-movers a nationwide search would match,
     which files do not record.  Tables built from a simulated world also
-    name their records for the writer: `census_number` and `number` are
-    the numbers in the record ids, and `source` indexes `ID_PREFIXES`.
+    name their coded records for the writer: `number` is the number in the
+    record id, and `source` indexes `ID_PREFIXES`.
     """
 
+    census_count: np.ndarray
     census_kind: np.ndarray
-    census_in_scope: np.ndarray
-    census_household: np.ndarray
-    census_stratum: np.ndarray
+    census_cell: np.ndarray
     census_weight: np.ndarray
     side: np.ndarray
     code: np.ndarray
     role: np.ndarray
     household: np.ndarray
-    stratum: np.ndarray
+    cell: np.ndarray
     weight: np.ndarray
     matched_in_mover: np.ndarray
-    census_number: np.ndarray | None = None
     number: np.ndarray | None = None
     source: np.ndarray | None = None
 
@@ -546,20 +553,36 @@ def match_and_code(
     )
 
 
+def census_records(census: CensusSim, person: np.ndarray, fabrication: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The census records of some persons (ascending) and fabrications, in
+    census file order: captured persons, duplicates, then fabrications.
+    Returns each record's source person and kind."""
+    captured = person[census.captured[person]]
+    duplicated = person[census.duplicated[person]]
+    kind = np.concatenate([
+        np.where(census.imputed[captured], KIND_IMPUTED, KIND_PERSON),
+        np.full(duplicated.shape[0], KIND_DUPLICATE),
+        np.full(fabrication.shape[0], KIND_FABRICATED),
+    ])
+    return np.concatenate([captured, duplicated, census.fab_person[fabrication]]), kind
+
+
 def record_table(
     pop: Population,
     census: CensusSim,
     result: MatchResult,
     household_weight: np.ndarray | None = None,
 ) -> RecordTable:
-    """The census records and coded records of a matched world, as columns.
+    """The census side and coded records of a matched world, as columns.
 
-    Coded records come in the order the codes file lists them: survey
-    roster records, out-mover reports, stranded reports, then census,
-    duplicate and fabricated census records.  Survey roster records carry
-    the weight of the household they were collected at (after the '#'
-    reweighting in adjusted mode), every other record the weight of its
-    census household.
+    Cells are the joint cells of `popsim.joint_cell`, and the census counts
+    the world's `popsim.census_counts`.  Coded records come in the order the
+    codes file lists them: survey roster records, out-mover reports,
+    stranded reports, then census, duplicate and fabricated census records.
+    Survey roster records carry the weight of the household they were
+    collected at (after the '#' reweighting in adjusted mode), every other
+    record the weight of its census household.
     """
     n_hh = pop.households.count
     if household_weight is None:
@@ -583,17 +606,22 @@ def record_table(
     origin = pop.census_home()
     dest = pop.survey_home()
     fab_person = census.fab_person
-    n_fab = fab_person.shape[0]
 
-    captured = np.flatnonzero(census.captured)
-    duplicated = np.flatnonzero(census.duplicated)
-    census_person = np.concatenate([captured, duplicated, fab_person])
-    census_kind = np.concatenate([
-        np.where(census.imputed[captured], np.int8(KIND_IMPUTED), np.int8(KIND_PERSON)),
-        np.full(duplicated.shape[0], KIND_DUPLICATE, dtype=np.int8),
-        np.full(n_fab, KIND_FABRICATED, dtype=np.int8),
-    ])
-    census_household = origin[census_person]
+    census_count = census_counts(pop, census)[:len(CENSUS_KINDS)]
+    if household_weight is None and result.household_mask.all():
+        # Every in-scope record weighs 1.0, and n ones sum to exactly n.
+        census_kind, census_cells = np.indices(census_count.shape).reshape(2, -1)
+        census_weight = census_count.ravel().astype(np.float64)
+    else:
+        # In-scope census records of sampled households; their persons are
+        # all matching coded.
+        sampled = result.household_mask & ~pop.households.institutional
+        census_person, census_kind = census_records(
+            census, result.person[sampled[origin[result.person]]],
+            np.flatnonzero(sampled[origin[fab_person]]),
+        )
+        census_cells = joint_cell(pop, census_person, origin[census_person])
+        census_weight = weight[origin[census_person]]
 
     # Slot records are named by the persons they belong to, fabricated
     # records by their fabrication.
@@ -637,19 +665,17 @@ def record_table(
     matched_in_mover[:roster.shape[0]] = result.in_mover_matched[roster]
 
     return RecordTable(
+        census_count=census_count,
         census_kind=census_kind,
-        census_in_scope=~pop.households.institutional[census_household],
-        census_household=census_household,
-        census_stratum=pop.post_stratum[census_person],
-        census_weight=np.where(result.household_mask, weight, 0.0)[census_household],
+        census_cell=census_cells,
+        census_weight=census_weight,
         side=np.where(source >= SOURCE_CENSUS, SIDE_CENSUS, SIDE_SURVEY).astype(np.int8),
         code=np.concatenate([codes[index] for _, _, index, codes in segments]),
         role=role,
         household=household,
-        stratum=pop.post_stratum[person],
+        cell=joint_cell(pop, person, household),
         weight=np.where(on_roster, survey_weight[household], weight[household]),
         matched_in_mover=matched_in_mover,
-        census_number=np.concatenate([captured, duplicated, np.arange(n_fab)]),
         number=np.concatenate([*(persons for _, persons, _, _ in segments[:-1]), fabs]),
         source=source,
     )
@@ -693,15 +719,12 @@ _SLOT_FIELDS = np.array([
 def tally_records(
     table: RecordTable,
     labels: tuple[str, ...],
-    census_group: np.ndarray,
-    group: np.ndarray,
+    cell_group: np.ndarray,
     with_in_mover_matching: bool = False,
 ) -> dict[str, MatchTallies]:
     """Every MatchTallies field for every group, from one weighted bincount
-    over the coded records and two over the census records.
-
-    `census_group` and `group` index `labels` for the census records and
-    the coded records.
+    over the coded records, one over the weighted census rows and a sum of
+    the census cells.  `cell_group` indexes `labels` for each cell.
     """
     n_groups = len(labels)
     slot = (
@@ -709,18 +732,23 @@ def tally_records(
         * len(ROSTER_ROLES) + table.role
     ) * 2 + table.matched_in_mover
     sums = np.bincount(
-        slot * n_groups + group, weights=table.weight, minlength=len(_SLOT_FIELDS) * n_groups
+        slot * n_groups + cell_group[table.cell], weights=table.weight,
+        minlength=len(_SLOT_FIELDS) * n_groups,
     ).reshape(len(_SLOT_FIELDS), n_groups)
     # Every field sums the same slots in the same order, so a field whose
     # slots contain another's never comes out smaller.
     values = dict(zip(_TALLY_FIELDS, (_SLOT_FIELDS.T[:, :, None] * sums).sum(axis=1)))
 
+    # Integer counts sum exactly in any order.  Each weighted bin adds its
+    # rows in census file order, as a bincount over every census record with
+    # weight 0 outside the sample would: adding 0.0 changes no sum.
+    counts = table.census_count @ (cell_group[:, None] == np.arange(n_groups))
     kinds = len(CENSUS_KINDS)
-    census_slot = (table.census_in_scope * kinds + table.census_kind) * n_groups + census_group
-    size = 2 * kinds * n_groups
-    counts = np.bincount(census_slot, minlength=size).reshape(2, kinds, n_groups)[1]
-    weighted = np.bincount(census_slot, weights=table.census_weight, minlength=size)
-    e_sample = np.delete(weighted.reshape(2, kinds, n_groups)[1], KIND_IMPUTED, axis=0).sum(axis=0)
+    weighted = np.bincount(
+        table.census_kind * n_groups + cell_group[table.census_cell],
+        weights=table.census_weight, minlength=kinds * n_groups,
+    ).reshape(kinds, n_groups)
+    e_sample = np.delete(weighted, KIND_IMPUTED, axis=0).sum(axis=0)
 
     out: dict[str, MatchTallies] = {}
     for g, label in enumerate(labels):
@@ -757,7 +785,8 @@ def tally_groups(
     at (after the '#' reweighting in adjusted mode), census-side rows the
     weight of the census household.  The census count and imputation count
     are whole-universe constants, never masked or weighted: they come from
-    census processing, not from the survey sample.
+    census processing, not from the survey sample, and are sums of the
+    world's `popsim.census_counts`.
 
     `table` is this world's `record_table`, built once to tally several
     levels; it already holds the weights, so it excludes
@@ -767,14 +796,5 @@ def tally_groups(
         table = record_table(pop, census, result, household_weight)
     elif household_weight is not None:
         raise DomainError("pass household_weight to record_table, not beside a prebuilt table")
-    if level == "province_stratum":
-        district = pop.households.district
-        districts = pop.districts
-        key = districts.province[district].astype(np.int64) * 2 + districts.stratum[district]
-        census_group, group = key[table.census_household], key[table.household]
-    elif level == "post_stratum":
-        census_group, group = table.census_stratum, table.stratum
-    else:
-        census_group, group = np.zeros_like(table.census_stratum), np.zeros_like(table.stratum)
     labels = group_labels(pop, level)
-    return tally_records(table, labels, census_group, group, with_in_mover_matching)
+    return tally_records(table, labels, cell_groups(pop, level), with_in_mover_matching)

@@ -25,9 +25,11 @@ which dual-system estimation is exact.
 All person-level state lives in parallel numpy arrays so that Monte Carlo
 replication stays cheap at census-like sizes.  The arrays every stage
 derives from a world -- the census-time and survey-time homes, the
-households occupied at census time, the target scope, the movers and the
-home district -- are computed once per `Population`, on first use, and
-returned read-only: a caller that needs to change one copies it first.
+households occupied at census time, the target scope and the movers --
+are computed once per `Population`, on first use, and returned read-only:
+a caller that needs to change one copies it first.  The census records
+and target persons of a world are likewise counted once, by kind and
+cell (`census_counts`); the ledgers and tallies are sums of those cells.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ __all__ = [
     "simulate_census",
     "simulate_pes",
     "ground_truth_ledger",
+    "census_counts",
+    "joint_cell",
+    "cell_groups",
     "group_labels",
-    "person_groups",
 ]
 
 # Person scope relative to the census target population.
@@ -83,6 +87,12 @@ PES_ABSENT = 1          # listed, interview not obtained
 PES_NOT_LISTED = 2      # occupied but missed by the listing
 PES_VACANT = 3          # empty at survey time, dwelling reached (proxies available)
 PES_VACANT_MISSED = 4   # empty at survey time, dwelling missed
+
+# Kinds of census record, the census file's `kind` column, and the row of
+# `census_counts` after them: target persons without a census record.
+CENSUS_KINDS = ("person", "imputed", "duplicate", "fabricated")
+KIND_PERSON, KIND_IMPUTED, KIND_DUPLICATE, KIND_FABRICATED = range(len(CENSUS_KINDS))
+TARGET_MISSED = len(CENSUS_KINDS)
 
 _ADDRESS_PROBS = (0.6, 0.3, 0.1)  # single_unit, multi_unit, other
 
@@ -128,6 +138,16 @@ def _choice(rng: np.random.Generator, p, size: int) -> np.ndarray:
     crossed = (lower != upper)[bucket]
     index[crossed] = cdf.searchsorted(u[crossed], side="right")
     return index
+
+
+def _memo(derived: dict[str, np.ndarray], name: str, compute: Callable[[], np.ndarray]
+          ) -> np.ndarray:
+    """`derived[name]`, computed on first use and made read-only."""
+    array = derived.get(name)
+    if array is None:
+        array = derived[name] = compute()
+        array.setflags(write=False)
+    return array
 
 
 def _occupied(household: np.ndarray, n_households: int) -> np.ndarray:
@@ -278,59 +298,42 @@ class Population:
     def n_post_strata(self) -> int:
         return len(self.stratum_labels)
 
-    def _memo(self, name: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        array = self._derived.get(name)
-        if array is None:
-            array = self._derived[name] = compute()
-            array.setflags(write=False)
-        return array
-
     def census_home(self) -> np.ndarray:
         """Census-time household per person, 0 for persons born later;
         pair it with `census_household >= 0`."""
-        return self._memo(
-            "census_home",
+        return _memo(
+            self._derived, "census_home",
             lambda: np.where(self.census_household >= 0, self.census_household, 0),
         )
 
     def survey_home(self) -> np.ndarray:
         """Survey-time household per person, 0 for persons who died; pair
         it with `pes_household >= 0`."""
-        return self._memo(
-            "survey_home",
+        return _memo(
+            self._derived, "survey_home",
             lambda: np.where(self.pes_household >= 0, self.pes_household, 0),
         )
 
     def occupied_at_census(self) -> np.ndarray:
         """Households with at least one census-time resident, that is a
         person not born later."""
-        return self._memo(
-            "occupied_at_census",
+        return _memo(
+            self._derived, "occupied_at_census",
             lambda: _occupied(self.census_household, self.households.count),
         )
 
     def in_target(self) -> np.ndarray:
         """Census target scope: existed at census time, in an ordinary
         (non-institutional) household."""
-        return self._memo(
-            "in_target",
+        return _memo(
+            self._derived, "in_target",
             lambda: (self.scope != SCOPE_BORN)
             & ~self.households.institutional[self.census_home()],
         )
 
-    def home_district(self) -> np.ndarray:
-        """District of the census-time household, falling back to the
-        survey-time household for persons born after the census."""
-        return self._memo(
-            "home_district",
-            lambda: self.households.district[
-                np.where(self.census_household >= 0, self.census_household, self.pes_household)
-            ],
-        )
-
     def is_mover(self) -> np.ndarray:
-        return self._memo(
-            "is_mover",
+        return _memo(
+            self._derived, "is_mover",
             lambda: (self.scope == SCOPE_IN)
             & (self.census_household >= 0)
             & (self.pes_household >= 0)
@@ -347,6 +350,9 @@ class CensusSim:
     duplicated: np.ndarray   # an extra duplicate record exists for the person
     fab_person: np.ndarray   # source-person index per fabricated record
     hh_status: np.ndarray    # census listing status per household
+    _derived: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def record_count(self) -> int:
         return int(self.captured.sum() + self.duplicated.sum() + self.fab_person.shape[0])
@@ -661,17 +667,62 @@ def group_labels(pop: Population, level: str) -> tuple[str, ...]:
     raise ConfigError(f"unknown grouping level {level!r}")
 
 
-def person_groups(pop: Population, level: str) -> np.ndarray:
-    """Group index per person at an estimation level."""
-    if level == "national":
-        return np.zeros(pop.size, dtype=np.int32)
+def joint_cell(pop: Population, person: np.ndarray | slice, household: np.ndarray
+               ) -> np.ndarray:
+    """Joint cell of records of `person` collected at `household`: the
+    person's post-stratum crossed with the household's province-stratum
+    (`province * 2 + stratum`).  Every grouping level is a union of these
+    cells (`cell_groups`)."""
+    districts = pop.districts
+    area = (districts.province * 2 + districts.stratum).astype(np.int32)[pop.households.district]
+    cell = pop.post_stratum[person].astype(np.int32)
+    cell *= 2 * len(districts.province_labels)
+    cell += area[household]
+    return cell
+
+
+def cell_groups(pop: Population, level: str) -> np.ndarray:
+    """The group of every joint cell at an estimation level."""
+    n_areas = 2 * len(pop.districts.province_labels)
+    cell = np.arange(pop.n_post_strata * n_areas)
     if level == "post_stratum":
-        return pop.post_stratum.astype(np.int32)
+        return cell // n_areas
     if level == "province_stratum":
-        districts = pop.districts
-        key = districts.province.astype(np.int32) * 2 + districts.stratum
-        return key[pop.home_district()]
+        return cell % n_areas
+    if level == "national":
+        return np.zeros_like(cell)
     raise ConfigError(f"unknown grouping level {level!r}")
+
+
+def census_counts(pop: Population, census: CensusSim) -> np.ndarray:
+    """Target-scope census records of one world by kind, and the target
+    persons without one (row TARGET_MISSED), per joint cell: one pass over
+    the persons, kept on `census` read-only.  A captured person's record
+    is in scope exactly when the person is in the target, so the tallies'
+    census counts and the ledgers are both sums of these cells."""
+
+    def count() -> np.ndarray:
+        target = pop.in_target()
+        # Target persons by class: 1 missed, 2 captured, 3 imputed, and 4
+        # and 5 the last two with a duplicate record (a duplicate always
+        # belongs to a captured person); 0 is outside the target.
+        klass = target.view(np.int8) * (
+            1 + census.captured.view(np.int8) + census.imputed.view(np.int8)
+            + 2 * census.duplicated.view(np.int8)
+        )
+        cell = joint_cell(pop, slice(None), pop.census_home())
+        n_cells = pop.n_post_strata * 2 * len(pop.districts.province_labels)
+        by_class = np.bincount(cell * 6 + klass, minlength=6 * n_cells).reshape(n_cells, 6).T
+        counts = np.empty((TARGET_MISSED + 1, n_cells), dtype=np.int64)
+        counts[KIND_PERSON] = by_class[2] + by_class[4]
+        counts[KIND_IMPUTED] = by_class[3] + by_class[5]
+        counts[KIND_DUPLICATE] = by_class[4] + by_class[5]
+        fab_target = census.fab_person[target[census.fab_person]]
+        counts[KIND_FABRICATED] = np.bincount(cell[fab_target], minlength=n_cells)
+        counts[TARGET_MISSED] = by_class[1]
+        return counts
+
+    return _memo(census._derived, "counts", count)
 
 
 def ground_truth_ledger(
@@ -679,30 +730,19 @@ def ground_truth_ledger(
     census: CensusSim,
     level: str = "national",
 ) -> dict[str, GroundTruthLedger]:
-    """Exact per-group ledgers from the world itself.
+    """Exact per-group ledgers from the world itself: integer sums of its
+    `census_counts`.
 
     All quantities are target-scope: persons and records in institutional
     households are outside the survey universe and excluded throughout.
-    Persons are counted by class in one pass: outside the target, target
-    missed, target captured, target captured with a duplicate record (a
-    duplicate always belongs to a captured person).
     """
     labels = group_labels(pop, level)
-    groups = person_groups(pop, level)
-    n_groups = len(labels)
-    target = pop.in_target()
-
-    # Class codes 0..3 in the order above, computed on the flags as int8.
-    klass = target.view(np.int8) * (
-        1 + census.captured.view(np.int8) + census.duplicated.view(np.int8)
-    )
-    counts = np.bincount(groups * 4 + klass, minlength=4 * n_groups).reshape(n_groups, 4)
-    fab_target = census.fab_person[target[census.fab_person]]
-    fabrications = np.bincount(groups[fab_target], minlength=n_groups)
-    true_total = counts[:, 1:].sum(axis=1)
-    captured = counts[:, 2] + counts[:, 3]
-    undercount = true_total - captured
-    overcount = counts[:, 3] + fabrications
+    group = cell_groups(pop, level)
+    counts = census_counts(pop, census) @ (group[:, None] == np.arange(len(labels)))
+    captured = counts[KIND_PERSON] + counts[KIND_IMPUTED]
+    undercount = counts[TARGET_MISSED]
+    overcount = counts[KIND_DUPLICATE] + counts[KIND_FABRICATED]
+    true_total = captured + undercount
     census_count = captured + overcount
 
     return {
@@ -712,5 +752,5 @@ def ground_truth_ledger(
             undercount=float(undercount[g]),
             overcount=float(overcount[g]),
         )
-        for g in range(n_groups)
+        for g in range(len(labels))
     }

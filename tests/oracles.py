@@ -1,7 +1,16 @@
 """Independent recomputations shared across test modules."""
 
+import dataclasses
+
 import numpy as np
 
+from covlab.matching import (
+    KIND_DUPLICATE,
+    KIND_FABRICATED,
+    KIND_IMPUTED,
+    KIND_PERSON,
+    tally_groups,
+)
 from covlab.popsim import (
     PES_VACANT,
     PES_WITH_Q,
@@ -10,7 +19,6 @@ from covlab.popsim import (
     SCOPE_IN,
     GroundTruthLedger,
     group_labels,
-    person_groups,
 )
 
 
@@ -80,9 +88,16 @@ def person_codes(result, n, name):
 def ledger_reference(pop, census, level):
     """Per-group ledgers from one masked bincount per quantity."""
     labels = group_labels(pop, level)
-    groups = person_groups(pop, level)
     n_groups = len(labels)
     target = pop.in_target()
+    if level == "province_stratum":
+        home = np.where(pop.census_household >= 0, pop.census_household, pop.pes_household)
+        district = pop.households.district[home]
+        groups = pop.districts.province[district] * 2 + pop.districts.stratum[district]
+    elif level == "post_stratum":
+        groups = pop.post_stratum
+    else:
+        groups = np.zeros(pop.size, dtype=np.int64)
 
     true_total = np.bincount(groups[target], minlength=n_groups)
     captured = np.bincount(groups[target & census.captured], minlength=n_groups)
@@ -100,4 +115,60 @@ def ledger_reference(pop, census, level):
             overcount=float(overcount[g]),
         )
         for g in range(n_groups)
+    }
+
+
+def tally_reference(pop, census, result, level="national", household_weight=None,
+                    with_in_mover_matching=False):
+    """`tally_groups` with its census side recomputed from full census rows.
+
+    Every census record gets a row (captured persons, then duplicates, then
+    fabrications), with its kind, scope, post-stratum, household and the
+    household weight inside the sample, 0 outside it.  One unweighted and
+    one weighted bincount per level over every row give the census count,
+    the imputations and the E-sample total; the coded fields are taken from
+    `tally_groups` as they are.
+    """
+    origin = np.where(pop.census_household >= 0, pop.census_household, 0)
+    captured = np.flatnonzero(census.captured)
+    duplicated = np.flatnonzero(census.duplicated)
+    person = np.concatenate([captured, duplicated, census.fab_person])
+    kind = np.concatenate([
+        np.where(census.imputed[captured], KIND_IMPUTED, KIND_PERSON),
+        np.full(duplicated.shape[0], KIND_DUPLICATE),
+        np.full(census.fab_person.shape[0], KIND_FABRICATED),
+    ])
+    household = origin[person]
+    in_scope = ~pop.households.institutional[household]
+    weight = (np.ones(pop.households.count) if household_weight is None
+              else np.asarray(household_weight, dtype=np.float64))
+    row_weight = np.where(result.household_mask, weight, 0.0)[household]
+
+    labels = group_labels(pop, level)
+    n_groups = len(labels)
+    if level == "province_stratum":
+        district = pop.households.district
+        districts = pop.districts
+        group = (districts.province.astype(np.int64) * 2 + districts.stratum)[district][household]
+    elif level == "post_stratum":
+        group = pop.post_stratum[person].astype(np.int64)
+    else:
+        group = np.zeros(person.shape[0], dtype=np.int64)
+
+    kinds = 4
+    slot = (in_scope * kinds + kind) * n_groups + group
+    size = 2 * kinds * n_groups
+    counts = np.bincount(slot, minlength=size).reshape(2, kinds, n_groups)[1]
+    weighted = np.bincount(slot, weights=row_weight, minlength=size)
+    e_sample = np.delete(weighted.reshape(2, kinds, n_groups)[1], KIND_IMPUTED, axis=0).sum(axis=0)
+
+    coded = tally_groups(pop, census, result, level, household_weight, with_in_mover_matching)
+    return {
+        label: dataclasses.replace(
+            coded[label],
+            census_count=float(counts[:, g].sum()),
+            imputations=float(counts[KIND_IMPUTED, g]),
+            e_sample=float(e_sample[g]),
+        )
+        for g, label in enumerate(labels)
     }

@@ -3,6 +3,8 @@ formatting and csv module, and ingest of mutated files."""
 
 import csv
 import io
+import json
+import math
 import os
 import re
 import warnings
@@ -186,3 +188,27 @@ def test_weights_overflowing_the_totals_exit_2(tmp_path, capsys, clean_files, ro
     assert code == 2
     assert re.search(r"weights\.csv row \d+: weight 1e308 .* overflow", err), err
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_weights_squared_past_the_float_range_give_finite_fcode_estimates(
+    tmp_path, capsys, clean_files
+):
+    # Every weight 1e200: the totals stay near 1e204, but the both-missed
+    # cell's product of two omission totals would be near 1e408.
+    lines = clean_files["weights.csv"].split(b"\r\n")
+    for i in range(1, len(lines)):
+        if lines[i]:
+            lines[i] = lines[i].rsplit(b",", 1)[0] + b",1e200"
+    for name, data in clean_files.items():
+        (tmp_path / name).write_bytes(b"\r\n".join(lines) if name == "weights.csv" else data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["estimate", "--in", str(tmp_path)])
+    assert code == 0
+    estimates = json.loads(capsys.readouterr().out)["groups"]["all"]["estimates"]
+    fcode = {name: entry for name, entry in estimates.items() if name.startswith("fcode_")}
+    assert len(fcode) == 3
+    for name, entry in fcode.items():
+        assert "error" not in entry, (name, entry)
+        assert math.isfinite(entry["estimate"]) and entry["estimate"] > 1e200, (name, entry)
+    assert math.isfinite(estimates["procedure_a"]["estimate"])

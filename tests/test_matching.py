@@ -37,12 +37,14 @@ from covlab.popsim import (
     SCOPE_IN,
     CaptureProbabilities,
     PopulationConfig,
+    census_counts,
+    ground_truth_ledger,
     simulate_census,
     simulate_pes,
     synthesize_population,
 )
 from covlab.sampling import noninterview_factor
-from oracles import clean_expected, person_codes
+from oracles import clean_expected, person_codes, tally_reference
 
 
 def _world(
@@ -402,6 +404,57 @@ def test_prebuilt_table_tallies_equal_direct_tallies():
         assert shared == direct
     with pytest.raises(DomainError, match="household_weight"):
         tally_groups(pop, cen, result, household_weight=weight, table=table)
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_tallies_equal_the_full_row_census_reduction(seed):
+    pop, cen, sur = _world(
+        seed=seed, ee_rate=0.04, ii_rate=0.03, listed_nonresponse_rate=0.1,
+        absent_rate=0.1, unlisted_rate=0.05, proxy_miss=0.1, institutional_rate=0.05,
+    )
+    rng = np.random.default_rng(seed)
+    n_hh = pop.households.count
+    mask = rng.random(n_hh) < 0.4
+    weight = np.where(mask, rng.uniform(0.5, 30.0, size=n_hh), 0.0)
+    # A sampled household of weight 0 that holds in-scope census records.
+    origin = pop.census_home()[cen.captured]
+    weight[origin[mask[origin] & ~pop.households.institutional[origin]][0]] = 0.0
+    model = MatchErrorModel(false_nonmatch=0.05, false_match=0.02, resolution_flip=0.05)
+    worlds = [
+        (mode, household_mask, household_weight)
+        for mode in ("sci", "adjusted")
+        for household_mask, household_weight in (
+            (mask, weight), (mask, None), (None, None), (None, weight + 1.0)
+        )
+    ]
+    for mode, household_mask, household_weight in worlds:
+        result = match_and_code(pop, cen, sur, error_model=model, seed=seed,
+                                exclusion_mode=mode, household_mask=household_mask)
+        for level in ("national", "post_stratum", "province_stratum"):
+            expected = tally_reference(pop, cen, result, level, household_weight, True)
+            assert tally_groups(pop, cen, result, level, household_weight, True) == expected, (
+                mode, household_mask is None, household_weight is None, level
+            )
+
+
+def test_census_counts_are_counted_once_per_world():
+    pop, cen, sur = _world(seed=52, ee_rate=0.03, ii_rate=0.02, institutional_rate=0.05)
+    result = match_and_code(pop, cen, sur)
+    counts = census_counts(pop, cen)
+    assert not counts.flags.writeable
+    with pytest.raises(ValueError):
+        counts[0, 0] = counts[0, 0]
+    for level in ("national", "post_stratum", "province_stratum"):
+        ledger = ground_truth_ledger(pop, cen, level)
+        tallies = tally_groups(pop, cen, result, level)
+        assert ground_truth_ledger(pop, cen, level) == ledger
+        assert tally_groups(pop, cen, result, level) == tallies
+        for label, tally in tallies.items():
+            assert tally.census_count == ledger[label].census_count
+    assert census_counts(pop, cen) is counts
+    # Another census of the same population has counts of its own.
+    _, other, _ = _world(seed=52, ee_rate=0.03, ii_rate=0.02, institutional_rate=0.05)
+    assert census_counts(pop, other) is not counts
 
 
 def test_code_counts_reports_every_slot():

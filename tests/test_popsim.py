@@ -20,9 +20,10 @@ from covlab.popsim import (
     PopulationConfig,
     _choice,
     _sigmoid,
+    cell_groups,
     ground_truth_ledger,
     group_labels,
-    person_groups,
+    joint_cell,
     simulate_census,
     simulate_pes,
     synthesize_population,
@@ -93,12 +94,12 @@ def test_in_target_excludes_born_and_institutional():
     assert target[pop.scope == SCOPE_DIED].sum() > 0  # deaths stay in scope
 
 
-def test_home_district_covers_everyone():
+def test_joint_cell_covers_everyone():
     _, pop = _world()
-    district = pop.home_district()
-    assert district.shape == (pop.size,)
-    assert district.min() >= 0
-    assert district.max() < pop.districts.count
+    cell = joint_cell(pop, slice(None), pop.census_home())
+    assert cell.shape == (pop.size,)
+    assert cell.min() >= 0
+    assert cell.max() < cell_groups(pop, "national").shape[0]
 
 
 def test_post_strata_shapes():
@@ -310,17 +311,16 @@ def test_ground_truth_ledger_equals_masked_reference():
         assert ground_truth_ledger(pop, census, level) == ledger_reference(pop, census, level)
 
 
-def test_group_labels_and_person_groups_agree():
+def test_group_labels_and_cell_groups_agree():
     _, pop = _world()
     for level in ("national", "post_stratum", "province_stratum"):
         labels = group_labels(pop, level)
-        groups = person_groups(pop, level)
-        assert groups.min() >= 0
-        assert groups.max() < len(labels)
+        groups = cell_groups(pop, level)
+        assert np.array_equal(np.unique(groups), np.arange(len(labels)))
     with pytest.raises(ConfigError):
         group_labels(pop, "county")
     with pytest.raises(ConfigError):
-        person_groups(pop, "county")
+        cell_groups(pop, "county")
 
 
 def _two_branch_sigmoid(x):
@@ -391,7 +391,6 @@ def test_derived_person_arrays_are_read_only_fresh_and_per_world():
         ) > 0,
         "in_target": (pop.scope != SCOPE_BORN) & ~pop.households.institutional[home],
         "is_mover": (pop.scope == SCOPE_IN) & (census >= 0) & (survey >= 0) & (census != survey),
-        "home_district": pop.households.district[np.where(census >= 0, census, survey)],
     }
     for name, expected in fresh.items():
         array = getattr(pop, name)()
