@@ -7,8 +7,9 @@ array sample frame, the shared record table and the bincount ledger
 replaced the earlier implementations.
 
 The JSON report of `covlab estimate` is pinned the same way, on microdata
-written from two worlds.  Its digests were recorded before procedure C's
-inputs were folded into `MoverTallies`.
+written from three worlds.  The two full-frame digests were recorded before
+procedure C's inputs were folded into `MoverTallies`, the sampled adjusted
+one before the column parse of ingest was reworked.
 """
 
 import hashlib
@@ -102,11 +103,16 @@ ESTIMATE_LOCKED = {
         ),
         ("--level", "national", "--procedure", "c"),
     ),
+    # A sampled world: the household join and the '#' follow-up reweighting.
+    "adjusted-sampled-post-stratum": (
+        LOCKED["adjusted-sampled"], ("--level", "post_stratum") + _ALL_ESTIMATORS,
+    ),
 }
 
 ESTIMATE_DIGESTS = {
     "every-knob-post-stratum": "6e95faedb93487bed2ec8046639a97fd659385c7e36e328b247ea420990c8d58",
     "no-movers-national": "15079fba3d6d944294385f9e8912df6e6e6bbe887a206946451977c85e511f96",
+    "adjusted-sampled-post-stratum": "fe55299c90f3957a4b42fc3a393cd7f92fb4fe1714b233143ee1b0b8118cd50c",
 }
 
 
