@@ -104,6 +104,9 @@ _WEIGHTS_HEADER = ["household_id", "district_id", "address_type", "interviewed",
 # is sized by it.
 _MAX_FIELD = 256
 
+# Masks of the low k bytes of a little-endian 8-byte word, k = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
 # Phase of a household marker: the adjusted-mode follow-up covers marked
 # households, and a '#' household then has its weight moved onto the
 # interviewed households by the noninterview adjustment.
@@ -118,13 +121,18 @@ _MARKER_CELLS = {"#": CELL_HASH, "§": CELL_SECT, "¶": CELL_PILCROW}
 # recovered by the adjusted-mode follow-up or is an out-mover report.
 _INITIAL_CODES = (CODE_10, CODE_20, CODE_30, CODE_42_1, CODE_42_2)
 
+# The side each code belongs on, -1 for codes on either side and, in the
+# last entry, for labels that name no code.
+_CODE_SIDES = np.full(max(CODE_LABELS) + 2, -1)
+_CODE_SIDES[list(CODE_SIDE)] = list(CODE_SIDE.values())
+
 
 def _write(path: str, header: list[str], *rows: np.ndarray) -> None:
     """Write the header and the row matrices, dropping their NUL padding."""
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\r\n").encode("utf-8"))
         for matrix in rows:
-            handle.write(matrix.tobytes().replace(b"\0", b""))
+            handle.write(matrix[matrix != 0])
 
 
 def _matrix(*parts: np.ndarray | bytes) -> np.ndarray:
@@ -260,24 +268,29 @@ def write_microdata(
     ))
 
 
-def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str, ...]
-                  ) -> dict[str, np.ndarray]:
-    """The named columns of one file, each field as its UTF-8 bytes.
+def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str, ...],
+                  keys: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
+    """The named columns of one file, each field as its UTF-8 bytes; a
+    column named in `keys` whose fields all fit 8 bytes comes as keys
+    instead, each field read as one big-endian uint64, NUL padded.
 
     One scan of the bytes finds every comma and newline outside quotes,
-    which gives each field's start and end; every column is then sliced
+    which gives each field's start and end; every column is then read
     straight out of the buffer, a quoted field without its enclosing quotes
     and with its doubled quotes undoubled, as the csv module reads it.
     """
     path = os.path.join(in_dir, name)
     try:
         with open(path, "rb") as handle:
-            raw = handle.read()
+            # Room past the bytes for a missing last newline and for the
+            # 8-byte word read from a field's start.
+            raw = bytearray(os.fstat(handle.fileno()).st_size + 9)
+            size = handle.readinto(memoryview(raw)[:-9])
     except FileNotFoundError:
         raise SchemaError("file is missing", path=path) from None
-    if not raw:
+    if not size:
         raise SchemaError("file is empty, expected a header", path=path, row=1)
-    nul = raw.find(b"\0")
+    nul = raw.find(b"\0", 0, size)
     if nul >= 0:
         raise SchemaError(f"NUL byte at offset {nul}", path=path,
                           row=raw.count(b"\n", 0, nul) + 1)
@@ -289,99 +302,113 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
                 f"not UTF-8: byte {raw[exc.start]:#04x} at offset {exc.start}",
                 path=path, row=raw.count(b"\n", 0, exc.start) + 1,
             ) from None
-    line = raw.find(b"\n")
+    line = raw.find(b"\n", 0, size)
     try:
-        first = next(csv.reader([raw[:line if line >= 0 else len(raw)].decode("utf-8")]))
+        first = next(csv.reader([raw[:line if line >= 0 else size].decode("utf-8")]))
     except csv.Error as exc:
         raise SchemaError(f"header is not comma separated text: {exc}",
                           path=path, row=1) from None
     if first != header:
         raise SchemaError(f"header mismatch: expected {header}, found {first}",
                           path=path, row=1)
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
+    if raw[size - 1] != ord("\n"):
+        raw[size] = ord("\n")
+        size += 1
 
     # Field ends: commas and newlines outside quotes.  A quote toggles
     # quoting, and a doubled quote inside a quoted field toggles it twice.
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    cut = (buf == ord(",")) | (buf == ord("\n"))
+    padded = np.frombuffer(raw, dtype=np.uint8)
+    buf = padded[:size]
+    newline = buf == ord("\n")
+    cut = buf == ord(",")
+    cut |= newline
     quoted = b'"' in raw
     if quoted:
         quote = buf == ord('"')
         outside = (np.cumsum(quote, dtype=np.uint8) & 1) == 0
         cut &= outside
+        newline &= outside
         if not outside[-1]:
             opened = int(np.flatnonzero(quote)[-1])
-            lines = np.count_nonzero(cut[:opened] & (buf[:opened] == ord("\n")))
+            lines = np.count_nonzero(newline[:opened])
             raise SchemaError("quote is never closed", path=path, row=int(lines) + 1)
     ends = np.flatnonzero(cut)
-    newline = buf[ends] == ord("\n")
     n_fields = len(header)
     if (ends.shape[0] != np.count_nonzero(newline) * n_fields
-            or not newline[n_fields - 1::n_fields].all()):
+            or not newline[ends[n_fields - 1::n_fields]].all()):
+        newline = newline[ends]
         fields = np.bincount(np.cumsum(newline) - newline)
         row = int(np.flatnonzero(fields != n_fields)[0])
         raise SchemaError(f"expected {n_fields} fields, found {fields[row]}",
                           path=path, row=row + 1)
-    # Every row has n_fields fields: one row of field ends per line.
-    ends = ends.reshape(-1, n_fields)
+    # Every line has n_fields fields: a row of field ends per line, the
+    # header's first, turned so that each field's ends are contiguous.
+    ends = ends.reshape(-1, n_fields).T.copy()
 
-    bounds = []
-    for column in columns:
-        i = header.index(column)
-        start = (ends[1:, i - 1] if i else ends[:-1, -1]) + 1
-        end = ends[1:, i].copy()
-        if i == n_fields - 1:
-            # A line ending in \r\n: the \r is not part of the last field.
-            end -= (end > start) & (buf[end - 1] == ord("\r"))
-        if quoted:
-            enclosed = (end - start >= 2) & quote[start] & quote[end - 1]
-            start += enclosed
-            end -= enclosed
-        bounds.append((start, end))
     if quoted:
         # The first quote of each doubled pair: it closes quoting and the
         # next byte reopens it.
         doubled = np.flatnonzero(quote[:-1] & outside[:-1] & quote[1:])
         if doubled.size:
-            bounds = [
-                (start - np.searchsorted(doubled, start), end - np.searchsorted(doubled, end))
-                for start, end in bounds
-            ]
-            buf = np.delete(buf, doubled)
-
+            padded = np.concatenate([np.delete(buf, doubled), np.zeros(8, dtype=np.uint8)])
     # Each field as little-endian 8-byte words read from its start, with
     # the bytes past its end masked off; the words viewed as bytes are the
-    # field, NUL padded.
-    lengths = [end - start for start, end in bounds]
-    widths = [int(length.max(initial=0)) for length in lengths]
-    for column, length, width in zip(columns, lengths, widths):
+    # field, NUL padded, and a single word byte-swapped is its key.
+    word_at = np.ndarray(shape=(padded.shape[0] - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    out = {}
+    for column in columns:
+        i = header.index(column)
+        start = (ends[i - 1, 1:] if i else ends[-1, :-1]) + 1
+        end = ends[i, 1:]
+        if i == n_fields - 1:
+            # A line ending in \r\n: the \r is not part of the last field.
+            end = end - ((end > start) & (buf[end - 1] == ord("\r")))
+        if quoted:
+            # Without enclosing quotes, at its place in the buffer without
+            # the doubled quotes.
+            enclosed = (end - start >= 2) & quote[start] & quote[end - 1]
+            start += enclosed
+            end = end - enclosed
+            if doubled.size:
+                start -= np.searchsorted(doubled, start)
+                end = end - np.searchsorted(doubled, end)
+        length = end - start
+        width = int(length.max(initial=0))
         if width > _MAX_FIELD:
             raise SchemaError(f"field is longer than {_MAX_FIELD} bytes", path=path,
                               row=int(np.argmax(length > _MAX_FIELD)) + 2, column=column)
-    padded = np.concatenate([buf, np.zeros(max(widths, default=0) + 8, dtype=np.uint8)])
-    word_at = np.ndarray(shape=(padded.shape[0] - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    low_bytes = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-    out = {}
-    for column, (start, _), length, width in zip(columns, bounds, lengths, widths):
-        field = np.zeros((start.shape[0], max(width + 7 >> 3, 1)), dtype="<u8")
-        field[:, 0] = word_at[start] & low_bytes[np.minimum(length, 8)]
+        first = word_at[start]
+        if width <= 8:
+            first &= _LOW_BYTES[length]
+            out[column] = first.byteswap(inplace=True) if column in keys else first.view("S8")
+            continue
+        field = np.zeros((start.shape[0], width + 7 >> 3), dtype="<u8")
+        field[:, 0] = first & _LOW_BYTES[np.minimum(length, 8)]
         for word in range(1, field.shape[1]):
             long = np.flatnonzero(length > 8 * word)
             field[long, word] = (word_at[start[long] + 8 * word]
-                                 & low_bytes[np.minimum(length[long] - 8 * word, 8)])
+                                 & _LOW_BYTES[np.minimum(length[long] - 8 * word, 8)])
         out[column] = field.view(f"S{8 * field.shape[1]}").ravel()
     return out
 
 
 def _keys(*columns: np.ndarray) -> list[np.ndarray]:
-    """The byte-string columns as keys that sort and compare as the bytes
-    do: a field of up to 8 bytes read as one big-endian integer, NUL
-    padded; the bytes themselves when a field is longer."""
+    """Key columns of several files in one representation that sorts and
+    compares as their bytes do: the uint64 keys `_read_columns` reads when
+    every field fits 8 bytes, else every column as its bytes."""
+    if all(column.dtype.kind == "u" for column in columns):
+        return list(columns)
+    columns = [column.astype(">u8").view("S8") if column.dtype.kind == "u" else column
+               for column in columns]
     width = max(column.dtype.itemsize for column in columns)
-    if width > 8:
-        return [column.astype(f"S{width}") for column in columns]
-    return [column.astype("S8").view(">u8").astype(np.uint64) for column in columns]
+    return [column.astype(f"S{width}") for column in columns]
+
+
+def _text(field) -> str:
+    """A field's text, from its bytes or from its uint64 key."""
+    if isinstance(field, np.unsignedinteger):
+        field = int(field).to_bytes(8, "big").rstrip(b"\0")
+    return field.decode("utf-8")
 
 
 def _repeats(values: np.ndarray) -> np.ndarray:
@@ -393,18 +420,20 @@ def _repeats(values: np.ndarray) -> np.ndarray:
     return repeat
 
 
-def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _lookup(keys: np.ndarray, queries: np.ndarray, sort: str = "stable") -> np.ndarray:
     """Row of the first key equal to each query, -1 where none is.
 
     The queries are searched in sorted order: a binary search over random
-    queries costs more than sorting them first.
+    queries costs more than sorting them first.  `sort` is the kind of that
+    sort: the stable sort merges the sorted runs that ids written in order
+    fall into, and quicksort is faster on queries in random order.
     """
     row = np.full(queries.shape[0], -1, dtype=np.int64)
     if keys.shape[0] == 0:
         return row
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    by_query = np.argsort(queries)
+    by_query = np.argsort(queries, kind=sort)
     query = queries[by_query]
     at = np.minimum(np.searchsorted(ordered, query), keys.shape[0] - 1)
     row[by_query] = np.where(ordered[at] == query, order[at], -1)
@@ -413,9 +442,10 @@ def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 def _index_of(values: np.ndarray, vocabulary) -> np.ndarray:
     """Position of each value in `vocabulary` (strings), -1 where absent:
-    one comparison of whole 8-byte words per vocabulary word."""
-    n_words = max(-(-values.dtype.itemsize // 8), 1)
-    words = values.astype(f"S{8 * n_words}").view("<u8").reshape(-1, n_words)
+    one comparison of whole 8-byte words per vocabulary word.  The values
+    are a column of `_read_columns`, whose width is a whole number of words."""
+    n_words = values.dtype.itemsize // 8
+    words = values.view("<u8").reshape(-1, n_words)
     index = np.full(values.shape[0], -1, dtype=np.int64)
     for position, word in enumerate(vocabulary):
         encoded = word.encode("utf-8")
@@ -428,18 +458,27 @@ def _index_of(values: np.ndarray, vocabulary) -> np.ndarray:
     return index
 
 
-def _check(issues: list[str], name: str, fields: dict[str, np.ndarray],
-           checks: list[tuple[np.ndarray, str]]) -> np.ndarray:
+def _check(issues: list[str], name: str, fields: dict, checks: list[tuple[np.ndarray, str]]
+           ) -> np.ndarray:
     """Report each row's first failing check as "<file> row <n>: <message>",
     in row order, the message being the check's template filled in from the
-    row's `fields`.  Returns which rows passed every check."""
+    row's `fields`: a column, or a function of the row for text that only
+    a message needs.  Returns which rows passed every check."""
     first = np.full(checks[0][0].shape[0], -1)
     for number in reversed(range(len(checks))):
-        first[checks[number][0]] = number
+        if checks[number][0].any():
+            first[checks[number][0]] = number
     for i in np.flatnonzero(first >= 0).tolist():
-        row = {key: column[i].decode("utf-8") for key, column in fields.items()}
+        row = {key: _text(field(i) if callable(field) else field[i])
+               for key, field in fields.items()}
         issues.append(f"{name} row {i + 2}: " + checks[first[i]][1].format(**row))
     return first < 0
+
+
+def _rows(passed: np.ndarray) -> np.ndarray | slice:
+    """An index of the rows that passed: every row, without a copy, when
+    all of them did."""
+    return slice(None) if passed.all() else np.flatnonzero(passed)
 
 
 def _parse_weights(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,14 +511,17 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     if level not in ("national", "post_stratum"):
         raise ConfigError(f"ingest supports national or post_stratum grouping, got {level!r}")
 
+    ids = ("record_id", "household_id", "stratum")
     census = _read_columns(in_dir, "census.csv", _CENSUS_HEADER,
-                           ("record_id", "household_id", "stratum", "kind", "target_scope"))
+                           ("record_id", "household_id", "stratum", "kind", "target_scope"), ids)
     pes = _read_columns(in_dir, "pes.csv", _PES_HEADER,
-                        ("record_id", "household_id", "stratum", "roster"))
-    codes = _read_columns(in_dir, "codes.csv", _CODES_HEADER, tuple(_CODES_HEADER))
-    weights = _read_columns(in_dir, "weights.csv", _WEIGHTS_HEADER, tuple(_WEIGHTS_HEADER))
+                        ("record_id", "household_id", "stratum", "roster"), ids)
+    codes = _read_columns(in_dir, "codes.csv", _CODES_HEADER, tuple(_CODES_HEADER),
+                          ("record_id",))
+    weights = _read_columns(in_dir, "weights.csv", _WEIGHTS_HEADER, tuple(_WEIGHTS_HEADER),
+                            ("household_id", "district_id"))
     issues: list[str] = []
-    # Ids as integer keys, one representation across the files.
+    # Ids as keys, one representation across the files.
     census_id, census_home, pes_id, pes_home, code_id, weight_home = _keys(
         census["record_id"], census["household_id"], pes["record_id"], pes["household_id"],
         codes["record_id"], weights["household_id"],
@@ -497,19 +539,21 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         (address_type < 0, "household {household_id} has unknown address_type {address_type!r}"),
         (interviewed < 0, "household {household_id} has bad interviewed flag {interviewed!r}"),
     ])
-    households = weight_home[weighted]
-    value = value[weighted]
-    interviewed = interviewed[weighted] == 1
+    weight_rows = _rows(weighted)
+    households = weight_home[weight_rows]
+    value = value[weight_rows]
+    interviewed = interviewed[weight_rows] == 1
 
     kind = _index_of(census["kind"], CENSUS_KINDS)
     scope = _index_of(census["target_scope"], ("0", "1"))
-    census_rows = np.flatnonzero(_check(issues, "census.csv", census, [
+    census_passed = _check(issues, "census.csv", census, [
         (_repeats(census_id), "duplicate record_id {record_id}"),
         (kind < 0, "record {record_id} has unknown kind {kind!r}"),
         (scope < 0, "record {record_id} has bad target_scope {target_scope!r}"),
-    ]))
+    ])
+    census_rows = _rows(census_passed)
     role = _index_of(pes["roster"], ROSTER_ROLES)
-    pes_rows = np.flatnonzero(_check(issues, "pes.csv", pes, [
+    pes_rows = _rows(_check(issues, "pes.csv", pes, [
         (_repeats(pes_id), "duplicate record_id {record_id}"),
         (role < 0, "record {record_id} has unknown roster {roster!r}"),
     ]))
@@ -517,15 +561,11 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     # Every valid record, census ones first so that a code resolves to a
     # census record before a survey record of the same id; the extra last
     # entry stands in for records that are not found.
-    n_census = census_rows.shape[0]
+    n_census = int(np.count_nonzero(census_passed))
     records = np.concatenate([census_id[census_rows], pes_id[pes_rows]])
+    homes = np.concatenate([census_home[census_rows], pes_home[pes_rows]])
     # Each record's row in the weights file, -1 outside the sample.
-    record_row = np.append(
-        _lookup(households, np.concatenate([census_home[census_rows], pes_home[pes_rows]])), -1
-    )
-    record_household = np.concatenate(
-        [census["household_id"][census_rows], pes["household_id"][pes_rows], [b""]]
-    )
+    record_row = np.append(_lookup(households, homes, sort="quicksort"), -1)
     census_strata, pes_strata = _keys(census["stratum"], pes["stratum"])
     record_stratum = np.concatenate(
         [census_strata[census_rows], pes_strata[pes_rows], np.zeros(1, census_strata.dtype)]
@@ -541,21 +581,26 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     found = _lookup(records, code_id)
     at = np.where(found >= 0, found, records.shape[0])
     weight_row = record_row[at]
-    side = np.where((found >= 0) & (found < n_census), SIDE_CENSUS, SIDE_SURVEY)
-    belongs = np.full(numeric.shape[0], -1)
-    for code, code_side in CODE_SIDE.items():
-        belongs[numeric == code] = code_side
+    code_role = record_role[at]
+    side = np.where(at < n_census, SIDE_CENSUS, SIDE_SURVEY)
+    # The side each code belongs on, -1 for codes on either side.
+    belongs = _CODE_SIDES[numeric]
     # '#' households covered by the follow-up, and their weights-file rows.
     reweighted = (marker == list(_MARKER_CELLS).index("#")) & (phase == _PHASES.index("followup"))
     marker_row = np.full(label.shape[0], -1)
     marker_row[reweighted] = _lookup(households, code_id[reweighted])
-    fields = {**codes, "household_id": record_household[at],
-              "side": np.array([b"survey", b"census"])[side]}
+    # Which markers give a known exclusion reason; only markers need one.
+    reason = np.zeros(label.shape[0], dtype=bool)
+    reason[is_marker] = _index_of(codes["exclusion"][is_marker], EXCLUSION_MARKERS.values()) >= 0
+    fields = {
+        **codes,
+        "household_id": lambda i: homes[at[i]] if at[i] < homes.shape[0] else b"",
+        "side": lambda i: (b"survey", b"census")[side[i]],
+    }
     _check(issues, "codes.csv", fields, [
         (_repeats(code_id), "duplicate record_id {record_id}"),
         (~is_marker & (numeric < 0), "unknown code {code!r}"),
-        (is_marker & (_index_of(codes["exclusion"], EXCLUSION_MARKERS.values()) < 0),
-         "marker {code} needs an exclusion reason"),
+        (is_marker & ~reason, "marker {code} needs an exclusion reason"),
         (is_marker & (phase < 0), "marker {code} has unknown phase {phase!r}"),
         (reweighted & (marker_row < 0), "household {record_id} has no weight"),
         (reweighted & np.append(interviewed, False)[marker_row],
@@ -564,7 +609,7 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         (~is_marker & (weight_row < 0), "household {household_id} has no weight"),
         ((belongs >= 0) & (belongs != side), "code {code} on a {side} record {record_id}"),
         ((numeric >= CODE_42_1) & (numeric <= CODE_42_4)
-         & np.isin(record_role[at], (ROLE_IN_MOVER, ROLE_BIRTH)),
+         & ((code_role == ROLE_IN_MOVER) | (code_role == ROLE_BIRTH)),
          "code {code} on an in-mover or birth record {record_id}"),
     ])
     if issues:
@@ -573,15 +618,16 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     missing = np.zeros(households.shape[0], dtype=bool)
     missing[marker_row[reweighted]] = True
     districts, district = np.unique(
-        _keys(weights["district_id"])[0][weighted], return_inverse=True
+        _keys(weights["district_id"])[0][weight_rows], return_inverse=True
     )
     coded = np.flatnonzero(~is_marker)
     row = weight_row[coded]
-    coded_role = record_role[at[coded]]
+    coded_role = code_role[coded]
     # Survey records found at the interview take their household's
     # noninterview-adjusted weight; out-mover and death reports, and codes on
     # census records, the plain weight.
-    roster = (side[coded] == SIDE_SURVEY) & ~np.isin(coded_role, (ROLE_OUT_MOVER, ROLE_DEATH))
+    roster = ((side[coded] == SIDE_SURVEY) & (coded_role != ROLE_OUT_MOVER)
+              & (coded_role != ROLE_DEATH))
     # Only in-scope census records reach a tally, post-strata as their
     # cells; a record outside the sample weighs 0, which adds nothing.
     in_scope = scope[census_rows] == 1
@@ -590,7 +636,8 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     # checked here, so every tally built from them is finite.
     with np.errstate(over="ignore", invalid="ignore"):
         factor = noninterview_factor(
-            district, address_type[weighted], value, interviewed, missing, districts.shape[0]
+            district, address_type[weight_rows], value, interviewed, missing,
+            districts.shape[0],
         )
         record_weight = value[row] * np.where(roster, factor[row], 1.0)
         census_weight = np.where(census_household >= 0, value[census_household], 0.0)[in_scope]
@@ -598,18 +645,19 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     if not finite:
         largest = np.flatnonzero(weighted)[np.argmax(value)]
         raise ValidationError([
-            f"weights.csv row {largest + 2}: weight {weights['weight'][largest].decode('utf-8')}"
-            f" of household {weights['household_id'][largest].decode('utf-8')}"
+            f"weights.csv row {largest + 2}: weight {_text(weights['weight'][largest])}"
+            f" of household {_text(weights['household_id'][largest])}"
             " makes the weighted totals overflow"
         ])
     census_text = census_strata[census_rows][in_scope]
-    coded_text = record_stratum[at[coded]]
-    strata = np.unique(np.concatenate([census_text, coded_text]))
+    strata, cell = np.unique(
+        np.concatenate([census_text, record_stratum[at[coded]]]), return_inverse=True
+    )
     if strata.shape[0] == 0:
         return {}
     n_strata = strata.shape[0]
     census_kind = kind[census_rows][in_scope]
-    census_cell = np.searchsorted(strata, census_text)
+    census_cell = cell[:census_text.shape[0]]
     table = RecordTable(
         census_count=np.bincount(
             census_kind * n_strata + census_cell, minlength=len(CENSUS_KINDS) * n_strata
@@ -621,7 +669,7 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         code=numeric[coded],
         role=coded_role,
         household=row,
-        cell=np.searchsorted(strata, coded_text),
+        cell=cell[census_text.shape[0]:],
         weight=record_weight,
         matched_in_mover=np.zeros(coded.shape[0], dtype=bool),
     )

@@ -331,6 +331,15 @@ class Population:
             & ~self.households.institutional[self.census_home()],
         )
 
+    def household_area(self) -> np.ndarray:
+        """Province-stratum of each household, `province * 2 + stratum`."""
+        return _memo(
+            self._derived, "household_area",
+            lambda: (self.districts.province * 2 + self.districts.stratum).astype(np.int32)[
+                self.households.district
+            ],
+        )
+
     def is_mover(self) -> np.ndarray:
         return _memo(
             self._derived, "is_mover",
@@ -673,11 +682,9 @@ def joint_cell(pop: Population, person: np.ndarray | slice, household: np.ndarra
     person's post-stratum crossed with the household's province-stratum
     (`province * 2 + stratum`).  Every grouping level is a union of these
     cells (`cell_groups`)."""
-    districts = pop.districts
-    area = (districts.province * 2 + districts.stratum).astype(np.int32)[pop.households.district]
     cell = pop.post_stratum[person].astype(np.int32)
-    cell *= 2 * len(districts.province_labels)
-    cell += area[household]
+    cell *= 2 * len(pop.districts.province_labels)
+    cell += pop.household_area()[household]
     return cell
 
 
