@@ -107,6 +107,10 @@ _MAX_FIELD = 256
 # Masks of the low k bytes of a little-endian 8-byte word, k = 0..8.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
+# 2**64 divided by the golden ratio: the top bits of a key times it are
+# the key's slot in a hash table (Fibonacci hashing).
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
 # Phase of a household marker: the adjusted-mode follow-up covers marked
 # households, and a '#' household then has its weight moved onto the
 # interviewed households by the noninterview adjustment.
@@ -120,6 +124,14 @@ _MARKER_CELLS = {"#": CELL_HASH, "§": CELL_SECT, "¶": CELL_PILCROW}
 # Codes settled in the initial matching phase unless the record was
 # recovered by the adjusted-mode follow-up or is an out-mover report.
 _INITIAL_CODES = (CODE_10, CODE_20, CODE_30, CODE_42_1, CODE_42_2)
+
+# Every label of the code column, codes then household markers, and the
+# code each names, -1 for markers and, in the last entry, unknown labels.
+_LABELS = (*CODE_BY_LABEL, *_MARKER_CELLS)
+_LABEL_CODES = np.array([*CODE_BY_LABEL.values()] + [-1] * (len(_MARKER_CELLS) + 1))
+
+# The exclusion reasons of a marker; a code leaves the field empty.
+_REASONS = ("", *EXCLUSION_MARKERS.values())
 
 # The side each code belongs on, -1 for codes on either side and, in the
 # last entry, for labels that name no code.
@@ -269,10 +281,11 @@ def write_microdata(
 
 
 def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str, ...],
-                  keys: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
-    """The named columns of one file, each field as its UTF-8 bytes; a
+                  keys: tuple[str, ...] = (), vocabularies: dict | None = None) -> dict:
+    """The named columns of one file, each field as its UTF-8 bytes.  A
     column named in `keys` whose fields all fit 8 bytes comes as keys
-    instead, each field read as one big-endian uint64, NUL padded.
+    instead, each field read as one big-endian uint64, NUL padded; a column
+    with a vocabulary comes as a `_Coded` column of positions in it.
 
     One scan of the bytes finds every comma and newline outside quotes,
     which gives each field's start and end; every column is then read
@@ -282,15 +295,12 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
     path = os.path.join(in_dir, name)
     try:
         with open(path, "rb") as handle:
-            # Room past the bytes for a missing last newline and for the
-            # 8-byte word read from a field's start.
-            raw = bytearray(os.fstat(handle.fileno()).st_size + 9)
-            size = handle.readinto(memoryview(raw)[:-9])
+            raw = handle.read()
     except FileNotFoundError:
         raise SchemaError("file is missing", path=path) from None
-    if not size:
+    if not raw:
         raise SchemaError("file is empty, expected a header", path=path, row=1)
-    nul = raw.find(b"\0", 0, size)
+    nul = raw.find(b"\0")
     if nul >= 0:
         raise SchemaError(f"NUL byte at offset {nul}", path=path,
                           row=raw.count(b"\n", 0, nul) + 1)
@@ -302,23 +312,21 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
                 f"not UTF-8: byte {raw[exc.start]:#04x} at offset {exc.start}",
                 path=path, row=raw.count(b"\n", 0, exc.start) + 1,
             ) from None
-    line = raw.find(b"\n", 0, size)
+    line = raw.find(b"\n")
     try:
-        first = next(csv.reader([raw[:line if line >= 0 else size].decode("utf-8")]))
+        first = next(csv.reader([raw[:line if line >= 0 else len(raw)].decode("utf-8")]))
     except csv.Error as exc:
         raise SchemaError(f"header is not comma separated text: {exc}",
                           path=path, row=1) from None
     if first != header:
         raise SchemaError(f"header mismatch: expected {header}, found {first}",
                           path=path, row=1)
-    if raw[size - 1] != ord("\n"):
-        raw[size] = ord("\n")
-        size += 1
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
 
     # Field ends: commas and newlines outside quotes.  A quote toggles
     # quoting, and a doubled quote inside a quoted field toggles it twice.
-    padded = np.frombuffer(raw, dtype=np.uint8)
-    buf = padded[:size]
+    buf = np.frombuffer(raw, dtype=np.uint8)
     newline = buf == ord("\n")
     cut = buf == ord(",")
     cut |= newline
@@ -345,15 +353,18 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
     # header's first, turned so that each field's ends are contiguous.
     ends = ends.reshape(-1, n_fields).T.copy()
 
+    text = buf
     if quoted:
         # The first quote of each doubled pair: it closes quoting and the
         # next byte reopens it.
         doubled = np.flatnonzero(quote[:-1] & outside[:-1] & quote[1:])
         if doubled.size:
-            padded = np.concatenate([np.delete(buf, doubled), np.zeros(8, dtype=np.uint8)])
+            text = np.delete(buf, doubled)
     # Each field as little-endian 8-byte words read from its start, with
     # the bytes past its end masked off; the words viewed as bytes are the
-    # field, NUL padded, and a single word byte-swapped is its key.
+    # field, NUL padded, and a single word byte-swapped is its key.  The
+    # zeros past the end are for the word read from a field near it.
+    padded = np.concatenate([text, np.zeros(8, dtype=np.uint8)])
     word_at = np.ndarray(shape=(padded.shape[0] - 7,), dtype="<u8", buffer=padded, strides=(1,))
     out = {}
     for column in columns:
@@ -362,7 +373,9 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
         end = ends[i, 1:]
         if i == n_fields - 1:
             # A line ending in \r\n: the \r is not part of the last field.
-            end = end - ((end > start) & (buf[end - 1] == ord("\r")))
+            # (Before an empty field is the comma or newline that ends the
+            # previous one, never a \r.)
+            end = end - (buf[end - 1] == ord("\r"))
         if quoted:
             # Without enclosing quotes, at its place in the buffer without
             # the doubled quotes.
@@ -378,18 +391,69 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
             raise SchemaError(f"field is longer than {_MAX_FIELD} bytes", path=path,
                               row=int(np.argmax(length > _MAX_FIELD)) + 2, column=column)
         first = word_at[start]
-        if width <= 8:
-            first &= _LOW_BYTES[length]
-            out[column] = first.byteswap(inplace=True) if column in keys else first.view("S8")
-            continue
-        field = np.zeros((start.shape[0], width + 7 >> 3), dtype="<u8")
-        field[:, 0] = first & _LOW_BYTES[np.minimum(length, 8)]
-        for word in range(1, field.shape[1]):
-            long = np.flatnonzero(length > 8 * word)
-            field[long, word] = (word_at[start[long] + 8 * word]
-                                 & _LOW_BYTES[np.minimum(length[long] - 8 * word, 8)])
-        out[column] = field.view(f"S{8 * field.shape[1]}").ravel()
+        first &= _LOW_BYTES[np.minimum(length, 8) if width > 8 else length]
+        if vocabularies and column in vocabularies:
+            out[column] = _Coded(word_at, start, length, first, vocabularies[column])
+        elif width > 8:
+            out[column] = _words(word_at, start, length, first)
+        elif column in keys:
+            out[column] = first.byteswap(inplace=True)
+        else:
+            out[column] = first.view("S8")
     return out
+
+
+def _words(word_at: np.ndarray, start: np.ndarray, length: np.ndarray, first: np.ndarray
+           ) -> np.ndarray:
+    """The fields at `start` as NUL-padded bytes, given their first words:
+    each further word is read only for the fields that reach it."""
+    field = np.zeros((start.shape[0], max(int(length.max(initial=0)) + 7 >> 3, 1)),
+                     dtype="<u8")
+    field[:, 0] = first
+    for word in range(1, field.shape[1]):
+        long = np.flatnonzero(length > 8 * word)
+        field[long, word] = (word_at[start[long] + 8 * word]
+                             & _LOW_BYTES[np.minimum(length[long] - 8 * word, 8)])
+    return field.view(f"S{8 * field.shape[1]}").ravel()
+
+
+class _Coded:
+    """A column of words from a vocabulary: `index` holds each field's
+    position in it, -1 for other text, and `column[row]` a field's bytes.
+
+    A field equals a word when its first 8-byte word, NUL padded, equals
+    the word's; that settles words shorter than 8 bytes, as no field holds
+    a NUL.  A longer word also needs the field's length and its further
+    words, read only for the fields that match so far.
+    """
+
+    def __init__(self, word_at: np.ndarray, start: np.ndarray, length: np.ndarray,
+                 first: np.ndarray, vocabulary):
+        self.vocabulary = tuple(vocabulary)
+        self.index = np.full(start.shape[0], -1)
+        for position, word in enumerate(self.vocabulary):
+            encoded = word.encode("utf-8")
+            target = np.frombuffer(encoded.ljust(max(-(-len(encoded) // 8), 1) * 8, b"\0"),
+                                   dtype="<u8")
+            match = first == target[0]
+            if len(encoded) >= 8:
+                match &= length == len(encoded)
+                rows = np.flatnonzero(match)
+                for word_number in range(1, target.shape[0]):
+                    bytes_left = min(len(encoded) - 8 * word_number, 8)
+                    words = word_at[start[rows] + 8 * word_number] & _LOW_BYTES[bytes_left]
+                    rows = rows[words == target[word_number]]
+                match = rows
+            self.index[match] = position
+        other = np.flatnonzero(self.index < 0)
+        text = _words(word_at, start[other], length[other], first[other])
+        self._other = dict(zip(other.tolist(), text.tolist()))
+
+    def __getitem__(self, row: int) -> bytes:
+        position = self.index[row]
+        if position < 0:
+            return self._other[row]
+        return self.vocabulary[position].encode("utf-8")
 
 
 def _keys(*columns: np.ndarray) -> list[np.ndarray]:
@@ -440,22 +504,33 @@ def _lookup(keys: np.ndarray, queries: np.ndarray, sort: str = "stable") -> np.n
     return row
 
 
-def _index_of(values: np.ndarray, vocabulary) -> np.ndarray:
-    """Position of each value in `vocabulary` (strings), -1 where absent:
-    one comparison of whole 8-byte words per vocabulary word.  The values
-    are a column of `_read_columns`, whose width is a whole number of words."""
-    n_words = values.dtype.itemsize // 8
-    words = values.view("<u8").reshape(-1, n_words)
-    index = np.full(values.shape[0], -1, dtype=np.int64)
-    for position, word in enumerate(vocabulary):
-        encoded = word.encode("utf-8")
-        if len(encoded) <= 8 * n_words:
-            target = np.frombuffer(encoded.ljust(8 * n_words, b"\0"), dtype="<u8")
-            equal = words[:, 0] == target[0]
-            for column in range(1, n_words):
-                equal &= words[:, column] == target[column]
-            index[equal] = position
-    return index
+def _hash_lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """`_lookup` for queries in random order, which are slow to sort.
+
+    Integer keys are hashed into a table of four to eight slots per key
+    that holds the first row hashing to each slot, and a query equal to its
+    slot's key takes that row.  Bytes keys, and queries at a slot where a
+    different key also landed, are left to `_lookup`.
+    """
+    n = keys.shape[0]
+    if keys.dtype.kind != "u" or n == 0:
+        return _lookup(keys, queries, sort="quicksort")
+    shift = np.uint64(62 - n.bit_length())
+    key_slot = ((keys * _GOLDEN) >> shift).astype(np.intp)
+    first = np.full(1 << 64 - int(shift), n)
+    np.minimum.at(first, key_slot, np.arange(n))
+    query_slot = ((queries * _GOLDEN) >> shift).astype(np.intp)
+    # An empty slot holds n; no key equals a query that lands there.
+    at = np.minimum(first[query_slot], n - 1)
+    row = np.where(keys[at] == queries, at, -1)
+    lost = np.flatnonzero(keys[first[key_slot]] != keys)
+    if lost.size:
+        shared = np.zeros(first.shape[0], dtype=bool)
+        shared[key_slot[lost]] = True
+        rest = np.flatnonzero((row < 0) & shared[query_slot])
+        found = _lookup(keys[lost], queries[rest], sort="quicksort")
+        row[rest] = np.where(found >= 0, lost[found], -1)
+    return row
 
 
 def _check(issues: list[str], name: str, fields: dict, checks: list[tuple[np.ndarray, str]]
@@ -513,13 +588,17 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
 
     ids = ("record_id", "household_id", "stratum")
     census = _read_columns(in_dir, "census.csv", _CENSUS_HEADER,
-                           ("record_id", "household_id", "stratum", "kind", "target_scope"), ids)
+                           ("record_id", "household_id", "stratum", "kind", "target_scope"), ids,
+                           {"kind": CENSUS_KINDS, "target_scope": ("0", "1")})
     pes = _read_columns(in_dir, "pes.csv", _PES_HEADER,
-                        ("record_id", "household_id", "stratum", "roster"), ids)
+                        ("record_id", "household_id", "stratum", "roster"), ids,
+                        {"roster": ROSTER_ROLES})
     codes = _read_columns(in_dir, "codes.csv", _CODES_HEADER, tuple(_CODES_HEADER),
-                          ("record_id",))
+                          ("record_id",),
+                          {"phase": _PHASES, "code": _LABELS, "exclusion": _REASONS})
     weights = _read_columns(in_dir, "weights.csv", _WEIGHTS_HEADER, tuple(_WEIGHTS_HEADER),
-                            ("household_id", "district_id"))
+                            ("household_id", "district_id"),
+                            {"address_type": ADDRESS_TYPES, "interviewed": ("0", "1")})
     issues: list[str] = []
     # Ids as keys, one representation across the files.
     census_id, census_home, pes_id, pes_home, code_id, weight_home = _keys(
@@ -530,8 +609,8 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     value, not_number = _parse_weights(weights["weight"])
     with np.errstate(invalid="ignore"):
         bad_value = ~not_number & ~(np.isfinite(value) & (value >= 0))
-    address_type = _index_of(weights["address_type"], ADDRESS_TYPES)
-    interviewed = _index_of(weights["interviewed"], ("0", "1"))
+    address_type = weights["address_type"].index
+    interviewed = weights["interviewed"].index
     weighted = _check(issues, "weights.csv", weights, [
         (_repeats(weight_home), "duplicate household {household_id}"),
         (not_number, "weight for {household_id} is not a number: {weight!r}"),
@@ -544,15 +623,15 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     value = value[weight_rows]
     interviewed = interviewed[weight_rows] == 1
 
-    kind = _index_of(census["kind"], CENSUS_KINDS)
-    scope = _index_of(census["target_scope"], ("0", "1"))
+    kind = census["kind"].index
+    scope = census["target_scope"].index
     census_passed = _check(issues, "census.csv", census, [
         (_repeats(census_id), "duplicate record_id {record_id}"),
         (kind < 0, "record {record_id} has unknown kind {kind!r}"),
         (scope < 0, "record {record_id} has bad target_scope {target_scope!r}"),
     ])
     census_rows = _rows(census_passed)
-    role = _index_of(pes["roster"], ROSTER_ROLES)
+    role = pes["roster"].index
     pes_rows = _rows(_check(issues, "pes.csv", pes, [
         (_repeats(pes_id), "duplicate record_id {record_id}"),
         (role < 0, "record {record_id} has unknown roster {roster!r}"),
@@ -565,19 +644,18 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     records = np.concatenate([census_id[census_rows], pes_id[pes_rows]])
     homes = np.concatenate([census_home[census_rows], pes_home[pes_rows]])
     # Each record's row in the weights file, -1 outside the sample.
-    record_row = np.append(_lookup(households, homes, sort="quicksort"), -1)
+    record_row = np.append(_hash_lookup(households, homes), -1)
     census_strata, pes_strata = _keys(census["stratum"], pes["stratum"])
     record_stratum = np.concatenate(
         [census_strata[census_rows], pes_strata[pes_rows], np.zeros(1, census_strata.dtype)]
     )
     record_role = np.concatenate([np.zeros(n_census, dtype=np.int64), role[pes_rows], [0]])
 
-    label = codes["code"]
-    # The code each label names, -1 for labels that name none.
-    numeric = np.append(list(CODE_BY_LABEL.values()), -1)[_index_of(label, CODE_BY_LABEL)]
-    marker = _index_of(label, _MARKER_CELLS)
-    is_marker = marker >= 0
-    phase = _index_of(codes["phase"], _PHASES)
+    label = codes["code"].index
+    is_marker = label >= len(CODE_BY_LABEL)
+    # The code each label names, -1 for markers and unknown labels.
+    numeric = _LABEL_CODES[label]
+    phase = codes["phase"].index
     found = _lookup(records, code_id)
     at = np.where(found >= 0, found, records.shape[0])
     weight_row = record_row[at]
@@ -586,12 +664,9 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     # The side each code belongs on, -1 for codes on either side.
     belongs = _CODE_SIDES[numeric]
     # '#' households covered by the follow-up, and their weights-file rows.
-    reweighted = (marker == list(_MARKER_CELLS).index("#")) & (phase == _PHASES.index("followup"))
+    reweighted = (label == _LABELS.index("#")) & (phase == _PHASES.index("followup"))
     marker_row = np.full(label.shape[0], -1)
-    marker_row[reweighted] = _lookup(households, code_id[reweighted])
-    # Which markers give a known exclusion reason; only markers need one.
-    reason = np.zeros(label.shape[0], dtype=bool)
-    reason[is_marker] = _index_of(codes["exclusion"][is_marker], EXCLUSION_MARKERS.values()) >= 0
+    marker_row[reweighted] = _hash_lookup(households, code_id[reweighted])
     fields = {
         **codes,
         "household_id": lambda i: homes[at[i]] if at[i] < homes.shape[0] else b"",
@@ -600,7 +675,7 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     _check(issues, "codes.csv", fields, [
         (_repeats(code_id), "duplicate record_id {record_id}"),
         (~is_marker & (numeric < 0), "unknown code {code!r}"),
-        (is_marker & ~reason, "marker {code} needs an exclusion reason"),
+        (is_marker & (codes["exclusion"].index < 1), "marker {code} needs an exclusion reason"),
         (is_marker & (phase < 0), "marker {code} has unknown phase {phase!r}"),
         (reweighted & (marker_row < 0), "household {record_id} has no weight"),
         (reweighted & np.append(interviewed, False)[marker_row],

@@ -18,7 +18,9 @@ from covlab.cli import main as cli_main
 from covlab.errors import SchemaError, ValidationError
 from covlab.harness import ExperimentConfig, SampleSpec, build_world, ingest_microdata
 from covlab.harness import write_microdata
-from covlab.harness.ingest import _digits, _float_text, _read_columns
+from covlab.harness.ingest import (
+    _digits, _float_text, _hash_lookup, _lookup, _read_columns, _repeats, _text,
+)
 from covlab.matching import MatchErrorModel
 from covlab.popsim import PopulationConfig
 
@@ -75,6 +77,51 @@ def test_sliced_columns_equal_csv_reader(tmp_path, rows, quoting, terminator):
     columns = _read_columns(str(tmp_path), "f.csv", header, tuple(header))
     got = [[columns[name][i].decode("utf-8") for name in header] for i in range(len(rows))]
     assert got == expected
+    # Read as keys: a uint64 per field when the column's fields fit 8 bytes.
+    keys = _read_columns(str(tmp_path), "f.csv", header, tuple(header), keys=tuple(header))
+    assert [[_text(keys[name][i]) for name in header] for i in range(len(rows))] == expected
+
+
+@st.composite
+def _keys_and_queries(draw):
+    """Keys and queries drawn from one small pool, so that both repeat, in
+    the order given, sorted, or as two sorted runs."""
+    pool = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1,
+                         max_size=8, unique=True))
+    keys = draw(st.lists(st.sampled_from(pool), max_size=30))
+    queries = draw(st.lists(
+        st.one_of(st.sampled_from(pool), st.integers(min_value=0, max_value=2**64 - 1)),
+        max_size=30,
+    ))
+    order = draw(st.sampled_from(["given", "sorted", "runs"]))
+    if order == "sorted":
+        keys, queries = sorted(keys), sorted(queries)
+    elif order == "runs":
+        cut = draw(st.integers(min_value=0, max_value=len(keys)))
+        keys = sorted(keys[:cut]) + sorted(keys[cut:])
+        cut = draw(st.integers(min_value=0, max_value=len(queries)))
+        queries = sorted(queries[:cut]) + sorted(queries[cut:])
+    return keys, queries
+
+
+@given(_keys_and_queries(), st.sampled_from(["stable", "quicksort"]), st.booleans())
+@example(([], [0, 1]), "stable", False)
+@example(([5, 5, 5], [5]), "quicksort", True)
+def test_lookups_and_repeats_equal_a_dict(case, sort, as_bytes):
+    keys, queries = case
+    first: dict[int, int] = {}
+    for row, key in enumerate(keys):
+        first.setdefault(key, row)
+    key_array = np.array(keys, dtype=np.uint64)
+    query_array = np.array(queries, dtype=np.uint64)
+    if as_bytes:
+        # The big-endian bytes sort and compare as the integers do.
+        key_array = key_array.astype(">u8").view("S8")
+        query_array = query_array.astype(">u8").view("S8")
+    expected = [first.get(query, -1) for query in queries]
+    assert _lookup(key_array, query_array, sort=sort).tolist() == expected
+    assert _hash_lookup(key_array, query_array).tolist() == expected
+    assert _repeats(key_array).tolist() == [first[key] < row for row, key in enumerate(keys)]
 
 
 # A small sampled adjusted world with every pathology, so that the files
