@@ -37,9 +37,15 @@ household's adjusted weight, every other record the plain weight, and
 the estimates equal the simulation path's.
 
 Both directions work on whole columns.  The writer builds each file as one
-uint8 matrix with a NUL-padded row per record and drops the padding on
-write; ingest finds every field's bounds in one scan of the bytes, slices
-the columns out of the buffer, and joins ids as integer keys.
+uint8 matrix with a NUL-padded row per record and writes only its non-NUL
+bytes.  Ingest finds every field's bounds in one scan of the bytes, then
+reads each column it needs straight out of the buffer as 8-byte words: id
+and stratum columns as big-endian uint64 keys (or bytes, when an id is
+longer than 8 bytes), columns with a fixed vocabulary as positions in it,
+and weights as text.  Record ids join by sorting, since they arrive in
+sorted runs that a stable sort merges; household ids join through a hash
+table of the weights rows.  The text of a message is built only for the
+rows that fail a check.
 """
 
 from __future__ import annotations
@@ -517,7 +523,7 @@ def _hash_lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
         return _lookup(keys, queries, sort="quicksort")
     shift = np.uint64(62 - n.bit_length())
     key_slot = ((keys * _GOLDEN) >> shift).astype(np.intp)
-    first = np.full(1 << 64 - int(shift), n)
+    first = np.full(1 << (64 - int(shift)), n)
     np.minimum.at(first, key_slot, np.arange(n))
     query_slot = ((queries * _GOLDEN) >> shift).astype(np.intp)
     # An empty slot holds n; no key equals a query that lands there.

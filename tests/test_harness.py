@@ -508,6 +508,10 @@ def test_ingest_validation_issue_catalogue_of_the_other_checks(tmp_path):
     _append(out / "census.csv", ["cz", "9", "h-gone", "d0000", "m_a0", "person", "1"])
     _append(out / "pes.csv", ["p0", "0", "h101", "d0011", "f_a3", "non_mover", "with_q"])
     _append(out / "pes.csv", ["pz", "9", "h0", "d0004", "m_a0", "in_mover", "with_q"])
+    # Words that hold a vocabulary word of 8 or more bytes as a prefix.
+    _append(out / "pes.csv", ["py", "9", "h0", "d0004", "m_a0", "in_movers", "with_q"])
+    _append(out / "census.csv", ["cw", "9", "h0", "d0004", "f_a3", "duplicates", "1"])
+    _append(out / "codes.csv", ["h-x", "followupX", "#", "temp-absent-no-questionnaire"])
     _append(out / "codes.csv", ["p0", "initial", "10", ""])
     _append(out / "codes.csv", ["cz", "initial", "51", ""])
     _append(out / "codes.csv", ["pz", "initial", "42/1", ""])
@@ -519,11 +523,14 @@ def test_ingest_validation_issue_catalogue_of_the_other_checks(tmp_path):
         "weights.csv row 361: duplicate household h0",
         "weights.csv row 362: weight for h-neg must be finite and non-negative",
         "census.csv row 1107: record cy has bad target_scope '2'",
+        "census.csv row 1109: record cw has unknown kind 'duplicates'",
         "pes.csv row 1079: duplicate record_id p0",
-        "codes.csv row 1246: duplicate record_id p0",
-        "codes.csv row 1247: household h-gone has no weight",
-        "codes.csv row 1248: code 42/1 on an in-mover or birth record pz",
-        "codes.csv row 1249: unknown code 'é,\"x'",
+        "pes.csv row 1081: record py has unknown roster 'in_movers'",
+        "codes.csv row 1246: marker # has unknown phase 'followupX'",
+        "codes.csv row 1247: duplicate record_id p0",
+        "codes.csv row 1248: household h-gone has no weight",
+        "codes.csv row 1249: code 42/1 on an in-mover or birth record pz",
+        "codes.csv row 1250: unknown code 'é,\"x'",
     ]
 
 

@@ -107,6 +107,10 @@ def _keys_and_queries(draw):
 @given(_keys_and_queries(), st.sampled_from(["stable", "quicksort"]), st.booleans())
 @example(([], [0, 1]), "stable", False)
 @example(([5, 5, 5], [5]), "quicksort", True)
+# Long runs of equal keys: the first equal key is the first row only when
+# the keys are sorted stably.
+@example(([7, 3, 2**63 + 5] * 20, [3, 7, 2**63 + 5, 4]), "quicksort", False)
+@example(([7, 3, 2**63 + 5] * 20, [3, 7, 2**63 + 5, 4]), "stable", True)
 def test_lookups_and_repeats_equal_a_dict(case, sort, as_bytes):
     keys, queries = case
     first: dict[int, int] = {}
