@@ -136,7 +136,7 @@ _INITIAL_CODES = (CODE_10, CODE_20, CODE_30, CODE_42_1, CODE_42_2)
 _LABELS = (*CODE_BY_LABEL, *_MARKER_CELLS)
 _LABEL_CODES = np.array([*CODE_BY_LABEL.values()] + [-1] * (len(_MARKER_CELLS) + 1))
 
-# The exclusion reasons of a marker; a code leaves the field empty.
+# The exclusion field: empty on a code, so a marker needs a position above 0.
 _REASONS = ("", *EXCLUSION_MARKERS.values())
 
 # The side each code belongs on, -1 for codes on either side and, in the
@@ -441,16 +441,14 @@ class _Coded:
             encoded = word.encode("utf-8")
             target = np.frombuffer(encoded.ljust(max(-(-len(encoded) // 8), 1) * 8, b"\0"),
                                    dtype="<u8")
-            match = first == target[0]
+            equal = first == target[0]
             if len(encoded) >= 8:
-                match &= length == len(encoded)
-                rows = np.flatnonzero(match)
-                for word_number in range(1, target.shape[0]):
-                    bytes_left = min(len(encoded) - 8 * word_number, 8)
-                    words = word_at[start[rows] + 8 * word_number] & _LOW_BYTES[bytes_left]
-                    rows = rows[words == target[word_number]]
-                match = rows
-            self.index[match] = position
+                rows = np.flatnonzero(equal & (length == len(encoded)))
+                for k in range(1, target.shape[0]):
+                    words = word_at[start[rows] + 8 * k] & _LOW_BYTES[min(len(encoded) - 8 * k, 8)]
+                    rows = rows[words == target[k]]
+                equal = rows
+            self.index[equal] = position
         other = np.flatnonzero(self.index < 0)
         text = _words(word_at, start[other], length[other], first[other])
         self._other = dict(zip(other.tolist(), text.tolist()))

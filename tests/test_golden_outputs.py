@@ -112,7 +112,8 @@ ESTIMATE_LOCKED = {
 ESTIMATE_DIGESTS = {
     "every-knob-post-stratum": "6e95faedb93487bed2ec8046639a97fd659385c7e36e328b247ea420990c8d58",
     "no-movers-national": "15079fba3d6d944294385f9e8912df6e6e6bbe887a206946451977c85e511f96",
-    "adjusted-sampled-post-stratum": "fe55299c90f3957a4b42fc3a393cd7f92fb4fe1714b233143ee1b0b8118cd50c",
+    "adjusted-sampled-post-stratum":
+        "fe55299c90f3957a4b42fc3a393cd7f92fb4fe1714b233143ee1b0b8118cd50c",
 }
 
 
