@@ -86,6 +86,7 @@ from ..matching import (
     MatchResult,
     MatchTallies,
     RecordTable,
+    among,
     census_records,
     record_table,
     tally_records,
@@ -229,7 +230,7 @@ def write_microdata(
 
     n_fab = census.fab_person.shape[0]
     person, kind = census_records(census, np.arange(pop.size), np.arange(n_fab))
-    census_household = pop.census_home()[person]
+    census_household = pop.census_household[person]  # census records have one
     fabricated = kind == KIND_FABRICATED
     number = person.copy()
     number[fabricated] = np.arange(n_fab)  # a fabrication is numbered by its index
@@ -260,8 +261,8 @@ def write_microdata(
         ],
     ))
 
-    recovered = np.isin(result.hh_cell[table.household], (CELL_SECT, CELL_PILCROW))
-    followup = ~np.isin(table.code, _INITIAL_CODES) | (table.source == SOURCE_REPORT) | (
+    recovered = among(result.hh_cell[table.household], (CELL_SECT, CELL_PILCROW))
+    followup = ~among(table.code, _INITIAL_CODES) | (table.source == SOURCE_REPORT) | (
         (table.source == SOURCE_ROSTER) & recovered
     )
     codes = sorted(CODE_LABELS)

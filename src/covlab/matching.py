@@ -78,6 +78,7 @@ from .popsim import (
     census_counts,
     group_labels,
     joint_cell,
+    uniform_below,
 )
 from .sampling import noninterview_factor
 
@@ -225,18 +226,12 @@ class MatchResult:
 
     def code_counts(self) -> dict[str, int]:
         """Unweighted tally of every emitted code, labels as keys."""
-        counts: dict[str, int] = {}
-        for code, label in CODE_LABELS.items():
-            total = int(
-                (self.pes_code == code).sum()
-                + (self.cen_code == code).sum()
-                + (self.orphan_code == code).sum()
-                + (self.dup_code == code).sum()
-                + (self.fab_code == code).sum()
-            )
-            if total:
-                counts[label] = total
-        return counts
+        total = sum(
+            np.bincount(codes, minlength=max(CODE_LABELS) + 1)
+            for codes in (self.pes_code, self.cen_code, self.orphan_code, self.dup_code,
+                          self.fab_code)
+        )
+        return {label: int(total[code]) for code, label in CODE_LABELS.items() if total[code]}
 
 
 @dataclass(frozen=True)
@@ -282,6 +277,15 @@ CODE_SIDE = {
 # Census-side codes that are written as survey reports: the out-mover or
 # death report about a census-time household member.
 REPORT_CODES = (CODE_42_1, CODE_42_2, CODE_42_4, CODE_41)
+
+
+def among(values: np.ndarray, codes: tuple[int, ...]) -> np.ndarray:
+    """`np.isin(values, codes)` for a few codes, as one comparison each."""
+    found = values == codes[0]
+    for code in codes[1:]:
+        found |= values == code
+    return found
+
 
 # Bincount slot of each code that the tallies distinguish.
 _CODE_SLOT = np.zeros(max(CODE_LABELS) + 1, dtype=np.int64)
@@ -400,10 +404,10 @@ def match_and_code(
     # Every rule below codes a person only through a sampled census-time
     # (o_in) or survey-time (d_in) household, so the rules run over those
     # persons alone, `keep`.
-    origin = pop.census_home()
-    dest = pop.survey_home()
-    has_origin = pop.census_household >= 0
-    has_dest = pop.pes_household >= 0
+    origin = pop.census_household
+    dest = pop.pes_household
+    has_origin = origin >= 0
+    has_dest = dest >= 0
     o_in = hh_in[origin] & has_origin
     d_in = hh_in[dest] & has_dest
     keep = np.flatnonzero(o_in | d_in)
@@ -422,14 +426,14 @@ def match_and_code(
     def draw(rate: float) -> np.ndarray:
         """One uniform per person, kept for the persons coded: a mask
         changes no draw."""
-        return rng.random(n)[keep] < rate if rate else np.zeros(n_kept, dtype=bool)
+        return uniform_below(rng, n, rate)[keep] if rate else np.zeros(n_kept, dtype=bool)
 
     fnm = draw(model.false_nonmatch)
     fm = draw(model.false_match)
     flip40 = draw(model.resolution_flip)
     flip50 = draw(model.resolution_flip)
     hh_fnm = (
-        rng.random(n_hh) < model.household_false_nonmatch
+        uniform_below(rng, n_hh, model.household_false_nonmatch)
         if model.household_false_nonmatch
         else np.zeros(n_hh, dtype=bool)
     )
@@ -525,14 +529,14 @@ def match_and_code(
     dup_seen = dup & (ocell != CELL_PRESUME)
     dup_code[dup_seen] = np.where(dup_flip[dup_seen], CODE_52_4, CODE_51)
 
-    fab_home = pop.census_home()[census.fab_person]
+    fab_home = pop.census_household[census.fab_person]
     fab_cell = cell[fab_home]
     fab_in = hh_in[fab_home] & (fab_cell != CELL_INSTITUTIONAL)
     fab_code = np.zeros(census.fab_person.shape[0], dtype=np.int16)
     fab_code[fab_in & (fab_cell == CELL_PRESUME)] = CODE_10
     fab_seen = fab_in & (fab_cell != CELL_PRESUME)
     if model.resolution_flip and fab_code.shape[0]:
-        fab_flip = rng.random(fab_code.shape[0]) < model.resolution_flip
+        fab_flip = uniform_below(rng, fab_code.shape[0], model.resolution_flip)
     else:
         fab_flip = np.zeros(fab_code.shape[0], dtype=bool)
     fab_code[fab_seen] = np.where(fab_flip[fab_seen], CODE_52_4, CODE_51)
@@ -603,8 +607,10 @@ def record_table(
     else:
         survey_weight = weight
 
-    origin = pop.census_home()
-    dest = pop.survey_home()
+    # A person without a household on one side reads the last household
+    # there; no record of theirs is placed on that side.
+    origin = pop.census_household
+    dest = pop.pes_household
     fab_person = census.fab_person
 
     census_count = census_counts(pop, census)[:len(CENSUS_KINDS)]
@@ -626,7 +632,7 @@ def record_table(
     # Slot records are named by the persons they belong to, fabricated
     # records by their fabrication.
     named = result.person
-    report = np.isin(result.cen_code, REPORT_CODES)
+    report = among(result.cen_code, REPORT_CODES)
     roster = np.flatnonzero(result.pes_code != CODE_NONE)
     reports = np.flatnonzero(report)
     orphans = np.flatnonzero(result.orphan_code != CODE_NONE)

@@ -23,19 +23,25 @@ Both knobs at zero give independent homogeneous captures, the model under
 which dual-system estimation is exact.
 
 All person-level state lives in parallel numpy arrays so that Monte Carlo
-replication stays cheap at census-like sizes.  The arrays every stage
-derives from a world -- the census-time and survey-time homes, the
-households occupied at census time, the target scope and the movers --
-are computed once per `Population`, on first use, and returned read-only:
-a caller that needs to change one copies it first.  The census records
-and target persons of a world are likewise counted once, by kind and
-cell (`census_counts`); the ledgers and tallies are sums of those cells.
+replication stays cheap at census-like sizes, and a world holds little
+beyond its own arrays.  Uniforms that are compared with a probability as
+soon as they are drawn are drawn `DRAW_BLOCK` persons at a time
+(`uniform_below`); with PCG64 the blocks hold exactly the values, and
+leave the generator in exactly the state, of one call for all persons.
+The arrays every stage derives from a world -- the households occupied
+at census time, the target scope and the movers -- are computed once per
+`Population`, on first use, and returned read-only: a caller that needs
+to change one copies it first.  There is no separate home array: the
+household arrays are gathered from directly (see `Population`).  The
+census records and target persons of a world are likewise counted once,
+by kind and cell (`census_counts`); the ledgers and tallies are sums of
+those cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -95,6 +101,32 @@ KIND_PERSON, KIND_IMPUTED, KIND_DUPLICATE, KIND_FABRICATED = range(len(CENSUS_KI
 TARGET_MISSED = len(CENSUS_KINDS)
 
 _ADDRESS_PROBS = (0.6, 0.3, 0.1)  # single_unit, multi_unit, other
+
+# Persons per block of a block-wise pass over a world.
+DRAW_BLOCK = 1 << 15
+
+
+def blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most `DRAW_BLOCK` items covering `range(n)`."""
+    return (slice(start, min(start + DRAW_BLOCK, n)) for start in range(0, n, DRAW_BLOCK))
+
+
+def uniform_below(rng: np.random.Generator, n: int,
+                  threshold: float | Callable[[slice], np.ndarray]) -> np.ndarray:
+    """`rng.random(n) < threshold`, drawn one block at a time.
+
+    `threshold` is a number, or a function giving the thresholds of the
+    persons in a block.  Each double spends one 64-bit output of the bit
+    generator, so the blocks draw the values of one call, in order, and
+    leave the generator in the state one call would.
+    """
+    below = np.empty(n, dtype=bool)
+    uniform = np.empty(min(n, DRAW_BLOCK))
+    for block in blocks(n):
+        draws = uniform[:block.stop - block.start]
+        rng.random(out=draws)
+        np.less(draws, threshold(block) if callable(threshold) else threshold, out=below[block])
+    return below
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -276,6 +308,12 @@ class Population:
 
     The derived person and household arrays below are computed on first
     use, kept for the life of the world and returned read-only.
+
+    Household attributes are read per person by gathering with
+    `census_household` or `pes_household` directly.  A person without a
+    household there (-1) then reads the last household, so every such
+    read is paired with `census_household >= 0` (equivalently, scope not
+    born) or `pes_household >= 0`.
     """
 
     census_household: np.ndarray   # household index, -1 for persons born later
@@ -298,22 +336,6 @@ class Population:
     def n_post_strata(self) -> int:
         return len(self.stratum_labels)
 
-    def census_home(self) -> np.ndarray:
-        """Census-time household per person, 0 for persons born later;
-        pair it with `census_household >= 0`."""
-        return _memo(
-            self._derived, "census_home",
-            lambda: np.where(self.census_household >= 0, self.census_household, 0),
-        )
-
-    def survey_home(self) -> np.ndarray:
-        """Survey-time household per person, 0 for persons who died; pair
-        it with `pes_household >= 0`."""
-        return _memo(
-            self._derived, "survey_home",
-            lambda: np.where(self.pes_household >= 0, self.pes_household, 0),
-        )
-
     def occupied_at_census(self) -> np.ndarray:
         """Households with at least one census-time resident, that is a
         person not born later."""
@@ -328,7 +350,7 @@ class Population:
         return _memo(
             self._derived, "in_target",
             lambda: (self.scope != SCOPE_BORN)
-            & ~self.households.institutional[self.census_home()],
+            & ~self.households.institutional[self.census_household],
         )
 
     def household_area(self) -> np.ndarray:
@@ -443,21 +465,22 @@ def synthesize_population(
     n_households = max(1, round(config.persons / config.mean_household_size))
     hh_district = _choice(rng, district_weight, n_households).astype(np.int32)
     hh_address = _choice(rng, _ADDRESS_PROBS, n_households).astype(np.int8)
-    hh_institutional = rng.random(n_households) < config.institutional_rate
+    hh_institutional = uniform_below(rng, n_households, config.institutional_rate)
     if hh_institutional.all():
         raise ConfigError("institutional_rate left no ordinary household")
 
     census_hh = rng.integers(0, n_households, size=config.persons).astype(np.int64, copy=False)
     scope = np.zeros(config.persons, dtype=np.int8)
-    scope[rng.random(config.persons) < config.death_rate] = SCOPE_DIED
+    scope[uniform_below(rng, config.persons, config.death_rate)] = SCOPE_DIED
 
     pes_hh = census_hh.copy()
     pes_hh[scope == SCOPE_DIED] = -1
 
-    movable = (scope == SCOPE_IN) & ~hh_institutional[census_hh]
-    mover = movable & (rng.random(config.persons) < config.mover_rate)
+    mover = uniform_below(rng, config.persons, config.mover_rate)
+    mover &= scope == SCOPE_IN
+    mover &= ~hh_institutional[census_hh]
     mover_idx = np.nonzero(mover)[0]
-    forms_new = rng.random(mover_idx.shape[0]) < config.new_household_rate
+    forms_new = uniform_below(rng, mover_idx.shape[0], config.new_household_rate)
 
     new_count = int(forms_new.sum())
     if new_count:
@@ -486,10 +509,15 @@ def synthesize_population(
         pes_hh = np.concatenate([pes_hh, born_hh.astype(np.int64)])
         scope = np.concatenate([scope, np.full(n_births, SCOPE_BORN, dtype=np.int8)])
 
+    # sex * age_groups + age, from every person's sex draw and then every
+    # person's age draw.
     n_total = census_hh.shape[0]
-    sex = rng.integers(0, 2, size=n_total).astype(np.int16)
-    age = rng.integers(0, config.age_groups, size=n_total).astype(np.int16)
-    post_stratum = (sex * config.age_groups + age).astype(np.int16)
+    post_stratum = np.empty(n_total, dtype=np.int16)
+    for block in blocks(n_total):
+        post_stratum[block] = rng.integers(0, 2, size=block.stop - block.start)
+    for block in blocks(n_total):
+        post_stratum[block] *= config.age_groups
+        post_stratum[block] += rng.integers(0, config.age_groups, size=block.stop - block.start)
     stratum_labels = tuple(
         f"{sex_label}_a{band}"
         for sex_label in ("m", "f")
@@ -514,28 +542,34 @@ def synthesize_population(
     )
 
 
-def _capture_logits(
+def _capture_probability(
     pop: Population,
     base: np.ndarray,
     probs: CaptureProbabilities,
-    census_missed: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per person, the logit of the post-stratum `base` probability, plus
-    the heterogeneity-scaled shared propensity, minus `dependence` where
-    `census_missed` is set.
+    census_captured: np.ndarray | None = None,
+) -> Callable[[slice], np.ndarray]:
+    """A function giving the capture probabilities of a block of persons:
+    the sigmoid of the logit of the post-stratum `base` probability, plus
+    the heterogeneity-scaled shared propensity, minus `dependence` for the
+    persons the census missed when `census_captured` is given.
 
     The logit is taken per post-stratum and gathered after, and the sum is
     built in place; each entry is the same sum of the same terms.
     """
-    ps = pop.post_stratum.astype(np.intp)  # gathers with an intp index are fastest
-    logits = probs.heterogeneity[ps]
-    logits *= pop.propensity
-    logits += _logit(base)[ps]
-    if census_missed is not None:
-        penalty = probs.dependence[ps]
-        penalty *= census_missed
-        logits -= penalty
-    return logits
+    base_logit = _logit(base)
+
+    def probability(block: slice) -> np.ndarray:
+        ps = pop.post_stratum[block].astype(np.intp)  # gathers with an intp index are fastest
+        logits = probs.heterogeneity[ps]
+        logits *= pop.propensity[block]
+        logits += base_logit[ps]
+        if census_captured is not None:
+            penalty = probs.dependence[ps]
+            penalty *= ~census_captured[block]
+            logits -= penalty
+        return _sigmoid(logits)
+
+    return probability
 
 
 def simulate_census(
@@ -570,22 +604,24 @@ def simulate_census(
     rng = np.random.default_rng(seed)
     n = pop.size
     n_hh = pop.households.count
-    p_capture = _sigmoid(_capture_logits(pop, probs.census, probs))
-
-    eligible = pop.scope != SCOPE_BORN
-    home = pop.census_home()
+    home = pop.census_household
 
     noq_hh = (
-        rng.random(n_hh) < listed_nonresponse_rate
+        uniform_below(rng, n_hh, listed_nonresponse_rate)
         if listed_nonresponse_rate
         else np.zeros(n_hh, dtype=bool)
     )
-    responding_home = ~noq_hh[home]
+    # Eligible persons of responding households; persons born later read
+    # the last household's status, and the scope test drops them.
+    responding = pop.scope != SCOPE_BORN
+    responding &= ~noq_hh[home]
 
-    captured = (rng.random(n) < p_capture) & eligible & responding_home
-    imputed = captured & (rng.random(n) < ii_rate) if ii_rate else np.zeros(n, dtype=bool)
+    captured = uniform_below(rng, n, _capture_probability(pop, probs.census, probs))
+    captured &= responding
+    imputed = captured & uniform_below(rng, n, ii_rate) if ii_rate else np.zeros(n, dtype=bool)
     if ee_rate:
-        erroneous = (rng.random(n) < ee_rate) & eligible & responding_home
+        erroneous = uniform_below(rng, n, ee_rate)
+        erroneous &= responding
         duplicated = erroneous & captured
         fab_person = np.nonzero(erroneous & ~captured)[0]
     else:
@@ -645,9 +681,10 @@ def simulate_pes(
     rng = np.random.default_rng(seed)
     n = pop.size
     n_hh = pop.households.count
-    logits = _capture_logits(pop, probs.pes, probs, census_missed=~census.captured)
-    listed = rng.random(n) < _sigmoid(logits)
-    proxy_ok = rng.random(n) >= proxy_miss if proxy_miss else np.ones(n, dtype=bool)
+    listed = uniform_below(
+        rng, n, _capture_probability(pop, probs.pes, probs, census_captured=census.captured)
+    )
+    proxy_ok = ~uniform_below(rng, n, proxy_miss) if proxy_miss else np.ones(n, dtype=bool)
 
     pes_occupied = _occupied(pop.pes_household, n_hh)
 
@@ -712,20 +749,29 @@ def census_counts(pop: Population, census: CensusSim) -> np.ndarray:
         target = pop.in_target()
         # Target persons by class: 1 missed, 2 captured, 3 imputed, and 4
         # and 5 the last two with a duplicate record (a duplicate always
-        # belongs to a captured person); 0 is outside the target.
-        klass = target.view(np.int8) * (
-            1 + census.captured.view(np.int8) + census.imputed.view(np.int8)
-            + 2 * census.duplicated.view(np.int8)
-        )
-        cell = joint_cell(pop, slice(None), pop.census_home())
+        # belongs to a captured person); 0 is outside the target.  Counted
+        # a block of persons at a time; persons born later read the last
+        # household's cell and land in class 0.
         n_cells = pop.n_post_strata * 2 * len(pop.districts.province_labels)
-        by_class = np.bincount(cell * 6 + klass, minlength=6 * n_cells).reshape(n_cells, 6).T
+        by_class = np.zeros(6 * n_cells, dtype=np.int64)
+        for block in blocks(pop.size):
+            klass = target[block].view(np.int8) * (
+                1 + census.captured[block].view(np.int8) + census.imputed[block].view(np.int8)
+                + 2 * census.duplicated[block].view(np.int8)
+            )
+            key = joint_cell(pop, block, pop.census_household[block])
+            key *= 6
+            key += klass
+            by_class += np.bincount(key, minlength=6 * n_cells)
+        by_class = by_class.reshape(n_cells, 6).T
         counts = np.empty((TARGET_MISSED + 1, n_cells), dtype=np.int64)
         counts[KIND_PERSON] = by_class[2] + by_class[4]
         counts[KIND_IMPUTED] = by_class[3] + by_class[5]
         counts[KIND_DUPLICATE] = by_class[4] + by_class[5]
         fab_target = census.fab_person[target[census.fab_person]]
-        counts[KIND_FABRICATED] = np.bincount(cell[fab_target], minlength=n_cells)
+        counts[KIND_FABRICATED] = np.bincount(
+            joint_cell(pop, fab_target, pop.census_household[fab_target]), minlength=n_cells
+        )
         counts[TARGET_MISSED] = by_class[1]
         return counts
 

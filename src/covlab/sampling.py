@@ -294,16 +294,19 @@ def noninterview_factor(
     if not missing.any():
         return factor
 
-    district = district.astype(np.int64)
+    # District x address type cell of the interviewed and of the missing
+    # households; no cell key is built for the households in neither.
     n_types = len(ADDRESS_TYPES)
-    key = district * n_types + address_type.astype(np.int64)
+    district_i = district[interviewed].astype(np.int64)
+    key_i = district_i * n_types + address_type[interviewed].astype(np.int64)
+    key_m = district[missing].astype(np.int64) * n_types + address_type[missing].astype(np.int64)
 
     size = n_districts * n_types
-    base = np.bincount(key[interviewed], weights=weight[interviewed], minlength=size)
-    extra = np.bincount(key[missing], weights=weight[missing], minlength=size)
+    base = np.bincount(key_i, weights=weight[interviewed], minlength=size)
+    extra = np.bincount(key_m, weights=weight[missing], minlength=size)
     with np.errstate(invalid="ignore", divide="ignore"):
         f_fine = np.where(base > 0, (base + extra) / np.maximum(base, 1e-300), 1.0)
-    factor[interviewed] = f_fine[key[interviewed]]
+    factor[interviewed] = f_fine[key_i]
 
     # Step 2, then step 3 for what no district could take.
     orphan_fine = ~(base > 0) & (extra > 0)
@@ -311,12 +314,12 @@ def noninterview_factor(
         carry = np.zeros(n_districts, dtype=np.float64)
         np.add.at(carry, np.nonzero(orphan_fine)[0] // n_types, extra[orphan_fine])
         base_d = np.bincount(
-            district[interviewed], weights=weight[interviewed] * factor[interviewed],
+            district_i, weights=weight[interviewed] * factor[interviewed],
             minlength=n_districts,
         )
         with np.errstate(invalid="ignore", divide="ignore"):
             f_d = np.where(base_d > 0, (base_d + carry) / np.maximum(base_d, 1e-300), 1.0)
-        factor[interviewed] *= f_d[district[interviewed]]
+        factor[interviewed] *= f_d[district_i]
         left = carry[base_d == 0].sum()
         if left > 0:
             total = (weight[interviewed] * factor[interviewed]).sum()

@@ -3,8 +3,11 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from covlab.harness import (
     write_microdata,
 )
 from covlab.harness.experiment import EstimateRow
-from covlab.matching import tally_groups
+from covlab.matching import record_table, tally_groups
 from covlab.popsim import PopulationConfig
 
 
@@ -755,3 +758,28 @@ def test_cli_filesystem_errors_exit_2_without_traceback(tmp_path, capsys, monkey
 def test_cli_missing_directory_is_a_schema_error(tmp_path, capsys):
     assert cli_main(["estimate", "--in", str(tmp_path / "nowhere")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Bytes per person of the traced peak of building a field-shaped world and
+# its record table: 74.6 measured, with 10% slack.  Memoized home arrays and
+# full-length uniforms read 90.8.
+_WORLD_BYTES_PER_PERSON = 82.0
+
+
+def test_world_build_holds_little_beyond_the_world():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = workloads.mc_config("mc-field-1m", 7)
+    config = dataclasses.replace(
+        config, population=dataclasses.replace(config.population, persons=200_000)
+    )
+    tracemalloc.start()
+    try:
+        bundle = build_world(config, 0)
+        record_table(bundle.pop, bundle.census, bundle.result, bundle.household_weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / config.population.persons <= _WORLD_BYTES_PER_PERSON

@@ -23,9 +23,11 @@ from covlab.matching import (
     CODE_52_2,
     CODE_52_4,
     CODE_NONE,
+    CODE_LABELS,
     CODE_PAIRED,
     SOURCE_ROSTER,
     MatchErrorModel,
+    MatchResult,
     MatchTallies,
     match_and_code,
     record_table,
@@ -417,7 +419,7 @@ def test_tallies_equal_the_full_row_census_reduction(seed):
     mask = rng.random(n_hh) < 0.4
     weight = np.where(mask, rng.uniform(0.5, 30.0, size=n_hh), 0.0)
     # A sampled household of weight 0 that holds in-scope census records.
-    origin = pop.census_home()[cen.captured]
+    origin = pop.census_household[cen.captured]
     weight[origin[mask[origin] & ~pop.households.institutional[origin]][0]] = 0.0
     model = MatchErrorModel(false_nonmatch=0.05, false_match=0.02, resolution_flip=0.05)
     worlds = [
@@ -472,6 +474,33 @@ def test_code_counts_reports_every_slot():
         for arr in (result.pes_code, result.orphan_code, result.dup_code, result.fab_code)
     ) + int(((result.cen_code != CODE_NONE) & (result.cen_code != CODE_PAIRED)).sum())
     assert total_emitted == emitted
+
+
+def test_code_counts_equal_a_count_per_code():
+    rng = np.random.default_rng(21)
+    every_code = np.array([CODE_NONE, CODE_PAIRED, *CODE_LABELS], dtype=np.int16)
+    for trial in range(60):
+        # Each trial emits a random subset of the codes, so some are absent.
+        pool = rng.choice(every_code, size=int(rng.integers(1, every_code.shape[0] + 1)),
+                          replace=False)
+        n, n_fab = int(rng.integers(0, 400)), int(rng.integers(0, 40))
+        pes, cen, orphan, dup = (pool[rng.integers(0, pool.shape[0], size=n)] for _ in range(4))
+        fab = pool[rng.integers(0, pool.shape[0], size=n_fab)]
+        result = MatchResult(
+            person=np.arange(n), pes_code=pes, cen_code=cen, orphan_code=orphan,
+            in_mover_matched=np.zeros(n, dtype=bool), dup_code=dup, fab_code=fab,
+            hh_cell=np.zeros(0, dtype=np.int8), exclusion_mode="sci",
+            household_mask=np.zeros(0, dtype=bool),
+        )
+        expected = {}
+        for code, label in CODE_LABELS.items():
+            total = sum(int((codes == code).sum()) for codes in (pes, cen, orphan, dup, fab))
+            if total:
+                expected[label] = total
+        counts = result.code_counts()
+        assert counts == expected, trial
+        assert list(counts) == list(expected), trial
+        assert all(type(value) is int for value in counts.values())
 
 
 @pytest.mark.parametrize("exclusion_mode", ["sci", "adjusted"])

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covlab.errors import ConfigError
 from covlab.popsim import (
+    DRAW_BLOCK,
     CEN_NOT_LISTED,
     CEN_WITH_Q,
     CEN_WITHOUT_Q,
@@ -20,6 +23,7 @@ from covlab.popsim import (
     PopulationConfig,
     _choice,
     _sigmoid,
+    blocks,
     cell_groups,
     ground_truth_ledger,
     group_labels,
@@ -27,6 +31,7 @@ from covlab.popsim import (
     simulate_census,
     simulate_pes,
     synthesize_population,
+    uniform_below,
 )
 from oracles import ledger_reference
 
@@ -96,7 +101,7 @@ def test_in_target_excludes_born_and_institutional():
 
 def test_joint_cell_covers_everyone():
     _, pop = _world()
-    cell = joint_cell(pop, slice(None), pop.census_home())
+    cell = joint_cell(pop, slice(None), pop.census_household)
     assert cell.shape == (pop.size,)
     assert cell.min() >= 0
     assert cell.max() < cell_groups(pop, "national").shape[0]
@@ -378,14 +383,64 @@ def test_choice_draws_as_generator_choice_on_random_weights():
         assert ours.random() == numpys.random()
 
 
+# The person-length draws of a world, as synthesis and the passes make them.
+_DRAWS = {
+    "random": lambda rng, n: rng.random(n),
+    "integers_2": lambda rng, n: rng.integers(0, 2, size=n),
+    "integers_5": lambda rng, n: rng.integers(0, 5, size=n),
+    "integers_300k": lambda rng, n: rng.integers(0, 300_017, size=n),
+    "standard_normal": lambda rng, n: rng.standard_normal(n),
+}
+_BLOCK_EDGES = (0, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1)
+
+
+@pytest.mark.parametrize("kind", sorted(_DRAWS))
+@settings(deadline=None, max_examples=20)
+@given(
+    n=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(0, 3 * DRAW_BLOCK + 7)),
+    seed=st.integers(0, 2**64 - 1),
+    buffered=st.booleans(),
+)
+@example(n=0, seed=1, buffered=False)
+@example(n=0, seed=1, buffered=True)
+@example(n=DRAW_BLOCK - 1, seed=2, buffered=False)
+@example(n=DRAW_BLOCK - 1, seed=2, buffered=True)
+@example(n=DRAW_BLOCK, seed=3, buffered=False)
+@example(n=DRAW_BLOCK, seed=3, buffered=True)
+@example(n=DRAW_BLOCK + 1, seed=4, buffered=False)
+@example(n=DRAW_BLOCK + 1, seed=4, buffered=True)
+def test_block_draws_equal_one_call(kind, n, seed, buffered):
+    draw = _DRAWS[kind]
+    one, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        # A 32-bit draw leaves the other half of a 64-bit output buffered.
+        for rng in (one, blocked):
+            rng.integers(0, 2**32, dtype=np.uint32)
+        assert one.bit_generator.state["has_uint32"] == 1
+    expected = draw(one, n)
+    got = np.concatenate([draw(blocked, 0), *(draw(blocked, b.stop - b.start) for b in blocks(n))])
+    assert np.array_equal(got, expected)
+    assert blocked.bit_generator.state == one.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [*_BLOCK_EDGES, 3 * DRAW_BLOCK + 7])
+def test_uniform_below_equals_one_comparison(n):
+    thresholds = np.random.default_rng(n).random(n)
+    for threshold in (0.3, lambda block: thresholds[block]):
+        one, blocked = np.random.default_rng(9), np.random.default_rng(9)
+        expected = one.random(n) < (thresholds if callable(threshold) else threshold)
+        got = uniform_below(blocked, n, threshold)
+        assert got.dtype == bool
+        assert np.array_equal(got, expected)
+        assert blocked.bit_generator.state == one.bit_generator.state
+
+
 def test_derived_person_arrays_are_read_only_fresh_and_per_world():
     _, pop = _world(institutional_rate=0.05)
     _, other = _world(seed=12, institutional_rate=0.05)
     census, survey = pop.census_household, pop.pes_household
     home = np.where(census >= 0, census, 0)
     fresh = {
-        "census_home": home,
-        "survey_home": np.where(survey >= 0, survey, 0),
         "occupied_at_census": np.bincount(
             home[pop.scope != SCOPE_BORN], minlength=pop.households.count
         ) > 0,
