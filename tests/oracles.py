@@ -1,6 +1,9 @@
-"""Independent recomputations shared across test modules."""
+"""Independent recomputations shared across test modules, and the
+benchmark's workload configs."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -172,3 +175,22 @@ def tally_reference(pop, census, result, level="national", household_weight=None
         )
         for g, label in enumerate(labels)
     }
+
+
+def perfbench_workloads():
+    """`perfbench/workloads.py`, loaded by path: perfbench is a directory of
+    scripts, not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def multi_block_config():
+    """The benchmark's sci microdata world at 100,000 persons, whose census,
+    survey and codes files each hold more than two of the writer's blocks."""
+    config = perfbench_workloads().microdata_configs(1)["sci"]
+    return dataclasses.replace(
+        config, population=dataclasses.replace(config.population, persons=100_000)
+    )

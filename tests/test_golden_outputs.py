@@ -7,14 +7,16 @@ array sample frame, the shared record table and the bincount ledger
 replaced the earlier implementations.
 
 The JSON report of `covlab estimate` is pinned the same way, on microdata
-written from three worlds.  The two full-frame digests were recorded before
-procedure C's inputs were folded into `MoverTallies`, the sampled adjusted
-one before the column parse of ingest was reworked.
+written from four worlds.  The two small full-frame digests were recorded
+before procedure C's inputs were folded into `MoverTallies`, the sampled
+adjusted one before the column parse of ingest was reworked, and the
+multi-block one before the writer formatted files a block at a time.
 """
 
 import hashlib
 
 import pytest
+from oracles import multi_block_config
 
 from covlab.cli import main as cli_main
 from covlab.harness import (
@@ -107,6 +109,10 @@ ESTIMATE_LOCKED = {
     "adjusted-sampled-post-stratum": (
         LOCKED["adjusted-sampled"], ("--level", "post_stratum") + _ALL_ESTIMATORS,
     ),
+    # Files that each span more than two of the writer's row blocks.
+    "sci-multi-block-post-stratum": (
+        multi_block_config(), ("--level", "post_stratum") + _ALL_ESTIMATORS,
+    ),
 }
 
 ESTIMATE_DIGESTS = {
@@ -114,6 +120,8 @@ ESTIMATE_DIGESTS = {
     "no-movers-national": "15079fba3d6d944294385f9e8912df6e6e6bbe887a206946451977c85e511f96",
     "adjusted-sampled-post-stratum":
         "fe55299c90f3957a4b42fc3a393cd7f92fb4fe1714b233143ee1b0b8118cd50c",
+    "sci-multi-block-post-stratum":
+        "4251d12b0d3ea3a77f6e853bfb4e99f646f3d97bca2f43d9522c0117efee3e23",
 }
 
 

@@ -3,14 +3,13 @@
 import csv
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import multi_block_config, perfbench_workloads
 
 import covlab.cli
 import covlab.harness.experiment
@@ -32,7 +31,7 @@ from covlab.harness import (
 )
 from covlab.harness.experiment import EstimateRow
 from covlab.matching import record_table, tally_groups
-from covlab.popsim import PopulationConfig
+from covlab.popsim import DRAW_BLOCK, PopulationConfig
 
 
 def _small_config(**overrides):
@@ -299,11 +298,14 @@ def test_ingest_rejects_unsupported_level(tmp_path):
         _round_trip_tallies(tmp_path, config, level="province_stratum")
 
 
-# SHA-256 of the four files written for two fixed worlds.  census.csv and
-# pes.csv, and the sci world's codes.csv, are as the earlier row-by-row
-# csv.writer implementation wrote them; weights.csv gained the district,
-# address type and interviewed columns, and adjusted-mode markers the
-# followup phase, so those three hashes were recorded again.
+# SHA-256 of the four files written for three fixed worlds.  census.csv and
+# pes.csv, and the sci world's codes.csv, of the two small worlds are as the
+# earlier row-by-row csv.writer implementation wrote them; weights.csv
+# gained the district, address type and interviewed columns, and
+# adjusted-mode markers the followup phase, so those three hashes were
+# recorded again.  The multi-block world's census, survey and codes files
+# each hold more than two of the writer's row blocks; its hashes were
+# recorded before the writer formatted files a block at a time.
 _GOLDEN_PATHOLOGY = dict(
     ee_rate=0.02,
     ii_rate=0.01,
@@ -348,6 +350,15 @@ _GOLDEN_WORLDS = {
             "weights.csv": "aea73c2401d1b45b8c1ff111489f1809a2a01ac4523f9c64d1ba662430197be3",
         },
     ),
+    "sci-multi-block": (
+        multi_block_config(),
+        {
+            "census.csv": "b49bbc6a8d767ca3f9017d9564a54829c8d45630bb671929b9f91b2ca51c5248",
+            "pes.csv": "6677648f50de01953f760fe3aba4f5988d8a56675a69eeb26faaf5f09608e049",
+            "codes.csv": "d2fced6fff9cae6070a67b6b420d9dfe16c96dfaee55cc283b37cdb472952d50",
+            "weights.csv": "967ca6190e37f3340a3d854c037c3797bc2b7c17b90c13015dc9b7d025cbf27e",
+        },
+    ),
 }
 
 
@@ -361,6 +372,10 @@ def test_write_microdata_is_byte_identical_to_golden_files(tmp_path, world):
     )
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    if world == "sci-multi-block":
+        for name in ("census.csv", "pes.csv", "codes.csv"):
+            rows = (tmp_path / name).read_bytes().count(b"\n") - 1
+            assert rows > 2 * DRAW_BLOCK, name
 
 
 def _write_clean_microdata(tmp_path, **config_overrides):
@@ -767,11 +782,7 @@ _WORLD_BYTES_PER_PERSON = 82.0
 
 
 def test_world_build_holds_little_beyond_the_world():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    config = workloads.mc_config("mc-field-1m", 7)
+    config = perfbench_workloads().mc_config("mc-field-1m", 7)
     config = dataclasses.replace(
         config, population=dataclasses.replace(config.population, persons=200_000)
     )
