@@ -36,16 +36,23 @@ followup-phase markers and the weights file hold everything
 household's adjusted weight, every other record the plain weight, and
 the estimates equal the simulation path's.
 
-Both directions work on whole columns.  The writer builds each file as one
-uint8 matrix with a NUL-padded row per record and writes only its non-NUL
-bytes.  Ingest finds every field's bounds in one scan of the bytes, then
-reads each column it needs straight out of the buffer as 8-byte words: id
-and stratum columns as big-endian uint64 keys (or bytes, when an id is
-longer than 8 bytes), columns with a fixed vocabulary as positions in it,
-and weights as text.  Record ids join by sorting, since they arrive in
-sorted runs that a stable sort merges; household ids join through a hash
-table of the weights rows.  The text of a message is built only for the
-rows that fail a check.
+Both directions work on columns, a block of rows at a time, and hold at
+most one file's bytes beyond the columns they need.  The writer formats
+`popsim.DRAW_BLOCK` records at a time as a uint8 matrix with a NUL-padded
+row per record, gathering the text of each column from a table straight
+into it, and writes only the non-NUL bytes.  Ingest reads a file into one
+buffer and works through it a megabyte at a time: a scan of the chunk
+finds the field bounds of the lines that end in it, and each column it
+needs is read for those lines straight out of the buffer as 8-byte words,
+into room sized by the file's newlines: id and stratum columns as
+big-endian uint64 keys (or bytes, when an id is longer than 8 bytes),
+columns with a fixed vocabulary as positions in it, and weights as text.
+Record ids join by sorting, since they arrive in sorted runs that a stable
+sort merges; household ids join through a hash table of the weights rows,
+and strata become cells through a small hash table of the few distinct
+ones.  Per-row intermediates are held in the narrowest integer type that
+fits and released after their last use.  The text of a message is built
+only for the rows that fail a check.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -91,7 +99,7 @@ from ..matching import (
     record_table,
     tally_records,
 )
-from ..popsim import CensusSim, PesSim, Population
+from ..popsim import CensusSim, PesSim, Population, blocks
 from ..sampling import ADDRESS_TYPES, noninterview_factor
 
 __all__ = ["write_microdata", "ingest_microdata"]
@@ -135,36 +143,53 @@ _INITIAL_CODES = (CODE_10, CODE_20, CODE_30, CODE_42_1, CODE_42_2)
 # Every label of the code column, codes then household markers, and the
 # code each names, -1 for markers and, in the last entry, unknown labels.
 _LABELS = (*CODE_BY_LABEL, *_MARKER_CELLS)
-_LABEL_CODES = np.array([*CODE_BY_LABEL.values()] + [-1] * (len(_MARKER_CELLS) + 1))
+_LABEL_CODES = np.array([*CODE_BY_LABEL.values()] + [-1] * (len(_MARKER_CELLS) + 1),
+                        dtype=np.int16)
 
 # The exclusion field: empty on a code, so a marker needs a position above 0.
 _REASONS = ("", *EXCLUSION_MARKERS.values())
 
 # The side each code belongs on, -1 for codes on either side and, in the
 # last entry, for labels that name no code.
-_CODE_SIDES = np.full(max(CODE_LABELS) + 2, -1)
+_CODE_SIDES = np.full(max(CODE_LABELS) + 2, -1, dtype=np.int8)
 _CODE_SIDES[list(CODE_SIDE)] = list(CODE_SIDE.values())
 
 
-def _write(path: str, header: list[str], *rows: np.ndarray) -> None:
-    """Write the header and the row matrices, dropping their NUL padding."""
+def _write(path: str, header: list[str],
+           *sections: tuple[int, Callable[[slice], tuple]]) -> None:
+    """Write the header, then each section's rows `DRAW_BLOCK` at a time.
+
+    A section is its number of rows and a function giving the parts of a
+    block of them (see `_matrix`).  Each block becomes one NUL-padded
+    matrix, of which only the non-NUL bytes are written.
+    """
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\r\n").encode("utf-8"))
-        for matrix in rows:
-            handle.write(matrix[matrix != 0])
+        for n, parts in sections:
+            for rows in blocks(n):
+                matrix = _matrix(rows.stop - rows.start, parts(rows))
+                handle.write(matrix[matrix != 0])
 
 
-def _matrix(*parts: np.ndarray | bytes) -> np.ndarray:
-    """One uint8 row per record: the parts side by side, each a matrix with
-    a row per record or a bytes literal repeated on every row."""
-    n = next(part.shape[0] for part in parts if isinstance(part, np.ndarray))
-    parts = tuple(np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
-                  for part in parts)
-    out = np.empty((n, sum(part.shape[-1] for part in parts)), dtype=np.uint8)
+def _matrix(n: int, parts: tuple) -> np.ndarray:
+    """One uint8 row for each of `n` records: the parts side by side.  A
+    part is a bytes literal repeated on every row, a uint8 matrix with a
+    row per record, or a (table, index) pair whose table rows are gathered
+    straight into the matrix."""
+    widths = [len(part) if isinstance(part, bytes) else
+              part[0].shape[1] if isinstance(part, tuple) else part.shape[1]
+              for part in parts]
+    out = np.empty((n, sum(widths)), dtype=np.uint8)
     at = 0
-    for part in parts:
-        out[:, at:at + part.shape[-1]] = part
-        at += part.shape[-1]
+    for part, width in zip(parts, widths):
+        column = out[:, at:at + width]
+        if isinstance(part, bytes):
+            column[...] = np.frombuffer(part, dtype=np.uint8)
+        elif isinstance(part, tuple):
+            np.take(part[0], part[1], axis=0, out=column)
+        else:
+            column[...] = part
+        at += width
     return out
 
 
@@ -217,74 +242,222 @@ def write_microdata(
 ) -> None:
     """Write the four-file microdata set for one matched world.
 
-    Each file is built as one uint8 matrix with a NUL-padded row per
-    record: integers become digits by array arithmetic, and columns that
-    take only a few values are gathered from tables of their joined text.
+    Each file is formatted `popsim.DRAW_BLOCK` rows at a time, a block
+    being one uint8 matrix with a NUL-padded row per record: integers
+    become digits by array arithmetic, and columns that take only a few
+    values are gathered from tables of their joined text.  Beyond the
+    world and its record table, the writer holds per-record indices and
+    one block.
     """
     os.makedirs(out_dir, exist_ok=True)
     table = record_table(pop, census, result, household_weight)
     strata = pop.stratum_labels
     households = pop.households
-    place = _matrix(b"h", _digits(np.arange(households.count)), b",d",
-                    _digits(households.district, min_width=4))
-
-    n_fab = census.fab_person.shape[0]
-    person, kind = census_records(census, np.arange(pop.size), np.arange(n_fab))
-    census_household = pop.census_household[person]  # census records have one
-    fabricated = kind == KIND_FABRICATED
-    number = person.copy()
-    number[fabricated] = np.arange(n_fab)  # a fabrication is numbered by its index
-    number = _digits(number)
-    person_id = number.copy()
-    person_id[fabricated] = 0
-    _write(os.path.join(out_dir, "census.csv"), _CENSUS_HEADER, _matrix(
-        _table("ccdf")[kind],  # id prefix by kind
-        number, b",", person_id, b",", place[census_household], b",",
-        _joined(strata, CENSUS_KINDS, (0, 1), end="\r\n")[
-            (pop.post_stratum[person] * len(CENSUS_KINDS) + kind) * 2
-            + ~pop.households.institutional[census_household]
-        ],
+    place = _matrix(households.count, (
+        b"h", _digits(np.arange(households.count)), b",d",
+        _digits(households.district, min_width=4),
     ))
 
-    prefix = _table(ID_PREFIXES)[table.source]
+    person, kind = census_records(census, np.arange(pop.size),
+                                  np.arange(census.fab_person.shape[0]))
+    first_fabricated = person.shape[0] - census.fab_person.shape[0]
+    kind_prefix = _table("ccdf")
+    census_tail = _joined(strata, CENSUS_KINDS, (0, 1), end="\r\n")
+
+    def census_rows(rows: slice) -> tuple:
+        record_person = person[rows]
+        record_kind = kind[rows]
+        household = pop.census_household[record_person]  # census records have one
+        fabricated = record_kind == KIND_FABRICATED
+        # A fabrication is numbered by its index and has no person id.
+        number = _digits(np.where(
+            fabricated, np.arange(rows.start, rows.stop) - first_fabricated, record_person
+        ))
+        person_id = number.copy()
+        person_id[fabricated] = 0
+        return (
+            (kind_prefix, record_kind), number, b",", person_id, b",", (place, household), b",",
+            (census_tail, (pop.post_stratum[record_person] * len(CENSUS_KINDS) + record_kind) * 2
+             + ~households.institutional[household]),
+        )
+
+    _write(os.path.join(out_dir, "census.csv"), _CENSUS_HEADER, (person.shape[0], census_rows))
+    del person, kind
+
+    prefix = _table(ID_PREFIXES)
     survey = np.flatnonzero(table.side == SIDE_SURVEY)
     # Roster records first, then reports, each by person.
     survey = survey[np.lexsort((table.number[survey], table.source[survey]))]
-    person = table.number[survey]  # survey records are numbered by their person
-    household = table.household[survey]
-    number = _digits(person)
-    _write(os.path.join(out_dir, "pes.csv"), _PES_HEADER, _matrix(
-        prefix[survey], number, b",", number, b",", place[household], b",",
-        _joined(strata, ROSTER_ROLES, _PES_STATUSES, end="\r\n")[
-            (pop.post_stratum[person] * len(ROSTER_ROLES) + table.role[survey])
-            * len(_PES_STATUSES) + pes.hh_status[household]
-        ],
-    ))
+    pes_tail = _joined(strata, ROSTER_ROLES, _PES_STATUSES, end="\r\n")
 
-    recovered = among(result.hh_cell[table.household], (CELL_SECT, CELL_PILCROW))
-    followup = ~among(table.code, _INITIAL_CODES) | (table.source == SOURCE_REPORT) | (
-        (table.source == SOURCE_ROSTER) & recovered
-    )
+    def pes_rows(rows: slice) -> tuple:
+        record = survey[rows]
+        record_person = table.number[record]  # survey records are numbered by their person
+        household = table.household[record]
+        number = _digits(record_person)
+        return (
+            (prefix, table.source[record]), number, b",", number, b",", (place, household), b",",
+            (pes_tail, (pop.post_stratum[record_person] * len(ROSTER_ROLES) + table.role[record])
+             * len(_PES_STATUSES) + pes.hh_status[household]),
+        )
+
+    _write(os.path.join(out_dir, "pes.csv"), _PES_HEADER, (survey.shape[0], pes_rows))
+    del survey
+
     codes = sorted(CODE_LABELS)
     phase_code = _joined(_PHASES, [CODE_LABELS[c] for c in codes], ("",), end="\r\n")
+
+    def code_rows(rows: slice) -> tuple:
+        source = table.source[rows]
+        code = table.code[rows]
+        recovered = among(result.hh_cell[table.household[rows]], (CELL_SECT, CELL_PILCROW))
+        followup = ~among(code, _INITIAL_CODES) | (source == SOURCE_REPORT) | (
+            (source == SOURCE_ROSTER) & recovered
+        )
+        return (
+            (prefix, source), _digits(table.number[rows]), b",",
+            (phase_code, followup * len(codes) + np.searchsorted(codes, code)),
+        )
+
     mask = result.household_mask
     marker_phase = _PHASES[result.exclusion_mode == "adjusted"]
     _write(
-        os.path.join(out_dir, "codes.csv"), _CODES_HEADER,
-        _matrix(prefix, _digits(table.number), b",",
-                phase_code[followup * len(codes) + np.searchsorted(codes, table.code)]),
-        *(_matrix(b"h", _digits(np.flatnonzero((result.hh_cell == cell) & mask)),
-                  f",{marker_phase},{code},{EXCLUSION_MARKERS[cell]}\r\n".encode("utf-8"))
-          for code, cell in _MARKER_CELLS.items()),
+        os.path.join(out_dir, "codes.csv"), _CODES_HEADER, (table.code.shape[0], code_rows),
+        *(_marker_section(
+            np.flatnonzero((result.hh_cell == cell) & mask),
+            f",{marker_phase},{code},{EXCLUSION_MARKERS[cell]}\r\n".encode("utf-8"),
+        ) for code, cell in _MARKER_CELLS.items()),
     )
+    del table
 
     sampled = np.flatnonzero(mask)
-    weight = np.ones(households.count) if household_weight is None else household_weight
-    _write(os.path.join(out_dir, "weights.csv"), _WEIGHTS_HEADER, _matrix(
-        place[sampled], b",", _table(ADDRESS_TYPES)[households.address_type[sampled]], b",",
-        _table("01")[result.interviewed()[sampled].view(np.int8)], b",",
-        _float_text(np.asarray(weight)[sampled]), b"\r\n",
-    ))
+    weight = (np.ones(households.count) if household_weight is None
+              else np.asarray(household_weight))
+    address_type = _table(ADDRESS_TYPES)
+    flag = _table("01")
+    interviewed = result.interviewed().view(np.int8)
+
+    def weight_rows(rows: slice) -> tuple:
+        household = sampled[rows]
+        return (
+            (place, household), b",", (address_type, households.address_type[household]), b",",
+            (flag, interviewed[household]), b",",
+            _float_text(weight[household]), b"\r\n",
+        )
+
+    _write(os.path.join(out_dir, "weights.csv"), _WEIGHTS_HEADER, (sampled.shape[0], weight_rows))
+
+
+def _marker_section(household: np.ndarray, rest: bytes) -> tuple[int, Callable]:
+    """The codes.csv rows of one household marker: the household id, then
+    the same phase, marker and reason on every row."""
+    return household.shape[0], lambda rows: (b"h", _digits(household[rows]), rest)
+
+
+# Bytes of a file scanned and read at a time: the masks and field bounds
+# of one chunk, not of the whole file, are held.
+_CHUNK = 1 << 20
+
+
+def _chunks(size: int) -> Iterator[tuple[int, int]]:
+    """Start and length of each chunk of `size` bytes."""
+    return ((start, min(_CHUNK, size - start)) for start in range(0, size, _CHUNK))
+
+
+def _load(path: str) -> tuple[np.ndarray, int]:
+    """The file's bytes, checked to be UTF-8 text without NUL and ending in
+    a newline (one is added when missing), and their count; zeros follow
+    them in the buffer, for the 8-byte word read from a field near the end."""
+    try:
+        with open(path, "rb") as handle:
+            buf = np.zeros(os.fstat(handle.fileno()).st_size + 9, dtype=np.uint8)
+            size = handle.readinto(buf[:-9])
+    except FileNotFoundError:
+        raise SchemaError("file is missing", path=path) from None
+    if not size:
+        raise SchemaError("file is empty, expected a header", path=path, row=1)
+    data = buf[:size]
+    nul = int(data.argmin())
+    if data[nul] == 0:
+        raise SchemaError(f"NUL byte at offset {nul}", path=path,
+                          row=np.count_nonzero(data[:nul] == ord("\n")) + 1)
+    if data.max() >= 0x80:
+        # Bytes before the first non-ASCII one are valid UTF-8 on their own.
+        ascii_end = next(start + int(np.argmax(chunk >= 0x80)) for start, n in _chunks(size)
+                         if (chunk := data[start:start + n]).max() >= 0x80)
+        try:
+            str(data[ascii_end:], "utf-8")
+        except UnicodeDecodeError as exc:
+            offset = ascii_end + exc.start
+            raise SchemaError(
+                f"not UTF-8: byte {data[offset]:#04x} at offset {offset}",
+                path=path, row=np.count_nonzero(data[:offset] == ord("\n")) + 1,
+            ) from None
+    if data[-1] != ord("\n"):
+        buf[size] = ord("\n")
+        size += 1
+    return buf, size
+
+
+def _outside(data: np.ndarray, start: int, n: int, inside: bool) -> np.ndarray:
+    """Which of `n` bytes from `start` lie outside quotes, `inside` telling
+    whether the bytes before them end inside quotes.  A quote toggles
+    quoting, and a doubled quote inside a quoted field toggles it twice:
+    its first quote closes quoting and the next byte reopens it."""
+    quote = data[start:start + n] == ord('"')
+    return ((np.cumsum(quote, dtype=np.uint8) + inside) & 1) == 0
+
+
+def _doubled(buf: np.ndarray, size: int) -> np.ndarray:
+    """Offsets of the first quote of each doubled pair inside a quoted
+    field, in the first `size` bytes of `buf`, which holds a byte past them."""
+    found = [np.zeros(0, dtype=np.intp)]
+    inside = False
+    for start, n in _chunks(size):
+        outside = _outside(buf, start, n, inside)
+        inside = not outside[-1]
+        outside &= buf[start:start + n] == ord('"')
+        outside &= buf[start + 1:start + n + 1] == ord('"')
+        found.append(np.flatnonzero(outside) + start)
+    return np.concatenate(found)
+
+
+def _lines(path: str, data: np.ndarray, n_fields: int, quoted: bool
+           ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The lines after the header, a chunk of the data at a time: the rows
+    of the lines that end in the chunk, the end of the line before each,
+    and their field ends, a row per line.  Field ends are the commas and
+    newlines outside quotes; a line with other than `n_fields` fields
+    raises SchemaError."""
+    pending = np.zeros(0, dtype=np.intp)  # field ends of a line not yet ended
+    previous = -1  # end of the line before the next one
+    lines = 0  # lines ended so far, the header's included
+    inside = False
+    for start, n in _chunks(data.shape[0]):
+        cut = data[start:start + n] == ord(",")
+        cut |= data[start:start + n] == ord("\n")
+        if quoted:
+            outside = _outside(data, start, n, inside)
+            inside = not outside[-1]
+            cut &= outside
+        ends = np.concatenate([pending, np.flatnonzero(cut) + start])
+        newline = data[ends] == ord("\n")
+        ended = ends.shape[0] - int(np.argmax(newline[::-1])) if newline.any() else 0
+        pending, ends, newline = ends[ended:], ends[:ended], newline[:ended]
+        if (ended != np.count_nonzero(newline) * n_fields
+                or not newline[n_fields - 1::n_fields].all()):
+            fields = np.bincount(np.cumsum(newline) - newline)
+            row = int(np.flatnonzero(fields != n_fields)[0])
+            raise SchemaError(f"expected {n_fields} fields, found {fields[row]}",
+                              path=path, row=lines + row + 1)
+        ends = ends.reshape(-1, n_fields)
+        if lines == 0 and ends.shape[0]:
+            previous, ends, lines = int(ends[0, -1]), ends[1:], 1
+        if ends.shape[0]:
+            yield (slice(lines - 1, lines - 1 + ends.shape[0]),
+                   np.concatenate([[previous], ends[:-1, -1]]), ends)
+            lines += ends.shape[0]
+            previous = int(ends[-1, -1])
 
 
 def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str, ...],
@@ -294,126 +467,80 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
     instead, each field read as one big-endian uint64, NUL padded; a column
     with a vocabulary comes as a `_Coded` column of positions in it.
 
-    One scan of the bytes finds every comma and newline outside quotes,
-    which gives each field's start and end; every column is then read
-    straight out of the buffer, a quoted field without its enclosing quotes
-    and with its doubled quotes undoubled, as the csv module reads it.
+    The file is held whole and read `_CHUNK` bytes at a time: a scan of a
+    chunk finds the field ends of the lines that end in it (`_lines`), and
+    their fields are then read straight out of the buffer, a quoted field
+    without its enclosing quotes and with its doubled quotes undoubled, as
+    the csv module reads it.
     """
     path = os.path.join(in_dir, name)
+    buf, size = _load(path)
+    data = buf[:size]
+    newlines = quotes = 0
+    for start, n in _chunks(size):
+        newlines += np.count_nonzero(data[start:start + n] == ord("\n"))
+        quotes += np.count_nonzero(data[start:start + n] == ord('"'))
+    line = next(start + int(np.argmax(chunk)) for start, n in _chunks(size)
+                if (chunk := data[start:start + n] == ord("\n")).any())
     try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except FileNotFoundError:
-        raise SchemaError("file is missing", path=path) from None
-    if not raw:
-        raise SchemaError("file is empty, expected a header", path=path, row=1)
-    nul = raw.find(b"\0")
-    if nul >= 0:
-        raise SchemaError(f"NUL byte at offset {nul}", path=path,
-                          row=raw.count(b"\n", 0, nul) + 1)
-    if not raw.isascii():
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(
-                f"not UTF-8: byte {raw[exc.start]:#04x} at offset {exc.start}",
-                path=path, row=raw.count(b"\n", 0, exc.start) + 1,
-            ) from None
-    line = raw.find(b"\n")
-    try:
-        first = next(csv.reader([raw[:line if line >= 0 else len(raw)].decode("utf-8")]))
+        first = next(csv.reader([str(data[:line], "utf-8")]))
     except csv.Error as exc:
         raise SchemaError(f"header is not comma separated text: {exc}",
                           path=path, row=1) from None
     if first != header:
         raise SchemaError(f"header mismatch: expected {header}, found {first}",
                           path=path, row=1)
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
+    if quotes % 2:
+        opened = int(np.flatnonzero(data == ord('"'))[-1])
+        lines = np.count_nonzero((data[:opened] == ord("\n")) & _outside(data, 0, opened, False))
+        raise SchemaError("quote is never closed", path=path, row=int(lines) + 1)
 
-    # Field ends: commas and newlines outside quotes.  A quote toggles
-    # quoting, and a doubled quote inside a quoted field toggles it twice.
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    newline = buf == ord("\n")
-    cut = buf == ord(",")
-    cut |= newline
-    quoted = b'"' in raw
-    if quoted:
-        quote = buf == ord('"')
-        outside = (np.cumsum(quote, dtype=np.uint8) & 1) == 0
-        cut &= outside
-        newline &= outside
-        if not outside[-1]:
-            opened = int(np.flatnonzero(quote)[-1])
-            lines = np.count_nonzero(newline[:opened])
-            raise SchemaError("quote is never closed", path=path, row=int(lines) + 1)
-    ends = np.flatnonzero(cut)
-    n_fields = len(header)
-    if (ends.shape[0] != np.count_nonzero(newline) * n_fields
-            or not newline[ends[n_fields - 1::n_fields]].all()):
-        newline = newline[ends]
-        fields = np.bincount(np.cumsum(newline) - newline)
-        row = int(np.flatnonzero(fields != n_fields)[0])
-        raise SchemaError(f"expected {n_fields} fields, found {fields[row]}",
-                          path=path, row=row + 1)
-    # Every line has n_fields fields: a row of field ends per line, the
-    # header's first, turned so that each field's ends are contiguous.
-    ends = ends.reshape(-1, n_fields).T.copy()
-
-    text = buf
-    if quoted:
-        # The first quote of each doubled pair: it closes quoting and the
-        # next byte reopens it.
-        doubled = np.flatnonzero(quote[:-1] & outside[:-1] & quote[1:])
-        if doubled.size:
-            text = np.delete(buf, doubled)
+    doubled = _doubled(buf, size) if quotes else np.zeros(0, dtype=np.intp)
+    text = np.delete(buf, doubled) if doubled.size else buf
     # Each field as little-endian 8-byte words read from its start, with
     # the bytes past its end masked off; the words viewed as bytes are the
     # field, NUL padded, and a single word byte-swapped is its key.  The
     # zeros past the end are for the word read from a field near it.
-    padded = np.concatenate([text, np.zeros(8, dtype=np.uint8)])
-    word_at = np.ndarray(shape=(padded.shape[0] - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    out = {}
-    for column in columns:
-        i = header.index(column)
-        start = (ends[i - 1, 1:] if i else ends[-1, :-1]) + 1
-        end = ends[i, 1:]
-        if i == n_fields - 1:
-            # A line ending in \r\n: the \r is not part of the last field.
-            # (Before an empty field is the comma or newline that ends the
-            # previous one, never a \r.)
-            end = end - (buf[end - 1] == ord("\r"))
-        if quoted:
-            # Without enclosing quotes, at its place in the buffer without
-            # the doubled quotes.
-            enclosed = (end - start >= 2) & quote[start] & quote[end - 1]
-            start += enclosed
-            end = end - enclosed
-            if doubled.size:
-                start -= np.searchsorted(doubled, start)
-                end = end - np.searchsorted(doubled, end)
-        length = end - start
-        width = int(length.max(initial=0))
-        if width > _MAX_FIELD:
+    word_at = np.ndarray(shape=(text.shape[0] - 7,), dtype="<u8", buffer=text, strides=(1,))
+
+    # Every line ends in a newline outside quotes, so there are at most as
+    # many rows as newlines after the header's.
+    out = {column: _Column(newlines - 1, (vocabularies or {}).get(column))
+           for column in columns}
+    rows = slice(0, 0)
+    for rows, line_end, ends in _lines(path, data, len(header), quotes > 0):
+        for column, target in out.items():
+            i = header.index(column)
+            start = (ends[:, i - 1] if i else line_end) + 1
+            end = ends[:, i]
+            if i == len(header) - 1:
+                # A line ending in \r\n: the \r is not part of the last field.
+                # (Before an empty field is the comma or newline that ends the
+                # previous one, never a \r.)
+                end = end - (data[end - 1] == ord("\r"))
+            if quotes:
+                # Without enclosing quotes, at its place in the buffer without
+                # the doubled quotes.
+                enclosed = ((end - start >= 2) & (data[start] == ord('"'))
+                            & (data[end - 1] == ord('"')))
+                start += enclosed
+                end = end - enclosed
+                if doubled.size:
+                    start -= np.searchsorted(doubled, start)
+                    end = end - np.searchsorted(doubled, end)
+            target.read(rows, word_at, start, end - start)
+    for column, target in out.items():
+        if target.long is not None:
             raise SchemaError(f"field is longer than {_MAX_FIELD} bytes", path=path,
-                              row=int(np.argmax(length > _MAX_FIELD)) + 2, column=column)
-        first = word_at[start]
-        first &= _LOW_BYTES[np.minimum(length, 8) if width > 8 else length]
-        if vocabularies and column in vocabularies:
-            out[column] = _Coded(word_at, start, length, first, vocabularies[column])
-        elif width > 8:
-            out[column] = _words(word_at, start, length, first)
-        elif column in keys:
-            out[column] = first.byteswap(inplace=True)
-        else:
-            out[column] = first.view("S8")
-    return out
+                              row=target.long + 2, column=column)
+    return {column: target.result(rows.stop, column in keys) for column, target in out.items()}
 
 
 def _words(word_at: np.ndarray, start: np.ndarray, length: np.ndarray, first: np.ndarray
            ) -> np.ndarray:
-    """The fields at `start` as NUL-padded bytes, given their first words:
-    each further word is read only for the fields that reach it."""
+    """The fields at `start` as rows of little-endian 8-byte words, NUL
+    padded, given their first words: each further word is read only for the
+    fields that reach it."""
     field = np.zeros((start.shape[0], max(int(length.max(initial=0)) + 7 >> 3, 1)),
                      dtype="<u8")
     field[:, 0] = first
@@ -421,12 +548,65 @@ def _words(word_at: np.ndarray, start: np.ndarray, length: np.ndarray, first: np
         long = np.flatnonzero(length > 8 * word)
         field[long, word] = (word_at[start[long] + 8 * word]
                              & _LOW_BYTES[np.minimum(length[long] - 8 * word, 8)])
+    return field
+
+
+def _as_bytes(field: np.ndarray) -> np.ndarray:
+    """Rows of words as one bytes value each."""
     return field.view(f"S{8 * field.shape[1]}").ravel()
+
+
+class _Column:
+    """One column of a file, read a block of rows at a time into room for
+    `n` rows: the first word of each field, or its position in the
+    column's vocabulary, and the further words of fields longer than 8
+    bytes.  `long` is the first row with a field longer than `_MAX_FIELD`,
+    after which nothing more is read."""
+
+    def __init__(self, n: int, vocabulary=None):
+        self.coded = None if vocabulary is None else _Coded(vocabulary, n)
+        self.first = np.zeros(n if vocabulary is None else 0, dtype="<u8")
+        self.further: list[tuple[slice, np.ndarray]] = []
+        self.width = 0
+        self.long: int | None = None
+
+    def read(self, rows: slice, word_at: np.ndarray, start: np.ndarray, length: np.ndarray
+             ) -> None:
+        width = int(length.max(initial=0))
+        if self.long is not None or width > _MAX_FIELD:
+            if self.long is None:
+                self.long = rows.start + int(np.argmax(length > _MAX_FIELD))
+            return
+        self.width = max(self.width, width)
+        first = word_at[start]
+        first &= _LOW_BYTES[np.minimum(length, 8) if width > 8 else length]
+        if self.coded is not None:
+            self.coded.read(rows, word_at, start, length, first)
+            return
+        self.first[rows] = first
+        if width > 8:
+            self.further.append((rows, _words(word_at, start, length, first)[:, 1:]))
+
+    def result(self, n: int, key: bool) -> np.ndarray:
+        """The first `n` rows: the `_Coded` column, keys when `key` and every
+        field fits 8 bytes, else each field's bytes."""
+        if self.coded is not None:
+            self.coded.index = self.coded.index[:n]
+            return self.coded
+        first = self.first[:n]
+        if self.width <= 8:
+            return first.byteswap(inplace=True) if key else first.view("S8")
+        field = np.zeros((n, self.width + 7 >> 3), dtype="<u8")
+        field[:, 0] = first
+        for rows, further in self.further:
+            field[rows, 1:1 + further.shape[1]] = further
+        return _as_bytes(field)
 
 
 class _Coded:
     """A column of words from a vocabulary: `index` holds each field's
-    position in it, -1 for other text, and `column[row]` a field's bytes.
+    position in it, -1 for other text, in the narrowest integer type that
+    holds them, and `column[row]` a field's bytes.
 
     A field equals a word when its first 8-byte word, NUL padded, equals
     the word's; that settles words shorter than 8 bytes, as no field holds
@@ -434,25 +614,31 @@ class _Coded:
     words, read only for the fields that match so far.
     """
 
-    def __init__(self, word_at: np.ndarray, start: np.ndarray, length: np.ndarray,
-                 first: np.ndarray, vocabulary):
+    def __init__(self, vocabulary, n: int):
         self.vocabulary = tuple(vocabulary)
-        self.index = np.full(start.shape[0], -1)
+        self.index = np.full(n, -1, dtype=np.min_scalar_type(-max(len(self.vocabulary), 1)))
+        self._other: dict[int, bytes] = {}
+
+    def read(self, rows: slice, word_at: np.ndarray, start: np.ndarray, length: np.ndarray,
+             first: np.ndarray) -> None:
+        """Find the words of the fields of `rows`, given their first words."""
+        index = self.index[rows]
         for position, word in enumerate(self.vocabulary):
             encoded = word.encode("utf-8")
             target = np.frombuffer(encoded.ljust(max(-(-len(encoded) // 8), 1) * 8, b"\0"),
                                    dtype="<u8")
             equal = first == target[0]
             if len(encoded) >= 8:
-                rows = np.flatnonzero(equal & (length == len(encoded)))
+                matched = np.flatnonzero(equal & (length == len(encoded)))
                 for k in range(1, target.shape[0]):
-                    words = word_at[start[rows] + 8 * k] & _LOW_BYTES[min(len(encoded) - 8 * k, 8)]
-                    rows = rows[words == target[k]]
-                equal = rows
-            self.index[equal] = position
-        other = np.flatnonzero(self.index < 0)
-        text = _words(word_at, start[other], length[other], first[other])
-        self._other = dict(zip(other.tolist(), text.tolist()))
+                    words = (word_at[start[matched] + 8 * k]
+                             & _LOW_BYTES[min(len(encoded) - 8 * k, 8)])
+                    matched = matched[words == target[k]]
+                equal = matched
+            index[equal] = position
+        other = np.flatnonzero(index < 0)
+        text = _as_bytes(_words(word_at, start[other], length[other], first[other]))
+        self._other.update(zip((other + rows.start).tolist(), text.tolist()))
 
     def __getitem__(self, row: int) -> bytes:
         position = self.index[row]
@@ -480,32 +666,42 @@ def _text(field) -> str:
     return field.decode("utf-8")
 
 
-def _repeats(values: np.ndarray) -> np.ndarray:
-    """True where a value already appeared on an earlier row."""
-    order = np.argsort(values, kind="stable")
+def _repeats(values: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """True where a value already appeared on an earlier row.  `order` is
+    the values' stable argsort, when the caller has it."""
+    if order is None:
+        order = np.argsort(values, kind="stable")
     ordered = values[order]
     repeat = np.zeros(values.shape[0], dtype=bool)
     repeat[order[1:]] = ordered[1:] == ordered[:-1]
     return repeat
 
 
-def _lookup(keys: np.ndarray, queries: np.ndarray, sort: str = "stable") -> np.ndarray:
+def _lookup(keys: np.ndarray, queries: np.ndarray, sort: str = "stable",
+            by_query: np.ndarray | None = None) -> np.ndarray:
     """Row of the first key equal to each query, -1 where none is.
 
     The queries are searched in sorted order: a binary search over random
     queries costs more than sorting them first.  `sort` is the kind of that
     sort: the stable sort merges the sorted runs that ids written in order
     fall into, and quicksort is faster on queries in random order.
+    `by_query` is an argsort of the queries, when the caller has one.
     """
     row = np.full(queries.shape[0], -1, dtype=np.int64)
     if keys.shape[0] == 0:
         return row
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    by_query = np.argsort(queries, kind=sort)
+    if by_query is None:
+        by_query = np.argsort(queries, kind=sort)
     query = queries[by_query]
-    at = np.minimum(np.searchsorted(ordered, query), keys.shape[0] - 1)
-    row[by_query] = np.where(ordered[at] == query, order[at], -1)
+    at = np.searchsorted(ordered, query)
+    np.minimum(at, keys.shape[0] - 1, out=at)
+    missed = ordered[at] != query
+    del ordered, query
+    found = order[at]
+    found[missed] = -1
+    row[by_query] = found
     return row
 
 
@@ -538,13 +734,54 @@ def _hash_lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return row
 
 
+def _index_type(n: int) -> np.dtype:
+    """The narrowest signed integer type that holds -1 and every index
+    below n."""
+    return np.min_scalar_type(-max(n, 1))
+
+
+# Slots of the hash table that finds the distinct strata: 2**16 slots keep
+# two of a few dozen strata from sharing one, except by rare chance.
+_CELL_BITS = 16
+
+
+def _cells(*columns: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct keys of the columns, sorted, and each column's keys as
+    positions among them: `np.unique(..., return_inverse=True)` of the
+    columns joined, with positions in the narrowest type.
+
+    Integer keys are hashed into a table that holds, at each slot, one of
+    the keys landing there.  When every key equals its slot's, the table
+    holds each distinct key once, and only those few are sorted.  Bytes
+    keys, and integer keys that share a slot, are all sorted instead.
+    """
+    if all(column.dtype.kind == "u" for column in columns):
+        held = np.zeros(1 << _CELL_BITS, dtype=np.uint64)
+        slots = [((column * _GOLDEN) >> np.uint64(64 - _CELL_BITS)).astype(np.intp)
+                 for column in columns]
+        for slot, column in zip(slots, columns):
+            held[slot] = column
+        if all((held[slot] == column).all() for slot, column in zip(slots, columns)):
+            taken = np.zeros(held.shape[0], dtype=bool)
+            for slot in slots:
+                taken[slot] = True
+            taken = np.flatnonzero(taken)
+            by_key = np.argsort(held[taken])
+            position = np.zeros(held.shape[0], dtype=_index_type(taken.shape[0]))
+            position[taken[by_key]] = np.arange(taken.shape[0])
+            return held[taken[by_key]], [position[slot] for slot in slots]
+    values, position = np.unique(np.concatenate(columns), return_inverse=True)
+    position = position.astype(_index_type(values.shape[0]))
+    return values, np.split(position, np.cumsum([column.shape[0] for column in columns[:-1]]))
+
+
 def _check(issues: list[str], name: str, fields: dict, checks: list[tuple[np.ndarray, str]]
            ) -> np.ndarray:
     """Report each row's first failing check as "<file> row <n>: <message>",
     in row order, the message being the check's template filled in from the
     row's `fields`: a column, or a function of the row for text that only
     a message needs.  Returns which rows passed every check."""
-    first = np.full(checks[0][0].shape[0], -1)
+    first = np.full(checks[0][0].shape[0], -1, dtype=_index_type(len(checks)))
     for number in reversed(range(len(checks))):
         if checks[number][0].any():
             first[checks[number][0]] = number
@@ -623,69 +860,102 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         (address_type < 0, "household {household_id} has unknown address_type {address_type!r}"),
         (interviewed < 0, "household {household_id} has bad interviewed flag {interviewed!r}"),
     ])
+    del not_number, bad_value
     weight_rows = _rows(weighted)
     households = weight_home[weight_rows]
     value = value[weight_rows]
     interviewed = interviewed[weight_rows] == 1
+    address_type = address_type[weight_rows]
 
     kind = census["kind"].index
     scope = census["target_scope"].index
-    census_passed = _check(issues, "census.csv", census, [
+    census_rows = _rows(_check(issues, "census.csv", census, [
         (_repeats(census_id), "duplicate record_id {record_id}"),
         (kind < 0, "record {record_id} has unknown kind {kind!r}"),
         (scope < 0, "record {record_id} has bad target_scope {target_scope!r}"),
-    ])
-    census_rows = _rows(census_passed)
-    role = pes["roster"].index
-    pes_rows = _rows(_check(issues, "pes.csv", pes, [
-        (_repeats(pes_id), "duplicate record_id {record_id}"),
-        (role < 0, "record {record_id} has unknown roster {roster!r}"),
     ]))
+    # Only valid records are joined; a survey record is valid once its id
+    # and roster are, and then needs a code.
+    census_id, census_home, kind, scope = (
+        column[census_rows] for column in (census_id, census_home, kind, scope)
+    )
+    role = pes["roster"].index
+    pes_repeat = _repeats(pes_id)
+    pes_valid = ~pes_repeat & (role >= 0)
+    pes_rows = _rows(pes_valid)
+    census_strata, pes_strata = _keys(census["stratum"], pes.pop("stratum"))
+    del census
 
     # Every valid record, census ones first so that a code resolves to a
     # census record before a survey record of the same id; the extra last
-    # entry stands in for records that are not found.
-    n_census = int(np.count_nonzero(census_passed))
-    records = np.concatenate([census_id[census_rows], pes_id[pes_rows]])
-    homes = np.concatenate([census_home[census_rows], pes_home[pes_rows]])
-    # Each record's row in the weights file, -1 outside the sample.
-    record_row = np.append(_hash_lookup(households, homes), -1)
-    census_strata, pes_strata = _keys(census["stratum"], pes["stratum"])
-    record_stratum = np.concatenate(
-        [census_strata[census_rows], pes_strata[pes_rows], np.zeros(1, census_strata.dtype)]
-    )
-    record_role = np.concatenate([np.zeros(n_census, dtype=np.int64), role[pes_rows], [0]])
+    # entry stands in for records that are not found.  Each one's row in
+    # the weights file, -1 outside the sample, its role and its cell among
+    # the strata of every record.
+    n_census = census_id.shape[0]
+    n_records = n_census + int(np.count_nonzero(pes_valid))
+    pes_id = pes_id[pes_rows]
+    pes_home = pes_home[pes_rows]
+    record_row = np.empty(n_records + 1, dtype=_index_type(households.shape[0]))
+    record_row[:n_census] = _hash_lookup(households, census_home)
+    record_row[n_census:-1] = _hash_lookup(households, pes_home)
+    record_row[-1] = -1
+    record_role = np.zeros(n_records + 1, dtype=role.dtype)
+    record_role[n_census:-1] = role[pes_rows]
+    strata, cells = _cells(census_strata[census_rows], pes_strata[pes_rows])
+    record_cell = np.concatenate([*cells, np.zeros(1, cells[0].dtype)])
+    del census_strata, pes_strata, cells
 
     label = codes["code"].index
     is_marker = label >= len(CODE_BY_LABEL)
     # The code each label names, -1 for markers and unknown labels.
     numeric = _LABEL_CODES[label]
     phase = codes["phase"].index
-    found = _lookup(records, code_id)
-    at = np.where(found >= 0, found, records.shape[0])
+    # One stable order of the code ids finds their repeats and their records.
+    by_code = np.argsort(code_id, kind="stable")
+    code_repeat = _repeats(code_id, by_code)
+    in_census = _lookup(census_id, code_id, by_query=by_code)
+    in_pes = _lookup(pes_id, code_id, by_query=by_code)
+    at = np.where(in_census >= 0, in_census, np.where(in_pes >= 0, n_census + in_pes, n_records)
+                  ).astype(_index_type(n_records + 1))
+    del by_code, in_census, in_pes
     weight_row = record_row[at]
     code_role = record_role[at]
-    side = np.where(at < n_census, SIDE_CENSUS, SIDE_SURVEY)
+    side = np.where(at < n_census, np.int8(SIDE_CENSUS), np.int8(SIDE_SURVEY))
     # The side each code belongs on, -1 for codes on either side.
     belongs = _CODE_SIDES[numeric]
     # '#' households covered by the follow-up, and their weights-file rows.
     reweighted = (label == _LABELS.index("#")) & (phase == _PHASES.index("followup"))
-    marker_row = np.full(label.shape[0], -1)
+    marker_row = np.full(label.shape[0], -1, dtype=record_row.dtype)
     marker_row[reweighted] = _hash_lookup(households, code_id[reweighted])
-    fields = {
-        **codes,
-        "household_id": lambda i: homes[at[i]] if at[i] < homes.shape[0] else b"",
-        "side": lambda i: (b"survey", b"census")[side[i]],
-    }
+    del households
+
+    has_code = np.zeros(n_records + 1, dtype=bool)
+    has_code[at[~is_marker]] = True
+    uncoded = np.zeros(pes_valid.shape[0], dtype=bool)
+    uncoded[pes_rows] = ~has_code[n_census:-1]
+    _check(issues, "pes.csv", pes, [
+        (pes_repeat, "duplicate record_id {record_id}"),
+        (role < 0, "record {record_id} has unknown roster {roster!r}"),
+        (uncoded, "record {record_id} has no code"),
+    ])
+    del pes, pes_repeat, pes_valid, role, has_code, uncoded
+
+    def home(i: int):
+        record = at[i]
+        if record < n_census:
+            return census_home[record]
+        return pes_home[record - n_census] if record < n_records else b""
+
+    fields = {**codes, "household_id": home, "side": lambda i: (b"survey", b"census")[side[i]]}
     _check(issues, "codes.csv", fields, [
-        (_repeats(code_id), "duplicate record_id {record_id}"),
+        (code_repeat, "duplicate record_id {record_id}"),
         (~is_marker & (numeric < 0), "unknown code {code!r}"),
         (is_marker & (codes["exclusion"].index < 1), "marker {code} needs an exclusion reason"),
         (is_marker & (phase < 0), "marker {code} has unknown phase {phase!r}"),
         (reweighted & (marker_row < 0), "household {record_id} has no weight"),
         (reweighted & np.append(interviewed, False)[marker_row],
          "household {record_id} is interviewed and marked #"),
-        (~is_marker & (found < 0), "record {record_id} not found in census or pes files"),
+        (~is_marker & (at == n_records), "record {record_id} not found in census or pes files"),
         (~is_marker & (weight_row < 0), "household {household_id} has no weight"),
         ((belongs >= 0) & (belongs != side), "code {code} on a {side} record {record_id}"),
         ((numeric >= CODE_42_1) & (numeric <= CODE_42_4)
@@ -694,33 +964,35 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     ])
     if issues:
         raise ValidationError(issues)
+    del codes, fields, code_id, census_id, census_home, pes_id, pes_home, code_repeat, belongs
 
-    missing = np.zeros(households.shape[0], dtype=bool)
+    missing = np.zeros(value.shape[0], dtype=bool)
     missing[marker_row[reweighted]] = True
     districts, district = np.unique(
         _keys(weights["district_id"])[0][weight_rows], return_inverse=True
     )
     coded = np.flatnonzero(~is_marker)
-    row = weight_row[coded]
-    coded_role = code_role[coded]
+    at, row, side, code, coded_role = (
+        column[coded] for column in (at, weight_row, side, numeric, code_role)
+    )
+    del coded, is_marker, weight_row, numeric, code_role, label, phase, reweighted, marker_row
     # Survey records found at the interview take their household's
     # noninterview-adjusted weight; out-mover and death reports, and codes on
     # census records, the plain weight.
-    roster = ((side[coded] == SIDE_SURVEY) & (coded_role != ROLE_OUT_MOVER)
+    roster = ((side == SIDE_SURVEY) & (coded_role != ROLE_OUT_MOVER)
               & (coded_role != ROLE_DEATH))
     # Only in-scope census records reach a tally, post-strata as their
     # cells; a record outside the sample weighs 0, which adds nothing.
-    in_scope = scope[census_rows] == 1
-    census_household = record_row[:n_census]
+    in_scope = np.flatnonzero(scope == 1)
+    census_household = record_row[in_scope]
     # Finite weights can still sum past the float range; the totals are
     # checked here, so every tally built from them is finite.
     with np.errstate(over="ignore", invalid="ignore"):
         factor = noninterview_factor(
-            district, address_type[weight_rows], value, interviewed, missing,
-            districts.shape[0],
+            district, address_type, value, interviewed, missing, districts.shape[0],
         )
         record_weight = value[row] * np.where(roster, factor[row], 1.0)
-        census_weight = np.where(census_household >= 0, value[census_household], 0.0)[in_scope]
+        census_weight = np.where(census_household >= 0, value[census_household], 0.0)
         finite = np.isfinite(record_weight.sum()) and np.isfinite(census_weight.sum())
     if not finite:
         largest = np.flatnonzero(weighted)[np.argmax(value)]
@@ -729,15 +1001,22 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
             f" of household {_text(weights['household_id'][largest])}"
             " makes the weighted totals overflow"
         ])
-    census_text = census_strata[census_rows][in_scope]
-    strata, cell = np.unique(
-        np.concatenate([census_text, record_stratum[at[coded]]]), return_inverse=True
-    )
+    del weights, factor, roster, census_household, record_row, record_role
+
+    # Cells are the strata that in-scope census records and coded records
+    # hold, numbered in sorted order.
+    census_cell = record_cell[in_scope]
+    cell = record_cell[at]
+    used = np.zeros(strata.shape[0], dtype=bool)
+    used[census_cell] = True
+    used[cell] = True
+    if not used.all():
+        renumber = (np.cumsum(used) - 1).astype(record_cell.dtype)
+        strata, census_cell, cell = strata[used], renumber[census_cell], renumber[cell]
     if strata.shape[0] == 0:
         return {}
     n_strata = strata.shape[0]
-    census_kind = kind[census_rows][in_scope]
-    census_cell = cell[:census_text.shape[0]]
+    census_kind = kind[in_scope].astype(np.int64)
     table = RecordTable(
         census_count=np.bincount(
             census_kind * n_strata + census_cell, minlength=len(CENSUS_KINDS) * n_strata
@@ -745,13 +1024,13 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         census_kind=census_kind,
         census_cell=census_cell,
         census_weight=census_weight,
-        side=side[coded],
-        code=numeric[coded],
+        side=side,
+        code=code,
         role=coded_role,
         household=row,
-        cell=cell[census_text.shape[0]:],
+        cell=cell,
         weight=record_weight,
-        matched_in_mover=np.zeros(coded.shape[0], dtype=bool),
+        matched_in_mover=np.zeros(code.shape[0], dtype=bool),
     )
     if level == "national":
         return tally_records(table, ("all",), np.zeros(n_strata, dtype=np.int64))

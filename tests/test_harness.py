@@ -565,6 +565,28 @@ def test_ingest_flags_missing_weight(tmp_path):
     assert any("has no weight" in issue for issue in excinfo.value.issues)
 
 
+def test_survey_records_without_a_code_are_reported(tmp_path, capsys):
+    # The writer codes every survey record, so a survey record that no
+    # code row resolves to is a broken delivery, not a smaller total.
+    bundle = build_world(_GOLDEN_WORLDS["adjusted-sampled"][0], 0)
+    out = tmp_path / "micro"
+    write_microdata(str(out), bundle.pop, bundle.census, bundle.pes, bundle.result,
+                    bundle.household_weight)
+    codes = (out / "codes.csv").read_bytes().split(b"\r\n")
+    dropped = [line for line in codes if line.startswith(b"p")][5::40][:2]
+    (out / "codes.csv").write_bytes(b"\r\n".join(line for line in codes if line not in dropped))
+    pes_ids = [line.split(b",")[0].decode() for line in (out / "pes.csv").read_bytes().split(b"\r\n")]
+    rows = sorted(pes_ids.index(line.split(b",")[0].decode()) + 1 for line in dropped)
+    with pytest.raises(ValidationError) as excinfo:
+        ingest_microdata(str(out))
+    assert excinfo.value.issues == [
+        f"pes.csv row {row}: record {pes_ids[row - 1]} has no code" for row in rows
+    ]
+    assert cli_main(["validate", "--in", str(out)]) == 2
+    assert cli_main(["estimate", "--in", str(out), "--level", "national"]) == 2
+    assert "has no code" in capsys.readouterr().err
+
+
 def test_cli_simulate_estimate_validate(tmp_path, capsys):
     out = tmp_path / "micro"
     assert cli_main(["simulate", "--out", str(out), "--seed", "5"]) == 0
@@ -794,3 +816,44 @@ def test_world_build_holds_little_beyond_the_world():
     finally:
         tracemalloc.stop()
     assert peak / config.population.persons <= _WORLD_BYTES_PER_PERSON
+
+
+# Traced peaks of microdata I/O on a 200k-person sci world, per byte of its
+# four files: the writer's above the world it formats (0.72 measured) and
+# ingest's (1.21 measured), each with 10% slack.  Whole-file matrices on the
+# way out and whole-file temporaries on the way in read 2.02 and 3.65.
+_WRITE_PEAK_PER_BYTE = 0.80
+_INGEST_PEAK_PER_BYTE = 1.34
+
+
+@pytest.fixture(scope="module")
+def sci_200k_files(tmp_path_factory):
+    """The benchmark's 200k sci world written to files, with the writer's
+    traced peak above the world."""
+    config = perfbench_workloads().microdata_configs(1)["sci"]
+    bundle = build_world(config, 0)
+    out = tmp_path_factory.mktemp("sci-200k")
+    tracemalloc.start()
+    try:
+        write_microdata(str(out), bundle.pop, bundle.census, bundle.pes, bundle.result,
+                        bundle.household_weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak, sum(path.stat().st_size for path in out.iterdir())
+
+
+def test_write_microdata_holds_little_beyond_the_world(sci_200k_files):
+    _, peak, size = sci_200k_files
+    assert peak / size <= _WRITE_PEAK_PER_BYTE
+
+
+def test_ingest_holds_little_beyond_one_file(sci_200k_files):
+    out, _, size = sci_200k_files
+    tracemalloc.start()
+    try:
+        ingest_microdata(str(out), level="post_stratum")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / size <= _INGEST_PEAK_PER_BYTE

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from covlab.cli import main as cli_main
 from covlab.errors import SchemaError, ValidationError
 from covlab.harness import ExperimentConfig, SampleSpec, build_world, ingest_microdata
 from covlab.harness import write_microdata
+from covlab.harness import ingest as ingest_module
 from covlab.harness.ingest import (
-    _digits, _float_text, _hash_lookup, _lookup, _read_columns, _repeats, _text,
+    _GOLDEN, _cells, _digits, _float_text, _hash_lookup, _lookup, _read_columns, _repeats, _text,
 )
 from covlab.matching import MatchErrorModel
 from covlab.popsim import PopulationConfig
@@ -82,6 +84,57 @@ def test_sliced_columns_equal_csv_reader(tmp_path, rows, quoting, terminator):
     assert [[_text(keys[name][i]) for name in header] for i in range(len(rows))] == expected
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.lists(st.tuples(_FIELD, _FIELD, _FIELD), max_size=20),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    chunk=st.integers(min_value=1, max_value=16),
+)
+def test_sliced_columns_equal_csv_reader_in_small_chunks(tmp_path, rows, quoting, chunk):
+    # Lines, quoted fields and doubled quotes that span the chunks a file is
+    # scanned in, and fields longer than 8 bytes in some chunks only.
+    text = io.StringIO(newline="")
+    csv.writer(text, quoting=quoting).writerows([["a", "b", "c"], *rows])
+    (tmp_path / "f.csv").write_bytes(text.getvalue().encode("utf-8"))
+    expected = list(csv.reader(io.StringIO(text.getvalue(), newline="")))[1:]
+    with mock.patch.object(ingest_module, "_CHUNK", chunk):
+        columns = _read_columns(str(tmp_path), "f.csv", ["a", "b", "c"], ("a", "c"),
+                                keys=("c",), vocabularies={"c": ("", "x", "longer word")})
+    assert [[columns["a"][i].decode("utf-8"), columns["c"][i].decode("utf-8")]
+            for i in range(len(rows))] == [[row[0], row[2]] for row in expected]
+
+
+def _sharing_a_slot() -> list[int]:
+    """Two keys that land in one slot of `_cells`'s hash table."""
+    seen: dict[int, int] = {}
+    for key in range(1, 1 << 20):
+        slot = (key * int(_GOLDEN) % 2**64) >> (64 - ingest_module._CELL_BITS)
+        if slot in seen:
+            return [seen[slot], key]
+        seen[slot] = key
+    raise AssertionError("no two keys share a slot")
+
+
+@given(
+    st.lists(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=30),
+             min_size=1, max_size=3),
+    st.sampled_from(["few", "many", "bytes"]),
+)
+@example([_sharing_a_slot() * 3, [7]], "many")
+@example([[], []], "few")
+def test_cells_equal_np_unique(columns, kind):
+    if kind == "few":
+        columns = [[value % 5 * 2**59 + 3 for value in column] for column in columns]
+    arrays = [np.array(column, dtype=np.uint64) for column in columns]
+    if kind == "bytes":
+        arrays = [column.astype(">u8").view("S8") for column in arrays]
+    values, positions = _cells(*arrays)
+    expected, inverse = np.unique(np.concatenate(arrays), return_inverse=True)
+    assert values.tolist() == expected.tolist()
+    assert np.concatenate(positions).tolist() == inverse.ravel().tolist()
+    assert [position.shape[0] for position in positions] == [len(column) for column in columns]
+
+
 @st.composite
 def _keys_and_queries(draw):
     """Keys and queries drawn from one small pool, so that both repeat, in
@@ -126,6 +179,11 @@ def test_lookups_and_repeats_equal_a_dict(case, sort, as_bytes):
     assert _lookup(key_array, query_array, sort=sort).tolist() == expected
     assert _hash_lookup(key_array, query_array).tolist() == expected
     assert _repeats(key_array).tolist() == [first[key] < row for row, key in enumerate(keys)]
+    # With one stable order of the queries, shared by a lookup and repeats.
+    by_query = np.argsort(query_array, kind="stable")
+    assert _lookup(key_array, query_array, by_query=by_query).tolist() == expected
+    repeats = [query in queries[:row] for row, query in enumerate(queries)]
+    assert _repeats(query_array, by_query).tolist() == repeats
 
 
 # A small sampled adjusted world with every pathology, so that the files
