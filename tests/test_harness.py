@@ -575,7 +575,8 @@ def test_survey_records_without_a_code_are_reported(tmp_path, capsys):
     codes = (out / "codes.csv").read_bytes().split(b"\r\n")
     dropped = [line for line in codes if line.startswith(b"p")][5::40][:2]
     (out / "codes.csv").write_bytes(b"\r\n".join(line for line in codes if line not in dropped))
-    pes_ids = [line.split(b",")[0].decode() for line in (out / "pes.csv").read_bytes().split(b"\r\n")]
+    pes_lines = (out / "pes.csv").read_bytes().split(b"\r\n")
+    pes_ids = [line.split(b",")[0].decode() for line in pes_lines]
     rows = sorted(pes_ids.index(line.split(b",")[0].decode()) + 1 for line in dropped)
     with pytest.raises(ValidationError) as excinfo:
         ingest_microdata(str(out))
