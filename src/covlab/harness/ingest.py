@@ -860,7 +860,6 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         (address_type < 0, "household {household_id} has unknown address_type {address_type!r}"),
         (interviewed < 0, "household {household_id} has bad interviewed flag {interviewed!r}"),
     ])
-    del not_number, bad_value
     weight_rows = _rows(weighted)
     households = weight_home[weight_rows]
     value = value[weight_rows]
@@ -927,7 +926,6 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     reweighted = (label == _LABELS.index("#")) & (phase == _PHASES.index("followup"))
     marker_row = np.full(label.shape[0], -1, dtype=record_row.dtype)
     marker_row[reweighted] = _hash_lookup(households, code_id[reweighted])
-    del households
 
     has_code = np.zeros(n_records + 1, dtype=bool)
     has_code[at[~is_marker]] = True

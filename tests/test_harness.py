@@ -821,7 +821,7 @@ def test_world_build_holds_little_beyond_the_world():
 
 # Traced peaks of microdata I/O on a 200k-person sci world, per byte of its
 # four files: the writer's above the world it formats (0.72 measured) and
-# ingest's (1.21 measured), each with 10% slack.  Whole-file matrices on the
+# ingest's (1.22 measured), each with 10% slack.  Whole-file matrices on the
 # way out and whole-file temporaries on the way in read 2.02 and 3.65.
 _WRITE_PEAK_PER_BYTE = 0.80
 _INGEST_PEAK_PER_BYTE = 1.34
