@@ -38,25 +38,28 @@ the estimates equal the simulation path's.
 
 Both directions work on columns, a block of rows at a time, and hold at
 most one file's bytes beyond the columns they need.  The writer formats
-`popsim.DRAW_BLOCK` records at a time as a uint8 matrix with a NUL-padded
-row per record, gathering the text of each column from a table straight
-into it, and writes only the non-NUL bytes.  Ingest reads a file into one
-buffer and works through it a megabyte at a time: a scan of the chunk
-finds the field bounds of the lines that end in it, and each column it
-needs is read for those lines straight out of the buffer as 8-byte words,
-into room sized by the file's newlines: id and stratum columns as
-big-endian uint64 keys (or bytes, when an id is longer than 8 bytes),
-columns with a fixed vocabulary as positions in it, and weights as text.
-Record ids join by sorting, since they arrive in sorted runs that a stable
-sort merges; household ids join through a hash table of the weights rows,
-and strata become cells through a small hash table of the few distinct
-ones.  Per-row intermediates are held in the narrowest integer type that
-fits and released after their last use.  The text of a message is built
-only for the rows that fail a check.
+each file as sections of rows, `popsim.DRAW_BLOCK` records at a time, as
+a uint8 matrix with a NUL-padded row per record, gathering the text of
+each column from a table straight into it, and writes only the non-NUL
+bytes.  Ingest reads a file into one buffer and works through it a
+megabyte at a time: one pass checks the UTF-8 text, counts the newlines
+and finds the doubled quotes, then a scan of each chunk finds the field
+bounds of the lines that end in it, and one column reader (`_Reader`)
+reads each needed column for those lines straight out of the buffer as
+8-byte words, into room sized by the file's newlines: id and stratum
+columns as big-endian uint64 keys (or bytes, when a field is longer than
+8 bytes), columns with a fixed vocabulary as positions in it, and weights
+as text.  Every search among keys goes through one index (`_Index`),
+built once per key set: record ids, household ids, strata, districts and
+weight texts are hashed into a table sized by their distinct keys, and
+only keys that share a slot are sorted.  Per-row intermediates are held
+in the narrowest integer type that fits and released after their last
+use.  The text of a message is built only for the rows that fail a check.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import os
@@ -122,8 +125,8 @@ _MAX_FIELD = 256
 # Masks of the low k bytes of a little-endian 8-byte word, k = 0..8.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
-# 2**64 divided by the golden ratio: the top bits of a key times it are
-# the key's slot in a hash table (Fibonacci hashing).
+# 2**64 divided by the golden ratio, the multiplier of `_hash`: the top
+# bits of a word times it are its slot in a hash table (Fibonacci hashing).
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 # Phase of a household marker: the adjusted-mode follow-up covers marked
@@ -176,20 +179,16 @@ def _matrix(n: int, parts: tuple) -> np.ndarray:
     part is a bytes literal repeated on every row, a uint8 matrix with a
     row per record, or a (table, index) pair whose table rows are gathered
     straight into the matrix."""
-    widths = [len(part) if isinstance(part, bytes) else
-              part[0].shape[1] if isinstance(part, tuple) else part.shape[1]
-              for part in parts]
-    out = np.empty((n, sum(widths)), dtype=np.uint8)
-    at = 0
-    for part, width in zip(parts, widths):
-        column = out[:, at:at + width]
-        if isinstance(part, bytes):
-            column[...] = np.frombuffer(part, dtype=np.uint8)
-        elif isinstance(part, tuple):
-            np.take(part[0], part[1], axis=0, out=column)
+    parts = [np.frombuffer(part, dtype=np.uint8)[None] if isinstance(part, bytes) else part
+             for part in parts]
+    bounds = np.cumsum([0] + [(part[0] if isinstance(part, tuple) else part).shape[1]
+                              for part in parts])
+    out = np.empty((n, bounds[-1]), dtype=np.uint8)
+    for part, start, end in zip(parts, bounds[:-1], bounds[1:]):
+        if isinstance(part, tuple):
+            np.take(*part, axis=0, out=out[:, start:end])
         else:
-            column[...] = part
-        at += width
+            out[:, start:end] = part
     return out
 
 
@@ -242,12 +241,15 @@ def write_microdata(
 ) -> None:
     """Write the four-file microdata set for one matched world.
 
-    Each file is formatted `popsim.DRAW_BLOCK` rows at a time, a block
-    being one uint8 matrix with a NUL-padded row per record: integers
+    Each file is a header and sections of rows, a section being its
+    number of rows and the function that formats a block of them: census
+    records, survey records, codes then household markers, and sampled
+    households.  A file is formatted `popsim.DRAW_BLOCK` rows at a time, a
+    block being one uint8 matrix with a NUL-padded row per record: integers
     become digits by array arithmetic, and columns that take only a few
-    values are gathered from tables of their joined text.  Beyond the
-    world and its record table, the writer holds per-record indices and
-    one block.
+    values are gathered from tables of their joined text.  Beyond the world
+    and its record table, the writer holds per-record indices and one
+    block.
     """
     os.makedirs(out_dir, exist_ok=True)
     table = record_table(pop, census, result, household_weight)
@@ -319,15 +321,19 @@ def write_microdata(
             (phase_code, followup * len(codes) + np.searchsorted(codes, code)),
         )
 
+    # Household markers follow the codes, the '#' households first, then
+    # the '§' and the '¶' ones: each a household id and, by the household's
+    # cell, its marker's phase, label and reason.
     mask = result.household_mask
+    marked = np.concatenate([np.flatnonzero((result.hh_cell == cell) & mask)
+                             for cell in _MARKER_CELLS.values()])
     marker_phase = _PHASES[result.exclusion_mode == "adjusted"]
-    _write(
-        os.path.join(out_dir, "codes.csv"), _CODES_HEADER, (table.code.shape[0], code_rows),
-        *(_marker_section(
-            np.flatnonzero((result.hh_cell == cell) & mask),
-            f",{marker_phase},{code},{EXCLUSION_MARKERS[cell]}\r\n".encode("utf-8"),
-        ) for code, cell in _MARKER_CELLS.items()),
-    )
+    marker_text = {cell: f",{marker_phase},{label},{EXCLUSION_MARKERS[cell]}\r\n"
+                   for label, cell in _MARKER_CELLS.items()}
+    marker = _table(marker_text.get(cell, "") for cell in range(max(marker_text) + 1))
+    _write(os.path.join(out_dir, "codes.csv"), _CODES_HEADER, (table.code.shape[0], code_rows),
+           (marked.shape[0], lambda rows: (b"h", _digits(marked[rows]),
+                                           (marker, result.hh_cell[marked[rows]]))))
     del table
 
     sampled = np.flatnonzero(mask)
@@ -341,17 +347,10 @@ def write_microdata(
         household = sampled[rows]
         return (
             (place, household), b",", (address_type, households.address_type[household]), b",",
-            (flag, interviewed[household]), b",",
-            _float_text(weight[household]), b"\r\n",
+            (flag, interviewed[household]), b",", _float_text(weight[household]), b"\r\n",
         )
 
     _write(os.path.join(out_dir, "weights.csv"), _WEIGHTS_HEADER, (sampled.shape[0], weight_rows))
-
-
-def _marker_section(household: np.ndarray, rest: bytes) -> tuple[int, Callable]:
-    """The codes.csv rows of one household marker: the household id, then
-    the same phase, marker and reason on every row."""
-    return household.shape[0], lambda rows: (b"h", _digits(household[rows]), rest)
 
 
 # Bytes of a file scanned and read at a time: the masks and field bounds
@@ -359,15 +358,28 @@ def _marker_section(household: np.ndarray, rest: bytes) -> tuple[int, Callable]:
 _CHUNK = 1 << 20
 
 
-def _chunks(size: int) -> Iterator[tuple[int, int]]:
-    """Start and length of each chunk of `size` bytes."""
-    return ((start, min(_CHUNK, size - start)) for start in range(0, size, _CHUNK))
+def _chunks(data: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Start and bytes of each chunk of the data."""
+    return ((start, data[start:start + _CHUNK]) for start in range(0, data.shape[0], _CHUNK))
 
 
-def _load(path: str) -> tuple[np.ndarray, int]:
-    """The file's bytes, checked to be UTF-8 text without NUL and ending in
-    a newline (one is added when missing), and their count; zeros follow
-    them in the buffer, for the 8-byte word read from a field near the end."""
+def _row(data: np.ndarray, offset: int) -> int:
+    """The row of the byte at `offset`: one plus the newlines before it."""
+    return 1 + sum(int(np.count_nonzero(chunk == ord("\n")))
+                   for _, chunk in _chunks(data[:offset]))
+
+
+def _load(path: str, header: list[str]) -> tuple[np.ndarray, int, int, np.ndarray | None]:
+    """The file's bytes, checked to be UTF-8 text without NUL that starts
+    with `header` and ends in a newline (one is added when missing), their
+    count and the count of newlines outside quotes among them.  Zeros follow
+    them in the buffer, for the 8-byte word read from a field near the end.
+
+    When the file holds a quote, the last item is the offsets of the first
+    quote of each doubled pair inside a quoted field, else None.  A quote
+    never closed, the last quote then, raises SchemaError naming its row:
+    one plus the newlines outside quotes, all of which come before it.
+    """
     try:
         with open(path, "rb") as handle:
             buf = np.zeros(os.fstat(handle.fileno()).st_size + 9, dtype=np.uint8)
@@ -379,47 +391,56 @@ def _load(path: str) -> tuple[np.ndarray, int]:
     data = buf[:size]
     nul = int(data.argmin())
     if data[nul] == 0:
-        raise SchemaError(f"NUL byte at offset {nul}", path=path,
-                          row=np.count_nonzero(data[:nul] == ord("\n")) + 1)
-    if data.max() >= 0x80:
-        # Bytes before the first non-ASCII one are valid UTF-8 on their own.
-        ascii_end = next(start + int(np.argmax(chunk >= 0x80)) for start, n in _chunks(size)
-                         if (chunk := data[start:start + n]).max() >= 0x80)
-        try:
-            str(data[ascii_end:], "utf-8")
-        except UnicodeDecodeError as exc:
-            offset = ascii_end + exc.start
-            raise SchemaError(
-                f"not UTF-8: byte {data[offset]:#04x} at offset {offset}",
-                path=path, row=np.count_nonzero(data[:offset] == ord("\n")) + 1,
-            ) from None
+        raise SchemaError(f"NUL byte at offset {nul}", path=path, row=_row(data, nul))
+    # UTF-8 is decoded a chunk at a time; the decoder holds the bytes of a
+    # character that a chunk cuts until the next chunk.  A chunk of ASCII
+    # with nothing held is valid on its own.
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line, newlines, inside = size, 0, False
+    doubled = []
+    for start, chunk in _chunks(data):
+        held = len(decoder.getstate()[0])
+        if held or chunk.max() >= 0x80:
+            try:
+                decoder.decode(memoryview(chunk), start + chunk.shape[0] == size)
+            except UnicodeDecodeError as exc:
+                offset = start - held + exc.start
+                raise SchemaError(f"not UTF-8: byte {data[offset]:#04x} at offset {offset}",
+                                  path=path, row=_row(data, offset)) from None
+        newline = chunk == ord("\n")
+        if line == size and newline.any():
+            line = start + int(newline.argmax())
+        quote = chunk == ord('"')
+        if inside or quote.any():
+            outside = _outside(chunk, inside)
+            newline &= outside
+            inside = not outside[-1]
+            outside &= quote
+            outside &= buf[start + 1:start + chunk.shape[0] + 1] == ord('"')
+            doubled.append(np.flatnonzero(outside) + start)
+        newlines += int(np.count_nonzero(newline))
+    try:
+        first = next(csv.reader([str(data[:line], "utf-8")]))
+    except csv.Error as exc:
+        raise SchemaError(f"header is not comma separated text: {exc}",
+                          path=path, row=1) from None
+    if first != header:
+        raise SchemaError(f"header mismatch: expected {header}, found {first}",
+                          path=path, row=1)
+    if inside:
+        raise SchemaError("quote is never closed", path=path, row=newlines + 1)
     if data[-1] != ord("\n"):
         buf[size] = ord("\n")
-        size += 1
-    return buf, size
+        size, newlines = size + 1, newlines + 1
+    return buf, size, newlines, np.concatenate(doubled) if doubled else None
 
 
-def _outside(data: np.ndarray, start: int, n: int, inside: bool) -> np.ndarray:
-    """Which of `n` bytes from `start` lie outside quotes, `inside` telling
+def _outside(chunk: np.ndarray, inside: bool) -> np.ndarray:
+    """Which bytes of the chunk lie outside quotes, `inside` telling
     whether the bytes before them end inside quotes.  A quote toggles
     quoting, and a doubled quote inside a quoted field toggles it twice:
     its first quote closes quoting and the next byte reopens it."""
-    quote = data[start:start + n] == ord('"')
-    return ((np.cumsum(quote, dtype=np.uint8) + inside) & 1) == 0
-
-
-def _doubled(buf: np.ndarray, size: int) -> np.ndarray:
-    """Offsets of the first quote of each doubled pair inside a quoted
-    field, in the first `size` bytes of `buf`, which holds a byte past them."""
-    found = [np.zeros(0, dtype=np.intp)]
-    inside = False
-    for start, n in _chunks(size):
-        outside = _outside(buf, start, n, inside)
-        inside = not outside[-1]
-        outside &= buf[start:start + n] == ord('"')
-        outside &= buf[start + 1:start + n + 1] == ord('"')
-        found.append(np.flatnonzero(outside) + start)
-    return np.concatenate(found)
+    return ((np.cumsum(chunk == ord('"'), dtype=np.uint8) + inside) & 1) == 0
 
 
 def _lines(path: str, data: np.ndarray, n_fields: int, quoted: bool
@@ -433,11 +454,11 @@ def _lines(path: str, data: np.ndarray, n_fields: int, quoted: bool
     previous = -1  # end of the line before the next one
     lines = 0  # lines ended so far, the header's included
     inside = False
-    for start, n in _chunks(data.shape[0]):
-        cut = data[start:start + n] == ord(",")
-        cut |= data[start:start + n] == ord("\n")
+    for start, chunk in _chunks(data):
+        cut = chunk == ord(",")
+        cut |= chunk == ord("\n")
         if quoted:
-            outside = _outside(data, start, n, inside)
+            outside = _outside(chunk, inside)
             inside = not outside[-1]
             cut &= outside
         ends = np.concatenate([pending, np.flatnonzero(cut) + start])
@@ -465,7 +486,7 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
     """The named columns of one file, each field as its UTF-8 bytes.  A
     column named in `keys` whose fields all fit 8 bytes comes as keys
     instead, each field read as one big-endian uint64, NUL padded; a column
-    with a vocabulary comes as a `_Coded` column of positions in it.
+    with a vocabulary comes as the `_Reader` of its positions in it.
 
     The file is held whole and read `_CHUNK` bytes at a time: a scan of a
     chunk finds the field ends of the lines that end in it (`_lines`), and
@@ -474,42 +495,22 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
     the csv module reads it.
     """
     path = os.path.join(in_dir, name)
-    buf, size = _load(path)
+    buf, size, newlines, doubled = _load(path, header)
     data = buf[:size]
-    newlines = quotes = 0
-    for start, n in _chunks(size):
-        newlines += np.count_nonzero(data[start:start + n] == ord("\n"))
-        quotes += np.count_nonzero(data[start:start + n] == ord('"'))
-    line = next(start + int(np.argmax(chunk)) for start, n in _chunks(size)
-                if (chunk := data[start:start + n] == ord("\n")).any())
-    try:
-        first = next(csv.reader([str(data[:line], "utf-8")]))
-    except csv.Error as exc:
-        raise SchemaError(f"header is not comma separated text: {exc}",
-                          path=path, row=1) from None
-    if first != header:
-        raise SchemaError(f"header mismatch: expected {header}, found {first}",
-                          path=path, row=1)
-    if quotes % 2:
-        opened = int(np.flatnonzero(data == ord('"'))[-1])
-        lines = np.count_nonzero((data[:opened] == ord("\n")) & _outside(data, 0, opened, False))
-        raise SchemaError("quote is never closed", path=path, row=int(lines) + 1)
-
-    doubled = _doubled(buf, size) if quotes else np.zeros(0, dtype=np.intp)
-    text = np.delete(buf, doubled) if doubled.size else buf
+    text = buf if doubled is None or not doubled.size else np.delete(buf, doubled)
     # Each field as little-endian 8-byte words read from its start, with
     # the bytes past its end masked off; the words viewed as bytes are the
     # field, NUL padded, and a single word byte-swapped is its key.  The
     # zeros past the end are for the word read from a field near it.
     word_at = np.ndarray(shape=(text.shape[0] - 7,), dtype="<u8", buffer=text, strides=(1,))
 
-    # Every line ends in a newline outside quotes, so there are at most as
-    # many rows as newlines after the header's.
-    out = {column: _Column(newlines - 1, (vocabularies or {}).get(column))
+    # Every line ends in a newline outside quotes, so there are as many
+    # rows as those newlines after the header's.
+    out = {column: _Reader(newlines - 1, (vocabularies or {}).get(column, ()))
            for column in columns}
     rows = slice(0, 0)
-    for rows, line_end, ends in _lines(path, data, len(header), quotes > 0):
-        for column, target in out.items():
+    for rows, line_end, ends in _lines(path, data, len(header), doubled is not None):
+        for column, reader in out.items():
             i = header.index(column)
             start = (ends[:, i - 1] if i else line_end) + 1
             end = ends[:, i]
@@ -518,22 +519,21 @@ def _read_columns(in_dir: str, name: str, header: list[str], columns: tuple[str,
                 # (Before an empty field is the comma or newline that ends the
                 # previous one, never a \r.)
                 end = end - (data[end - 1] == ord("\r"))
-            if quotes:
+            if doubled is not None:
                 # Without enclosing quotes, at its place in the buffer without
                 # the doubled quotes.
                 enclosed = ((end - start >= 2) & (data[start] == ord('"'))
                             & (data[end - 1] == ord('"')))
                 start += enclosed
+                start -= np.searchsorted(doubled, start)
                 end = end - enclosed
-                if doubled.size:
-                    start -= np.searchsorted(doubled, start)
-                    end = end - np.searchsorted(doubled, end)
-            target.read(rows, word_at, start, end - start)
-    for column, target in out.items():
-        if target.long is not None:
+                end -= np.searchsorted(doubled, end)
+            reader.read(rows, word_at, start, end - start)
+    for column, reader in out.items():
+        if reader.long is not None:
             raise SchemaError(f"field is longer than {_MAX_FIELD} bytes", path=path,
-                              row=target.long + 2, column=column)
-    return {column: target.result(rows.stop, column in keys) for column, target in out.items()}
+                              row=reader.long + 2, column=column)
+    return {column: reader.result(rows.stop, column in keys) for column, reader in out.items()}
 
 
 def _words(word_at: np.ndarray, start: np.ndarray, length: np.ndarray, first: np.ndarray
@@ -556,18 +556,29 @@ def _as_bytes(field: np.ndarray) -> np.ndarray:
     return field.view(f"S{8 * field.shape[1]}").ravel()
 
 
-class _Column:
+class _Reader:
     """One column of a file, read a block of rows at a time into room for
-    `n` rows: the first word of each field, or its position in the
-    column's vocabulary, and the further words of fields longer than 8
-    bytes.  `long` is the first row with a field longer than `_MAX_FIELD`,
-    after which nothing more is read."""
+    `n` rows.  A column with a vocabulary is held as each field's position
+    in it, `index`, -1 for other text, in the narrowest integer type, and
+    `reader[row]` is a field's bytes; any other column as the little-endian
+    8-byte words of each field, NUL padded, a row of `field` each, from
+    which `result` makes keys or bytes.  `long` is the first row with a
+    field longer than `_MAX_FIELD`, after which nothing more is read.
 
-    def __init__(self, n: int, vocabulary=None):
-        self.coded = None if vocabulary is None else _Coded(vocabulary, n)
-        self.first = np.zeros(n if vocabulary is None else 0, dtype="<u8")
-        self.further: list[tuple[slice, np.ndarray]] = []
-        self.width = 0
+    A field equals a word when its first 8-byte word, NUL padded, equals
+    the word's; that settles words shorter than 8 bytes, as no field holds
+    a NUL.  A longer word also needs the field's length and its further
+    words, read only for the fields that match so far.
+    """
+
+    def __init__(self, n: int, vocabulary=()):
+        self.vocabulary = [word.encode("utf-8") for word in vocabulary]
+        # Each word as 8-byte words, NUL padded.
+        self.words = [np.frombuffer(word.ljust(max(-(-len(word) // 8), 1) * 8, b"\0"), dtype="<u8")
+                      for word in self.vocabulary]
+        self.index = np.full(n if vocabulary else 0, -1, dtype=_index_type(len(vocabulary)))
+        self.field = np.zeros((0 if vocabulary else n, 1), dtype="<u8")
+        self.other: dict[int, bytes] = {}
         self.long: int | None = None
 
     def read(self, rows: slice, word_at: np.ndarray, start: np.ndarray, length: np.ndarray
@@ -577,74 +588,43 @@ class _Column:
             if self.long is None:
                 self.long = rows.start + int(np.argmax(length > _MAX_FIELD))
             return
-        self.width = max(self.width, width)
         first = word_at[start]
         first &= _LOW_BYTES[np.minimum(length, 8) if width > 8 else length]
-        if self.coded is not None:
-            self.coded.read(rows, word_at, start, length, first)
+        if not self.vocabulary:
+            field = _words(word_at, start, length, first) if width > 8 else first[:, None]
+            if field.shape[1] > self.field.shape[1]:
+                self.field = np.pad(self.field,
+                                    ((0, 0), (0, field.shape[1] - self.field.shape[1])))
+            self.field[rows, :field.shape[1]] = field
             return
-        self.first[rows] = first
-        if width > 8:
-            self.further.append((rows, _words(word_at, start, length, first)[:, 1:]))
-
-    def result(self, n: int, key: bool) -> np.ndarray:
-        """The first `n` rows: the `_Coded` column, keys when `key` and every
-        field fits 8 bytes, else each field's bytes."""
-        if self.coded is not None:
-            self.coded.index = self.coded.index[:n]
-            return self.coded
-        first = self.first[:n]
-        if self.width <= 8:
-            return first.byteswap(inplace=True) if key else first.view("S8")
-        field = np.zeros((n, self.width + 7 >> 3), dtype="<u8")
-        field[:, 0] = first
-        for rows, further in self.further:
-            field[rows, 1:1 + further.shape[1]] = further
-        return _as_bytes(field)
-
-
-class _Coded:
-    """A column of words from a vocabulary: `index` holds each field's
-    position in it, -1 for other text, in the narrowest integer type that
-    holds them, and `column[row]` a field's bytes.
-
-    A field equals a word when its first 8-byte word, NUL padded, equals
-    the word's; that settles words shorter than 8 bytes, as no field holds
-    a NUL.  A longer word also needs the field's length and its further
-    words, read only for the fields that match so far.
-    """
-
-    def __init__(self, vocabulary, n: int):
-        self.vocabulary = tuple(vocabulary)
-        self.index = np.full(n, -1, dtype=np.min_scalar_type(-max(len(self.vocabulary), 1)))
-        self._other: dict[int, bytes] = {}
-
-    def read(self, rows: slice, word_at: np.ndarray, start: np.ndarray, length: np.ndarray,
-             first: np.ndarray) -> None:
-        """Find the words of the fields of `rows`, given their first words."""
         index = self.index[rows]
-        for position, word in enumerate(self.vocabulary):
-            encoded = word.encode("utf-8")
-            target = np.frombuffer(encoded.ljust(max(-(-len(encoded) // 8), 1) * 8, b"\0"),
-                                   dtype="<u8")
+        for position, (word, target) in enumerate(zip(self.vocabulary, self.words)):
             equal = first == target[0]
-            if len(encoded) >= 8:
-                matched = np.flatnonzero(equal & (length == len(encoded)))
+            if len(word) >= 8:
+                equal = np.flatnonzero(equal & (length == len(word)))
                 for k in range(1, target.shape[0]):
-                    words = (word_at[start[matched] + 8 * k]
-                             & _LOW_BYTES[min(len(encoded) - 8 * k, 8)])
-                    matched = matched[words == target[k]]
-                equal = matched
+                    words = word_at[start[equal] + 8 * k] & _LOW_BYTES[min(len(word) - 8 * k, 8)]
+                    equal = equal[words == target[k]]
             index[equal] = position
         other = np.flatnonzero(index < 0)
         text = _as_bytes(_words(word_at, start[other], length[other], first[other]))
-        self._other.update(zip((other + rows.start).tolist(), text.tolist()))
+        self.other.update(zip((other + rows.start).tolist(), text.tolist()))
 
     def __getitem__(self, row: int) -> bytes:
         position = self.index[row]
-        if position < 0:
-            return self._other[row]
-        return self.vocabulary[position].encode("utf-8")
+        return self.other[row] if position < 0 else self.vocabulary[position]
+
+    def result(self, n: int, key: bool):
+        """The first `n` rows: this reader for a column with a vocabulary,
+        keys when `key` and every field fits 8 bytes, else each field's
+        bytes."""
+        if self.vocabulary:
+            self.index = self.index[:n]
+            return self
+        field = self.field[:n]
+        if key and field.shape[1] == 1:
+            return field[:, 0].byteswap(inplace=True)
+        return _as_bytes(field)
 
 
 def _keys(*columns: np.ndarray) -> list[np.ndarray]:
@@ -656,7 +636,7 @@ def _keys(*columns: np.ndarray) -> list[np.ndarray]:
     columns = [column.astype(">u8").view("S8") if column.dtype.kind == "u" else column
                for column in columns]
     width = max(column.dtype.itemsize for column in columns)
-    return [column.astype(f"S{width}") for column in columns]
+    return [column.astype(f"S{width}", copy=False) for column in columns]
 
 
 def _text(field) -> str:
@@ -666,113 +646,99 @@ def _text(field) -> str:
     return field.decode("utf-8")
 
 
-def _repeats(values: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """True where a value already appeared on an earlier row.  `order` is
-    the values' stable argsort, when the caller has it."""
-    if order is None:
-        order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    repeat = np.zeros(values.shape[0], dtype=bool)
-    repeat[order[1:]] = ordered[1:] == ordered[:-1]
-    return repeat
-
-
-def _lookup(keys: np.ndarray, queries: np.ndarray, sort: str = "stable",
-            by_query: np.ndarray | None = None) -> np.ndarray:
-    """Row of the first key equal to each query, -1 where none is.
-
-    The queries are searched in sorted order: a binary search over random
-    queries costs more than sorting them first.  `sort` is the kind of that
-    sort: the stable sort merges the sorted runs that ids written in order
-    fall into, and quicksort is faster on queries in random order.
-    `by_query` is an argsort of the queries, when the caller has one.
-    """
-    row = np.full(queries.shape[0], -1, dtype=np.int64)
-    if keys.shape[0] == 0:
-        return row
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    if by_query is None:
-        by_query = np.argsort(queries, kind=sort)
-    query = queries[by_query]
-    at = np.searchsorted(ordered, query)
-    np.minimum(at, keys.shape[0] - 1, out=at)
-    missed = ordered[at] != query
-    del ordered, query
-    found = order[at]
-    found[missed] = -1
-    row[by_query] = found
-    return row
-
-
-def _hash_lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """`_lookup` for queries in random order, which are slow to sort.
-
-    Integer keys are hashed into a table of four to eight slots per key
-    that holds the first row hashing to each slot, and a query equal to its
-    slot's key takes that row.  Bytes keys, and queries at a slot where a
-    different key also landed, are left to `_lookup`.
-    """
-    n = keys.shape[0]
-    if keys.dtype.kind != "u" or n == 0:
-        return _lookup(keys, queries, sort="quicksort")
-    shift = np.uint64(62 - n.bit_length())
-    key_slot = ((keys * _GOLDEN) >> shift).astype(np.intp)
-    first = np.full(1 << (64 - int(shift)), n)
-    np.minimum.at(first, key_slot, np.arange(n))
-    query_slot = ((queries * _GOLDEN) >> shift).astype(np.intp)
-    # An empty slot holds n; no key equals a query that lands there.
-    at = np.minimum(first[query_slot], n - 1)
-    row = np.where(keys[at] == queries, at, -1)
-    lost = np.flatnonzero(keys[first[key_slot]] != keys)
-    if lost.size:
-        shared = np.zeros(first.shape[0], dtype=bool)
-        shared[key_slot[lost]] = True
-        rest = np.flatnonzero((row < 0) & shared[query_slot])
-        found = _lookup(keys[lost], queries[rest], sort="quicksort")
-        row[rest] = np.where(found >= 0, lost[found], -1)
-    return row
-
-
 def _index_type(n: int) -> np.dtype:
     """The narrowest signed integer type that holds -1 and every index
     below n."""
     return np.min_scalar_type(-max(n, 1))
 
 
-# Slots of the hash table that finds the distinct strata: 2**16 slots keep
-# two of a few dozen strata from sharing one, except by rare chance.
-_CELL_BITS = 16
+def _hash(keys: np.ndarray) -> np.ndarray:
+    """Each key's slot in a hash table of 2**64 slots, whose top bits are
+    its slot in a smaller one.  Each 8-byte word of a key, with its high
+    half folded into its low half, is mixed in and multiplied by 2**64
+    divided by the golden ratio (Fibonacci hashing); the fold spreads keys
+    that differ only in their high bytes, as short ids and labels do."""
+    words = keys.view(np.uint64).reshape(keys.shape[0], keys.dtype.itemsize // 8).T
+    hashed = words[0] >> np.uint64(32)
+    for k, word in enumerate(words):
+        hashed ^= word if k == 0 else word ^ word >> np.uint64(32)
+        hashed *= _GOLDEN
+    return hashed
 
 
-def _cells(*columns: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The distinct keys of the columns, sorted, and each column's keys as
-    positions among them: `np.unique(..., return_inverse=True)` of the
-    columns joined, with positions in the narrowest type.
+class _Index:
+    """A set of keys, integers or bytes, indexed once: the first row
+    holding each key, from which follow the rows that repeat an earlier
+    one, the first row of each query and each row's position among the
+    distinct keys.
 
-    Integer keys are hashed into a table that holds, at each slot, one of
-    the keys landing there.  When every key equals its slot's, the table
-    holds each distinct key once, and only those few are sorted.  Bytes
-    keys, and integer keys that share a slot, are all sorted instead.
+    Keys are hashed into a table in which each slot holds the first row
+    landing on it: four to eight slots per distinct key, the distinct keys
+    being counted first as the slots they take in a table of four to eight
+    slots per row, and at least one slot per sixteen rows, so that a few
+    keys over many rows seldom share one.  The keys of a slot that
+    different keys share are sorted instead, stably, and found by binary
+    search.
     """
-    if all(column.dtype.kind == "u" for column in columns):
-        held = np.zeros(1 << _CELL_BITS, dtype=np.uint64)
-        slots = [((column * _GOLDEN) >> np.uint64(64 - _CELL_BITS)).astype(np.intp)
-                 for column in columns]
-        for slot, column in zip(slots, columns):
-            held[slot] = column
-        if all((held[slot] == column).all() for slot, column in zip(slots, columns)):
-            taken = np.zeros(held.shape[0], dtype=bool)
-            for slot in slots:
-                taken[slot] = True
-            taken = np.flatnonzero(taken)
-            by_key = np.argsort(held[taken])
-            position = np.zeros(held.shape[0], dtype=_index_type(taken.shape[0]))
-            position[taken[by_key]] = np.arange(taken.shape[0])
-            return held[taken[by_key]], [position[slot] for slot in slots]
-    values, position = np.unique(np.concatenate(columns), return_inverse=True)
-    position = position.astype(_index_type(values.shape[0]))
-    return values, np.split(position, np.cumsum([column.shape[0] for column in columns[:-1]]))
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        n = keys.shape[0]
+        rows = np.arange(n, dtype=_index_type(n + 2))
+        slot = _hash(keys)
+        slot >>= np.uint64(62 - n.bit_length())
+        taken = np.zeros(4 << n.bit_length(), dtype=bool)
+        taken[slot.view(np.int64)] = True
+        bits = max(int(np.count_nonzero(taken)).bit_length() + 2, n.bit_length() - 4)
+        del taken
+        slot >>= np.uint64(n.bit_length() + 2 - bits)
+        slot = slot.view(np.int64)
+        self.shift = np.uint64(64 - bits)
+        # An empty slot holds n, a slot that different keys share n + 1.
+        self.table = np.full(1 << bits, n, dtype=rows.dtype)
+        np.minimum.at(self.table, slot, rows)
+        self.first = self.table[slot]
+        self.table[slot[keys[self.first] != keys]] = n + 1
+        shared = np.flatnonzero(self.table[slot] > n)
+        del slot
+        # The rows of the shared slots, in their keys' order: all of a key's
+        # rows are among them, so its first row is the first of its run.
+        self.order = shared[np.argsort(keys[shared], kind="stable")]
+        self.sorted = keys[self.order]
+        run = np.ones(self.order.shape[0], dtype=bool)
+        np.not_equal(self.sorted[1:], self.sorted[:-1], out=run[1:])
+        start = np.flatnonzero(run)
+        self.first[self.order] = np.repeat(self.order[start], np.diff(start, append=run.shape[0]))
+        self.repeats = self.first != rows
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """The first row holding each query, -1 where none does."""
+        n = self.keys.shape[0]
+        if not n:
+            return np.full(queries.shape[0], -1, dtype=self.first.dtype)
+        at = self.table[(_hash(queries) >> self.shift).view(np.int64)]
+        row = np.where((at < n) & (self.keys[np.minimum(at, n - 1)] == queries), at, -1)
+        # Only keys of a shared slot are sorted, so there are some when a
+        # query lands on one.
+        search = np.flatnonzero(at > n)
+        query = queries[search]
+        at = np.minimum(np.searchsorted(self.sorted, query), self.order.shape[0] - 1)
+        row[search] = np.where(self.sorted[at] == query, self.order[at], -1)
+        return row
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct keys, sorted, and each row's position among them, in
+        the narrowest integer type."""
+        distinct = np.flatnonzero(~self.repeats)
+        distinct = distinct[np.argsort(self.keys[distinct])]
+        rank = np.empty(self.keys.shape[0], dtype=_index_type(distinct.shape[0]))
+        rank[distinct] = np.arange(distinct.shape[0])
+        return self.keys[distinct], rank[self.first]
+
+
+def _found(rows: np.ndarray, passed: np.ndarray) -> np.ndarray:
+    """Rows found by `_Index.find`, -1 for those that failed a check."""
+    return np.where(np.append(passed, False)[rows], rows, -1)
 
 
 def _check(issues: list[str], name: str, fields: dict, checks: list[tuple[np.ndarray, str]]
@@ -792,26 +758,21 @@ def _check(issues: list[str], name: str, fields: dict, checks: list[tuple[np.nda
     return first < 0
 
 
-def _rows(passed: np.ndarray) -> np.ndarray | slice:
-    """An index of the rows that passed: every row, without a copy, when
-    all of them did."""
-    return slice(None) if passed.all() else np.flatnonzero(passed)
-
-
 def _parse_weights(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights as floats, and which ones are not numbers at all."""
+    """Weights as floats, and which ones are not numbers at all; each
+    distinct text is parsed once."""
+    distinct, position = _Index(text).positions()
+    bad = np.zeros(distinct.shape[0], dtype=bool)
     try:
-        return text.astype(np.float64), np.zeros(text.shape[0], dtype=bool)
+        values = distinct.astype(np.float64)
     except ValueError:
-        pass
-    values = np.full(text.shape[0], np.nan)
-    bad = np.zeros(text.shape[0], dtype=bool)
-    for i, item in enumerate(text.tolist()):
-        try:
-            values[i] = float(item)
-        except ValueError:
-            bad[i] = True
-    return values, bad
+        values = np.full(distinct.shape[0], np.nan)
+        for i, item in enumerate(distinct.tolist()):
+            try:
+                values[i] = float(item)
+            except ValueError:
+                bad[i] = True
+    return values[position], bad[position]
 
 
 def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTallies]:
@@ -829,11 +790,9 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         raise ConfigError(f"ingest supports national or post_stratum grouping, got {level!r}")
 
     ids = ("record_id", "household_id", "stratum")
-    census = _read_columns(in_dir, "census.csv", _CENSUS_HEADER,
-                           ("record_id", "household_id", "stratum", "kind", "target_scope"), ids,
-                           {"kind": CENSUS_KINDS, "target_scope": ("0", "1")})
-    pes = _read_columns(in_dir, "pes.csv", _PES_HEADER,
-                        ("record_id", "household_id", "stratum", "roster"), ids,
+    census = _read_columns(in_dir, "census.csv", _CENSUS_HEADER, (*ids, "kind", "target_scope"),
+                           ids, {"kind": CENSUS_KINDS, "target_scope": ("0", "1")})
+    pes = _read_columns(in_dir, "pes.csv", _PES_HEADER, (*ids, "roster"), ids,
                         {"roster": ROSTER_ROLES})
     codes = _read_columns(in_dir, "codes.csv", _CODES_HEADER, tuple(_CODES_HEADER),
                           ("record_id",),
@@ -842,81 +801,68 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
                             ("household_id", "district_id"),
                             {"address_type": ADDRESS_TYPES, "interviewed": ("0", "1")})
     issues: list[str] = []
+    # Records are the census rows, then the survey rows: each one's cell
+    # among the strata of every record, and further down its weights row, -1
+    # outside the sample, and its role, with one more entry standing in for
+    # records not found.
+    strata, record_cell = _Index(np.concatenate(
+        _keys(census.pop("stratum"), pes.pop("stratum")))).positions()
     # Ids as keys, one representation across the files.
     census_id, census_home, pes_id, pes_home, code_id, weight_home = _keys(
-        census["record_id"], census["household_id"], pes["record_id"], pes["household_id"],
-        codes["record_id"], weights["household_id"],
+        census["record_id"], census.pop("household_id"), pes["record_id"],
+        pes.pop("household_id"), codes["record_id"], weights["household_id"],
     )
+    record_home = np.concatenate([census_home, pes_home])
+    del census_home, pes_home
 
     value, not_number = _parse_weights(weights["weight"])
     with np.errstate(invalid="ignore"):
         bad_value = ~not_number & ~(np.isfinite(value) & (value >= 0))
     address_type = weights["address_type"].index
     interviewed = weights["interviewed"].index
+    homes = _Index(weight_home)
     weighted = _check(issues, "weights.csv", weights, [
-        (_repeats(weight_home), "duplicate household {household_id}"),
+        (homes.repeats, "duplicate household {household_id}"),
         (not_number, "weight for {household_id} is not a number: {weight!r}"),
         (bad_value, "weight for {household_id} must be finite and non-negative"),
         (address_type < 0, "household {household_id} has unknown address_type {address_type!r}"),
         (interviewed < 0, "household {household_id} has bad interviewed flag {interviewed!r}"),
     ])
-    weight_rows = _rows(weighted)
-    households = weight_home[weight_rows]
-    value = value[weight_rows]
-    interviewed = interviewed[weight_rows] == 1
-    address_type = address_type[weight_rows]
+    interviewed = interviewed == 1
 
+    # Only rows that pass their file's checks are joined, a survey row once
+    # its id and roster do, and a code finds a census record before a
+    # survey record of the same id.
+    census_ids = _Index(census_id)
     kind = census["kind"].index
     scope = census["target_scope"].index
-    census_rows = _rows(_check(issues, "census.csv", census, [
-        (_repeats(census_id), "duplicate record_id {record_id}"),
+    in_census = _found(census_ids.find(code_id), _check(issues, "census.csv", census, [
+        (census_ids.repeats, "duplicate record_id {record_id}"),
         (kind < 0, "record {record_id} has unknown kind {kind!r}"),
         (scope < 0, "record {record_id} has bad target_scope {target_scope!r}"),
     ]))
-    # Only valid records are joined; a survey record is valid once its id
-    # and roster are, and then needs a code.
-    census_id, census_home, kind, scope = (
-        column[census_rows] for column in (census_id, census_home, kind, scope)
-    )
+    del census_ids
+    pes_ids = _Index(pes_id)
     role = pes["roster"].index
-    pes_repeat = _repeats(pes_id)
+    pes_repeat = pes_ids.repeats
     pes_valid = ~pes_repeat & (role >= 0)
-    pes_rows = _rows(pes_valid)
-    census_strata, pes_strata = _keys(census["stratum"], pes.pop("stratum"))
-    del census
-
-    # Every valid record, census ones first so that a code resolves to a
-    # census record before a survey record of the same id; the extra last
-    # entry stands in for records that are not found.  Each one's row in
-    # the weights file, -1 outside the sample, its role and its cell among
-    # the strata of every record.
+    in_pes = _found(pes_ids.find(code_id), pes_valid)
+    del pes_ids
     n_census = census_id.shape[0]
-    n_records = n_census + int(np.count_nonzero(pes_valid))
-    pes_id = pes_id[pes_rows]
-    pes_home = pes_home[pes_rows]
-    record_row = np.empty(n_records + 1, dtype=_index_type(households.shape[0]))
-    record_row[:n_census] = _hash_lookup(households, census_home)
-    record_row[n_census:-1] = _hash_lookup(households, pes_home)
-    record_row[-1] = -1
-    record_role = np.zeros(n_records + 1, dtype=role.dtype)
-    record_role[n_census:-1] = role[pes_rows]
-    strata, cells = _cells(census_strata[census_rows], pes_strata[pes_rows])
-    record_cell = np.concatenate([*cells, np.zeros(1, cells[0].dtype)])
-    del census_strata, pes_strata, cells
+    n_records = n_census + pes_id.shape[0]
+    record_row = np.concatenate([_found(homes.find(record_home), weighted), [-1]],
+                                dtype=homes.first.dtype)
+    record_role = np.concatenate([np.zeros(n_census, dtype=role.dtype), role, [0]],
+                                 dtype=role.dtype)
 
     label = codes["code"].index
     is_marker = label >= len(CODE_BY_LABEL)
     # The code each label names, -1 for markers and unknown labels.
     numeric = _LABEL_CODES[label]
     phase = codes["phase"].index
-    # One stable order of the code ids finds their repeats and their records.
-    by_code = np.argsort(code_id, kind="stable")
-    code_repeat = _repeats(code_id, by_code)
-    in_census = _lookup(census_id, code_id, by_query=by_code)
-    in_pes = _lookup(pes_id, code_id, by_query=by_code)
-    at = np.where(in_census >= 0, in_census, np.where(in_pes >= 0, n_census + in_pes, n_records)
-                  ).astype(_index_type(n_records + 1))
-    del by_code, in_census, in_pes
+    at = np.where(in_pes >= 0, in_pes.astype(_index_type(n_records + 1)) + n_census, n_records)
+    at = np.where(in_census >= 0, in_census, at)
+    del in_census, in_pes
     weight_row = record_row[at]
     code_role = record_role[at]
     side = np.where(at < n_census, np.int8(SIDE_CENSUS), np.int8(SIDE_SURVEY))
@@ -925,28 +871,22 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     # '#' households covered by the follow-up, and their weights-file rows.
     reweighted = (label == _LABELS.index("#")) & (phase == _PHASES.index("followup"))
     marker_row = np.full(label.shape[0], -1, dtype=record_row.dtype)
-    marker_row[reweighted] = _hash_lookup(households, code_id[reweighted])
+    marker_row[reweighted] = _found(homes.find(code_id[reweighted]), weighted)
+    del homes
 
     has_code = np.zeros(n_records + 1, dtype=bool)
     has_code[at[~is_marker]] = True
-    uncoded = np.zeros(pes_valid.shape[0], dtype=bool)
-    uncoded[pes_rows] = ~has_code[n_census:-1]
     _check(issues, "pes.csv", pes, [
         (pes_repeat, "duplicate record_id {record_id}"),
         (role < 0, "record {record_id} has unknown roster {roster!r}"),
-        (uncoded, "record {record_id} has no code"),
+        (pes_valid & ~has_code[n_census:-1], "record {record_id} has no code"),
     ])
-    del pes, pes_repeat, pes_valid, role, has_code, uncoded
+    del pes, pes_repeat, pes_valid, role, has_code
 
-    def home(i: int):
-        record = at[i]
-        if record < n_census:
-            return census_home[record]
-        return pes_home[record - n_census] if record < n_records else b""
-
-    fields = {**codes, "household_id": home, "side": lambda i: (b"survey", b"census")[side[i]]}
+    fields = {**codes, "household_id": lambda i: record_home[at[i]] if at[i] < n_records else b"",
+              "side": lambda i: (b"survey", b"census")[side[i]]}
     _check(issues, "codes.csv", fields, [
-        (code_repeat, "duplicate record_id {record_id}"),
+        (_Index(code_id).repeats, "duplicate record_id {record_id}"),
         (~is_marker & (numeric < 0), "unknown code {code!r}"),
         (is_marker & (codes["exclusion"].index < 1), "marker {code} needs an exclusion reason"),
         (is_marker & (phase < 0), "marker {code} has unknown phase {phase!r}"),
@@ -962,13 +902,13 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     ])
     if issues:
         raise ValidationError(issues)
-    del codes, fields, code_id, census_id, census_home, pes_id, pes_home, code_repeat, belongs
+    # Every row of every file passed its checks, so the rows are the valid
+    # records and households.
+    del codes, fields, code_id, census_id, pes_id, record_home, belongs
 
     missing = np.zeros(value.shape[0], dtype=bool)
     missing[marker_row[reweighted]] = True
-    districts, district = np.unique(
-        _keys(weights["district_id"])[0][weight_rows], return_inverse=True
-    )
+    districts, district = _Index(weights["district_id"]).positions()
     coded = np.flatnonzero(~is_marker)
     at, row, side, code, coded_role = (
         column[coded] for column in (at, weight_row, side, numeric, code_role)
@@ -993,7 +933,7 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         census_weight = np.where(census_household >= 0, value[census_household], 0.0)
         finite = np.isfinite(record_weight.sum()) and np.isfinite(census_weight.sum())
     if not finite:
-        largest = np.flatnonzero(weighted)[np.argmax(value)]
+        largest = int(np.argmax(value))
         raise ValidationError([
             f"weights.csv row {largest + 2}: weight {_text(weights['weight'][largest])}"
             f" of household {_text(weights['household_id'][largest])}"
@@ -1032,7 +972,4 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
     )
     if level == "national":
         return tally_records(table, ("all",), np.zeros(n_strata, dtype=np.int64))
-    if strata.dtype.kind == "u":
-        strata = strata.astype(">u8").view("S8")
-    labels = tuple(stratum.decode("utf-8") for stratum in strata.tolist())
-    return tally_records(table, labels, np.arange(n_strata))
+    return tally_records(table, tuple(map(_text, strata)), np.arange(n_strata))

@@ -21,7 +21,7 @@ from covlab.harness import ExperimentConfig, SampleSpec, build_world, ingest_mic
 from covlab.harness import write_microdata
 from covlab.harness import ingest as ingest_module
 from covlab.harness.ingest import (
-    _GOLDEN, _cells, _digits, _float_text, _hash_lookup, _lookup, _read_columns, _repeats, _text,
+    _Index, _digits, _float_text, _hash, _index_type, _read_columns, _text,
 )
 from covlab.matching import MatchErrorModel
 from covlab.popsim import PopulationConfig
@@ -105,10 +105,11 @@ def test_sliced_columns_equal_csv_reader_in_small_chunks(tmp_path, rows, quoting
 
 
 def _sharing_a_slot() -> list[int]:
-    """Two keys that land in one slot of `_cells`'s hash table."""
+    """Two keys whose hashes agree in their top 20 bits, so that they share
+    a slot of every table up to 2**20 slots that `_Index` builds."""
     seen: dict[int, int] = {}
-    for key in range(1, 1 << 20):
-        slot = (key * int(_GOLDEN) % 2**64) >> (64 - ingest_module._CELL_BITS)
+    for key in range(1, 1 << 22):
+        slot = int(_hash(np.array([key], dtype=np.uint64))[0]) >> 44
         if slot in seen:
             return [seen[slot], key]
         seen[slot] = key
@@ -123,16 +124,17 @@ def _sharing_a_slot() -> list[int]:
 @example([_sharing_a_slot() * 3, [7]], "many")
 @example([[], []], "few")
 def test_cells_equal_np_unique(columns, kind):
+    # The index's positions of the columns joined are their cells.
     if kind == "few":
         columns = [[value % 5 * 2**59 + 3 for value in column] for column in columns]
     arrays = [np.array(column, dtype=np.uint64) for column in columns]
     if kind == "bytes":
         arrays = [column.astype(">u8").view("S8") for column in arrays]
-    values, positions = _cells(*arrays)
+    values, positions = _Index(np.concatenate(arrays)).positions()
     expected, inverse = np.unique(np.concatenate(arrays), return_inverse=True)
     assert values.tolist() == expected.tolist()
-    assert np.concatenate(positions).tolist() == inverse.ravel().tolist()
-    assert [position.shape[0] for position in positions] == [len(column) for column in columns]
+    assert positions.tolist() == inverse.ravel().tolist()
+    assert positions.dtype == _index_type(expected.shape[0])
 
 
 @st.composite
@@ -157,14 +159,14 @@ def _keys_and_queries(draw):
     return keys, queries
 
 
-@given(_keys_and_queries(), st.sampled_from(["stable", "quicksort"]), st.booleans())
-@example(([], [0, 1]), "stable", False)
-@example(([5, 5, 5], [5]), "quicksort", True)
-# Long runs of equal keys: the first equal key is the first row only when
-# the keys are sorted stably.
-@example(([7, 3, 2**63 + 5] * 20, [3, 7, 2**63 + 5, 4]), "quicksort", False)
-@example(([7, 3, 2**63 + 5] * 20, [3, 7, 2**63 + 5, 4]), "stable", True)
-def test_lookups_and_repeats_equal_a_dict(case, sort, as_bytes):
+@given(_keys_and_queries(), st.booleans())
+@example(([], [0, 1]), False)
+@example(([5, 5, 5], [5]), True)
+# Long runs of equal keys: the first row of a key is the first of its run.
+@example(([7, 3, 2**63 + 5] * 20, [3, 7, 2**63 + 5, 4]), False)
+@example(([7, 3, 2**63 + 5] * 20, [3, 7, 2**63 + 5, 4]), True)
+@example((_sharing_a_slot() * 3, [*_sharing_a_slot(), 7]), False)
+def test_lookups_and_repeats_equal_a_dict(case, as_bytes):
     keys, queries = case
     first: dict[int, int] = {}
     for row, key in enumerate(keys):
@@ -175,15 +177,11 @@ def test_lookups_and_repeats_equal_a_dict(case, sort, as_bytes):
         # The big-endian bytes sort and compare as the integers do.
         key_array = key_array.astype(">u8").view("S8")
         query_array = query_array.astype(">u8").view("S8")
-    expected = [first.get(query, -1) for query in queries]
-    assert _lookup(key_array, query_array, sort=sort).tolist() == expected
-    assert _hash_lookup(key_array, query_array).tolist() == expected
-    assert _repeats(key_array).tolist() == [first[key] < row for row, key in enumerate(keys)]
-    # With one stable order of the queries, shared by a lookup and repeats.
-    by_query = np.argsort(query_array, kind="stable")
-    assert _lookup(key_array, query_array, by_query=by_query).tolist() == expected
+    index = _Index(key_array)
+    assert index.find(query_array).tolist() == [first.get(query, -1) for query in queries]
+    assert index.repeats.tolist() == [first[key] < row for row, key in enumerate(keys)]
     repeats = [query in queries[:row] for row, query in enumerate(queries)]
-    assert _repeats(query_array, by_query).tolist() == repeats
+    assert _Index(query_array).repeats.tolist() == repeats
 
 
 # A small sampled adjusted world with every pathology, so that the files
