@@ -31,10 +31,9 @@ issues.
 
 Adjusted exclusion mode covers '#' households by reweighting.  Their
 followup-phase markers and the weights file hold everything
-`sampling.noninterview_factor` needs, so ingest applies the same rule as
-`record_table`: survey records found at an interview take their
-household's adjusted weight, every other record the plain weight, and
-the estimates equal the simulation path's.
+`sampling.noninterview_factor` needs, so ingest weighs each coded record
+by the same `matching.record_weights` rule as `record_table`, and the
+tallies and estimates equal the simulation path's bit for bit.
 
 Both directions work on columns, a block of rows at a time, and hold at
 most one file's bytes beyond the columns they need.  The writer formats
@@ -86,9 +85,7 @@ from ..matching import (
     ID_PREFIXES,
     KIND_FABRICATED,
     ROLE_BIRTH,
-    ROLE_DEATH,
     ROLE_IN_MOVER,
-    ROLE_OUT_MOVER,
     ROSTER_ROLES,
     SIDE_CENSUS,
     SIDE_SURVEY,
@@ -100,6 +97,7 @@ from ..matching import (
     among,
     census_records,
     record_table,
+    record_weights,
     tally_records,
 )
 from ..popsim import CensusSim, PesSim, Population, blocks
@@ -914,11 +912,6 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         column[coded] for column in (at, weight_row, side, numeric, code_role)
     )
     del coded, is_marker, weight_row, numeric, code_role, label, phase, reweighted, marker_row
-    # Survey records found at the interview take their household's
-    # noninterview-adjusted weight; out-mover and death reports, and codes on
-    # census records, the plain weight.
-    roster = ((side == SIDE_SURVEY) & (coded_role != ROLE_OUT_MOVER)
-              & (coded_role != ROLE_DEATH))
     # Only in-scope census records reach a tally, post-strata as their
     # cells; a record outside the sample weighs 0, which adds nothing.
     in_scope = np.flatnonzero(scope == 1)
@@ -929,7 +922,7 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         factor = noninterview_factor(
             district, address_type, value, interviewed, missing, districts.shape[0],
         )
-        record_weight = value[row] * np.where(roster, factor[row], 1.0)
+        record_weight = record_weights(side, coded_role, row, value, factor)
         census_weight = np.where(census_household >= 0, value[census_household], 0.0)
         finite = np.isfinite(record_weight.sum()) and np.isfinite(census_weight.sum())
     if not finite:
@@ -939,7 +932,7 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
             f" of household {_text(weights['household_id'][largest])}"
             " makes the weighted totals overflow"
         ])
-    del weights, factor, roster, census_household, record_row, record_role
+    del weights, factor, census_household, record_row, record_role
 
     # Cells are the strata that in-scope census records and coded records
     # hold, numbered in sorted order.
@@ -968,7 +961,6 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         household=row,
         cell=cell,
         weight=record_weight,
-        matched_in_mover=np.zeros(code.shape[0], dtype=bool),
     )
     if level == "national":
         return tally_records(table, ("all",), np.zeros(n_strata, dtype=np.int64))

@@ -74,9 +74,8 @@ from .popsim import (
     CensusSim,
     PesSim,
     Population,
-    cell_groups,
     census_counts,
-    group_labels,
+    groups,
     joint_cell,
     uniform_below,
 )
@@ -107,6 +106,7 @@ __all__ = [
     "census_records",
     "match_and_code",
     "record_table",
+    "record_weights",
     "tally_groups",
     "tally_records",
 ]
@@ -306,11 +306,11 @@ class RecordTable:
 
     Coded records carry one final code each, on a survey record or on the
     census record it resolves (`side`).  `household` is where a record was
-    collected, `cell` its cell and `weight` the survey weight.
-    `matched_in_mover` marks in-movers a nationwide search would match,
-    which files do not record.  Tables built from a simulated world also
-    name their coded records for the writer: `number` is the number in the
-    record id, and `source` indexes `ID_PREFIXES`.
+    collected, `cell` its cell and `weight` its `record_weights` weight.
+    Simulation and ingest fill every column by the same rules, so the two
+    tally alike.  Tables built from a simulated world also name their coded
+    records for the writer: `number` is the number in the record id, and
+    `source` indexes `ID_PREFIXES`.
     """
 
     census_count: np.ndarray
@@ -323,7 +323,6 @@ class RecordTable:
     household: np.ndarray
     cell: np.ndarray
     weight: np.ndarray
-    matched_in_mover: np.ndarray
     number: np.ndarray | None = None
     source: np.ndarray | None = None
 
@@ -572,6 +571,16 @@ def census_records(census: CensusSim, person: np.ndarray, fabrication: np.ndarra
     return np.concatenate([captured, duplicated, census.fab_person[fabrication]]), kind
 
 
+def record_weights(side: np.ndarray, role: np.ndarray, household: np.ndarray,
+                   weight: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """The weight of each coded record collected at `household`: survey
+    records found at the interview take their household's
+    noninterview-adjusted weight (`weight` times `factor`); out-mover and
+    death reports, and codes on census records, the plain weight."""
+    found = (side == SIDE_SURVEY) & (role != ROLE_OUT_MOVER) & (role != ROLE_DEATH)
+    return weight[household] * np.where(found, factor[household], 1.0)
+
+
 def record_table(
     pop: Population,
     census: CensusSim,
@@ -584,9 +593,8 @@ def record_table(
     the world's `popsim.census_counts`.  Coded records come in the order the
     codes file lists them: survey roster records, out-mover reports,
     stranded reports, then census, duplicate and fabricated census records.
-    Survey roster records carry the weight of the household they were
-    collected at (after the '#' reweighting in adjusted mode), every other
-    record the weight of its census household.
+    Each weighs what `record_weights` gives it: the '#' reweighting of
+    adjusted mode applies to records found at the survey interview.
     """
     n_hh = pop.households.count
     if household_weight is None:
@@ -598,14 +606,13 @@ def record_table(
         if np.any(weight < 0) or not np.all(np.isfinite(weight)):
             raise DomainError("household weights must be finite and non-negative")
     if result.exclusion_mode == "adjusted":
-        cell = result.hh_cell
-        interviewed = result.interviewed()
-        survey_weight = weight * noninterview_factor(
+        factor = noninterview_factor(
             pop.households.district, pop.households.address_type, weight,
-            interviewed, result.household_mask & (cell == CELL_HASH), pop.districts.count,
+            result.interviewed(), result.household_mask & (result.hh_cell == CELL_HASH),
+            pop.districts.count,
         )
     else:
-        survey_weight = weight
+        factor = np.ones(n_hh, dtype=np.float64)
 
     # A person without a household on one side reads the last household
     # there; no record of theirs is placed on that side.
@@ -665,29 +672,25 @@ def record_table(
     on_report = source == SOURCE_REPORT
     role[on_report & moved] = ROLE_OUT_MOVER
     role[on_report & (scope == SCOPE_DIED)] = ROLE_DEATH
-
-    # Only roster records, the first segment, can be matched in-movers.
-    matched_in_mover = np.zeros(person.shape[0], dtype=bool)
-    matched_in_mover[:roster.shape[0]] = result.in_mover_matched[roster]
+    side = np.where(source >= SOURCE_CENSUS, SIDE_CENSUS, SIDE_SURVEY).astype(np.int8)
 
     return RecordTable(
         census_count=census_count,
         census_kind=census_kind,
         census_cell=census_cells,
         census_weight=census_weight,
-        side=np.where(source >= SOURCE_CENSUS, SIDE_CENSUS, SIDE_SURVEY).astype(np.int8),
+        side=side,
         code=np.concatenate([codes[index] for _, _, index, codes in segments]),
         role=role,
         household=household,
         cell=joint_cell(pop, person, household),
-        weight=np.where(on_roster, survey_weight[household], weight[household]),
-        matched_in_mover=matched_in_mover,
+        weight=record_weights(side, role, household, weight, factor),
         number=np.concatenate([*(persons for _, persons, _, _ in segments[:-1]), fabs]),
         source=source,
     )
 
 
-def _fields_of(side: int, code: int, role: int, matched: bool) -> tuple[str, ...]:
+def _fields_of(side: int, code: int, role: int) -> tuple[str, ...]:
     """The tally fields a coded record adds its weight to; codes off their
     side, 41s and in-mover omissions carry no weight in any estimator."""
     if CODE_SIDE.get(code, side) != side:
@@ -695,7 +698,7 @@ def _fields_of(side: int, code: int, role: int, matched: bool) -> tuple[str, ...
     if code == CODE_10:
         return ("f10", "n_non", "m_non")
     if code == CODE_20 and role != ROLE_BIRTH:
-        return ("n_in", "m_in") if matched else ("n_in",)
+        return ("n_in",)
     if code == CODE_30:
         return ("f30", "n_out", "m_out")
     if code == CODE_51:
@@ -710,14 +713,14 @@ def _fields_of(side: int, code: int, role: int, matched: bool) -> tuple[str, ...
 
 _MOVER_FIELDS = ("n_non", "n_in", "n_out", "m_non", "m_out")
 _TALLY_FIELDS = (
-    *(field.name for field in dataclasses.fields(FCodeTallies)), *_MOVER_FIELDS, "m_in", "erroneous"
+    *(field.name for field in dataclasses.fields(FCodeTallies)), *_MOVER_FIELDS, "erroneous"
 )
-# 0/1 membership of each tally field, for every (side, code, role, matched)
-# slot in the order tally_records numbers them.
+# 0/1 membership of each tally field, for every (side, code, role) slot in
+# the order tally_records numbers them.
 _SLOT_FIELDS = np.array([
     [name in fields for name in _TALLY_FIELDS]
     for fields in itertools.starmap(_fields_of, itertools.product(
-        (SIDE_SURVEY, SIDE_CENSUS), CODE_LABELS, range(len(ROSTER_ROLES)), (False, True)
+        (SIDE_SURVEY, SIDE_CENSUS), CODE_LABELS, range(len(ROSTER_ROLES))
     ))
 ], dtype=np.float64)
 
@@ -726,23 +729,25 @@ def tally_records(
     table: RecordTable,
     labels: tuple[str, ...],
     cell_group: np.ndarray,
-    with_in_mover_matching: bool = False,
+    m_in: np.ndarray | None = None,
 ) -> dict[str, MatchTallies]:
     """Every MatchTallies field for every group, from one weighted bincount
     over the coded records, one over the weighted census rows and a sum of
-    the census cells.  `cell_group` indexes `labels` for each cell.
+    the census cells.  `cell_group` indexes `labels` for each cell.  `m_in`
+    is each group's weight of in-movers a nationwide search would match,
+    which only a simulated world knows; without it `m_in` is unset.
     """
     n_groups = len(labels)
-    slot = (
-        (table.side.astype(np.int64) * len(CODE_LABELS) + _CODE_SLOT[table.code])
-        * len(ROSTER_ROLES) + table.role
-    ) * 2 + table.matched_in_mover
+    slot = ((table.side.astype(np.int64) * len(CODE_LABELS) + _CODE_SLOT[table.code])
+            * len(ROSTER_ROLES) + table.role)
     sums = np.bincount(
         slot * n_groups + cell_group[table.cell], weights=table.weight,
         minlength=len(_SLOT_FIELDS) * n_groups,
     ).reshape(len(_SLOT_FIELDS), n_groups)
     # Every field sums the same slots in the same order, so a field whose
-    # slots contain another's never comes out smaller.
+    # slots contain another's never comes out smaller.  `n_in`'s in-mover
+    # slot adds a superset of `m_in`'s records in the same order, and
+    # rounding is monotone, so n_in >= m_in holds as well.
     values = dict(zip(_TALLY_FIELDS, (_SLOT_FIELDS.T[:, :, None] * sums).sum(axis=1)))
 
     # Integer counts sum exactly in any order.  Each weighted bin adds its
@@ -765,7 +770,7 @@ def tally_records(
             ),
             movers=MoverTallies(
                 **{name: value[name] for name in _MOVER_FIELDS},
-                m_in=value["m_in"] if with_in_mover_matching else None,
+                m_in=None if m_in is None else float(m_in[g]),
             ),
             census_count=float(counts[:, g].sum()),
             imputations=float(counts[KIND_IMPUTED, g]),
@@ -787,10 +792,13 @@ def tally_groups(
 ) -> dict[str, MatchTallies]:
     """Weighted code tallies per estimation group.
 
-    Survey-side rows carry the weight of the household they were collected
-    at (after the '#' reweighting in adjusted mode), census-side rows the
-    weight of the census household.  The census count and imputation count
-    are whole-universe constants, never masked or weighted: they come from
+    Coded records weigh what `record_weights` gives them: survey records
+    found at the interview the weight of their household after the '#'
+    reweighting in adjusted mode, every other record its household's plain
+    weight.  With `with_in_mover_matching`, `m_in` sums the roster records
+    of in-movers that a nationwide search would match, which only a
+    simulated world knows.  The census count and imputation count are
+    whole-universe constants, never masked or weighted: they come from
     census processing, not from the survey sample, and are sums of the
     world's `popsim.census_counts`.
 
@@ -802,5 +810,11 @@ def tally_groups(
         table = record_table(pop, census, result, household_weight)
     elif household_weight is not None:
         raise DomainError("pass household_weight to record_table, not beside a prebuilt table")
-    labels = group_labels(pop, level)
-    return tally_records(table, labels, cell_groups(pop, level), with_in_mover_matching)
+    labels, cell_group = groups(pop, level)
+    m_in = None
+    if with_in_mover_matching:
+        # Roster records are the table's first rows, in person order.
+        matched = np.flatnonzero(result.in_mover_matched[result.pes_code != CODE_NONE])
+        m_in = np.bincount(cell_group[table.cell[matched]], weights=table.weight[matched],
+                           minlength=len(labels))
+    return tally_records(table, labels, cell_group, m_in)

@@ -73,8 +73,7 @@ __all__ = [
     "ground_truth_ledger",
     "census_counts",
     "joint_cell",
-    "cell_groups",
-    "group_labels",
+    "groups",
 ]
 
 # Person scope relative to the census target population.
@@ -698,43 +697,31 @@ def simulate_pes(
     return PesSim(listed=listed, proxy_ok=proxy_ok, hh_status=hh_status)
 
 
-def group_labels(pop: Population, level: str) -> tuple[str, ...]:
-    """Group labels for an estimation level."""
-    if level == "national":
-        return ("all",)
-    if level == "post_stratum":
-        return pop.stratum_labels
-    if level == "province_stratum":
-        labels = []
-        for province in pop.districts.province_labels:
-            for stratum in ("urban", "rural"):
-                labels.append(f"{province}/{stratum}")
-        return tuple(labels)
-    raise ConfigError(f"unknown grouping level {level!r}")
-
-
 def joint_cell(pop: Population, person: np.ndarray | slice, household: np.ndarray
                ) -> np.ndarray:
     """Joint cell of records of `person` collected at `household`: the
     person's post-stratum crossed with the household's province-stratum
     (`province * 2 + stratum`).  Every grouping level is a union of these
-    cells (`cell_groups`)."""
+    cells (`groups`)."""
     cell = pop.post_stratum[person].astype(np.int32)
     cell *= 2 * len(pop.districts.province_labels)
     cell += pop.household_area()[household]
     return cell
 
 
-def cell_groups(pop: Population, level: str) -> np.ndarray:
-    """The group of every joint cell at an estimation level."""
-    n_areas = 2 * len(pop.districts.province_labels)
+def groups(pop: Population, level: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The group labels of an estimation level, and the group of every
+    joint cell at it, an index into the labels."""
+    provinces = pop.districts.province_labels
+    n_areas = 2 * len(provinces)
     cell = np.arange(pop.n_post_strata * n_areas)
-    if level == "post_stratum":
-        return cell // n_areas
-    if level == "province_stratum":
-        return cell % n_areas
     if level == "national":
-        return np.zeros_like(cell)
+        return ("all",), np.zeros_like(cell)
+    if level == "post_stratum":
+        return pop.stratum_labels, cell // n_areas
+    if level == "province_stratum":
+        labels = tuple(f"{p}/{stratum}" for p in provinces for stratum in ("urban", "rural"))
+        return labels, cell % n_areas
     raise ConfigError(f"unknown grouping level {level!r}")
 
 
@@ -789,8 +776,7 @@ def ground_truth_ledger(
     All quantities are target-scope: persons and records in institutional
     households are outside the survey universe and excluded throughout.
     """
-    labels = group_labels(pop, level)
-    group = cell_groups(pop, level)
+    labels, group = groups(pop, level)
     counts = census_counts(pop, census) @ (group[:, None] == np.arange(len(labels)))
     captured = counts[KIND_PERSON] + counts[KIND_IMPUTED]
     undercount = counts[TARGET_MISSED]

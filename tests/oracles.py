@@ -21,7 +21,7 @@ from covlab.popsim import (
     SCOPE_DIED,
     SCOPE_IN,
     GroundTruthLedger,
-    group_labels,
+    groups,
 )
 
 
@@ -90,24 +90,24 @@ def person_codes(result, n, name):
 
 def ledger_reference(pop, census, level):
     """Per-group ledgers from one masked bincount per quantity."""
-    labels = group_labels(pop, level)
+    labels, _ = groups(pop, level)
     n_groups = len(labels)
     target = pop.in_target()
     if level == "province_stratum":
         home = np.where(pop.census_household >= 0, pop.census_household, pop.pes_household)
         district = pop.households.district[home]
-        groups = pop.districts.province[district] * 2 + pop.districts.stratum[district]
+        group = pop.districts.province[district] * 2 + pop.districts.stratum[district]
     elif level == "post_stratum":
-        groups = pop.post_stratum
+        group = pop.post_stratum
     else:
-        groups = np.zeros(pop.size, dtype=np.int64)
+        group = np.zeros(pop.size, dtype=np.int64)
 
-    true_total = np.bincount(groups[target], minlength=n_groups)
-    captured = np.bincount(groups[target & census.captured], minlength=n_groups)
+    true_total = np.bincount(group[target], minlength=n_groups)
+    captured = np.bincount(group[target & census.captured], minlength=n_groups)
     undercount = true_total - captured
-    duplicates = np.bincount(groups[target & census.duplicated], minlength=n_groups)
+    duplicates = np.bincount(group[target & census.duplicated], minlength=n_groups)
     fab_target = census.fab_person[target[census.fab_person]]
-    fabrications = np.bincount(groups[fab_target], minlength=n_groups)
+    fabrications = np.bincount(group[fab_target], minlength=n_groups)
     overcount = duplicates + fabrications
     census_count = captured + overcount
     return {
@@ -147,7 +147,7 @@ def tally_reference(pop, census, result, level="national", household_weight=None
               else np.asarray(household_weight, dtype=np.float64))
     row_weight = np.where(result.household_mask, weight, 0.0)[household]
 
-    labels = group_labels(pop, level)
+    labels, _ = groups(pop, level)
     n_groups = len(labels)
     if level == "province_stratum":
         district = pop.households.district

@@ -4,7 +4,8 @@
 experiment; a refactor of the simulation, sampling or tally layers must
 leave them unchanged.  The SHA-256 digests below were recorded before the
 array sample frame, the shared record table and the bincount ledger
-replaced the earlier implementations.
+replaced the earlier implementations, except the seed-23 sampled world's,
+re-recorded when every in-mover came to be summed in one tally slot.
 
 The JSON report of `covlab estimate` is pinned the same way, on microdata
 written from four worlds.  The two small full-frame digests were recorded
@@ -74,8 +75,8 @@ DIGESTS = {
         "summary.json": "1b88f175e8652cf67027edc6face47787e6c14fca185b1fa55a4e9a43df3d3f4",
     },
     "adjusted-sampled-seed-23": {
-        "replicates.csv": "7a31e17d8856af65bc65765141edb28f3b73f752d06d8c96eb5bf602aea50e74",
-        "summary.json": "08be377794d576cc526f0823c9fe8091ad1572160af26fdcd7f2db2e3abe2f89",
+        "replicates.csv": "bd99719d56b0aca0daa2df9f24579683dddf26bc5ad4711a8f6aa765a84a6146",
+        "summary.json": "c05415c9d096e6a057bbc5fdbb8f81e595d3b4f2c957377ed774888110d07e90",
     },
     "every-knob": {
         "replicates.csv": "a806b4044f4d5d6ee08ea67e4c60d120c855f837313684e2b623f68b8b062fc9",

@@ -24,9 +24,8 @@ from covlab.popsim import (
     _choice,
     _sigmoid,
     blocks,
-    cell_groups,
     ground_truth_ledger,
-    group_labels,
+    groups,
     joint_cell,
     simulate_census,
     simulate_pes,
@@ -104,7 +103,7 @@ def test_joint_cell_covers_everyone():
     cell = joint_cell(pop, slice(None), pop.census_household)
     assert cell.shape == (pop.size,)
     assert cell.min() >= 0
-    assert cell.max() < cell_groups(pop, "national").shape[0]
+    assert cell.max() < groups(pop, "national")[1].shape[0]
 
 
 def test_post_strata_shapes():
@@ -299,7 +298,7 @@ def test_ground_truth_ledger_groups_sum_to_national():
     national = ground_truth_ledger(pop, census)["all"]
     for level in ("post_stratum", "province_stratum"):
         parts = ground_truth_ledger(pop, census, level=level)
-        assert len(parts) == len(group_labels(pop, level))
+        assert len(parts) == len(groups(pop, level)[0])
         assert sum(p.true_total for p in parts.values()) == national.true_total
         assert sum(p.census_count for p in parts.values()) == national.census_count
 
@@ -316,16 +315,13 @@ def test_ground_truth_ledger_equals_masked_reference():
         assert ground_truth_ledger(pop, census, level) == ledger_reference(pop, census, level)
 
 
-def test_group_labels_and_cell_groups_agree():
+def test_groups_label_every_cell_group():
     _, pop = _world()
     for level in ("national", "post_stratum", "province_stratum"):
-        labels = group_labels(pop, level)
-        groups = cell_groups(pop, level)
-        assert np.array_equal(np.unique(groups), np.arange(len(labels)))
+        labels, cell_group = groups(pop, level)
+        assert np.array_equal(np.unique(cell_group), np.arange(len(labels)))
     with pytest.raises(ConfigError):
-        group_labels(pop, "county")
-    with pytest.raises(ConfigError):
-        cell_groups(pop, "county")
+        groups(pop, "county")
 
 
 def _two_branch_sigmoid(x):
