@@ -75,6 +75,7 @@ from .popsim import (
     PesSim,
     Population,
     census_counts,
+    gather,
     groups,
     joint_cell,
     uniform_below,
@@ -407,8 +408,8 @@ def match_and_code(
     dest = pop.pes_household
     has_origin = origin >= 0
     has_dest = dest >= 0
-    o_in = hh_in[origin] & has_origin
-    d_in = hh_in[dest] & has_dest
+    o_in = gather(hh_in, origin) & has_origin
+    d_in = gather(hh_in, dest) & has_dest
     keep = np.flatnonzero(o_in | d_in)
     o_in, d_in = o_in[keep], d_in[keep]
     origin, dest, has_origin, has_dest = origin[keep], dest[keep], has_origin[keep], has_dest[keep]

@@ -32,10 +32,13 @@ The arrays every stage derives from a world -- the households occupied
 at census time, the target scope and the movers -- are computed once per
 `Population`, on first use, and returned read-only: a caller that needs
 to change one copies it first.  There is no separate home array: the
-household arrays are gathered from directly (see `Population`).  The
-census records and target persons of a world are likewise counted once,
-by kind and cell (`census_counts`); the ledgers and tallies are sums of
-those cells.
+household arrays are gathered from directly (see `Population`).  Household
+indices are int32, and a gather or scatter by them over every person casts
+the index to intp one block at a time (`gather`, `_occupied`,
+`census_counts`), which is faster than numpy's own cast of an int32 index
+and makes no full-length temporary.  The census records and target persons of a world are
+likewise counted once, by kind and cell (`census_counts`); the ledgers
+and tallies are sums of those cells.
 """
 
 from __future__ import annotations
@@ -103,6 +106,9 @@ _ADDRESS_PROBS = (0.6, 0.3, 0.1)  # single_unit, multi_unit, other
 
 # Persons per block of a block-wise pass over a world.
 DRAW_BLOCK = 1 << 15
+
+_INT16_MAX = int(np.iinfo(np.int16).max)
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def blocks(n: int) -> Iterator[slice]:
@@ -181,11 +187,23 @@ def _memo(derived: dict[str, np.ndarray], name: str, compute: Callable[[], np.nd
     return array
 
 
+def gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """`values[index]` for a person-length int32 `index`, cast to intp one
+    block at a time.  numpy casts a non-intp index entry by entry inside
+    its indexing loop, which made a million-person bool gather take about
+    twice as long as with an intp index; this takes little longer."""
+    out = np.empty(index.shape[0], dtype=values.dtype)
+    for block in blocks(index.shape[0]):
+        np.take(values, index[block].astype(np.intp), out=out[block])
+    return out
+
+
 def _occupied(household: np.ndarray, n_households: int) -> np.ndarray:
     """Households holding at least one person; -1 marks a person without a
     household and lands in a spare last slot that is dropped."""
     occupied = np.zeros(n_households + 1, dtype=bool)
-    occupied[household] = True
+    for block in blocks(household.shape[0]):
+        occupied[household[block].astype(np.intp)] = True
     return occupied[:-1]
 
 
@@ -225,10 +243,37 @@ class PopulationConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {value}")
+        # Every index of a world must fit its dtype: the post-strata in
+        # int16; districts, households and the count key of `census_counts`
+        # (6 per joint cell) in int32.
+        if self.n_post_strata > _INT16_MAX:
+            raise ConfigError(f"age_groups must be at most {_INT16_MAX // 2}, got {self.age_groups}")
+        districts = self.provinces * (self.urban_districts + self.rural_districts)
+        if districts > _INT32_MAX:
+            raise ConfigError(
+                f"provinces * (urban_districts + rural_districts) must be at most {_INT32_MAX}, "
+                f"got {districts}"
+            )
+        if 6 * self.n_post_strata * 2 * self.provinces > _INT32_MAX:
+            raise ConfigError(
+                f"provinces * age_groups must be at most {_INT32_MAX // 24}, "
+                f"got {self.provinces} * {self.age_groups}"
+            )
+        # Each mover may found one new household.
+        households = self.n_households + (self.persons if self.mover_rate else 0)
+        if households > _INT32_MAX:
+            raise ConfigError(
+                f"persons={self.persons} may make {households} households, more than {_INT32_MAX}"
+            )
 
     @property
     def n_post_strata(self) -> int:
         return 2 * self.age_groups
+
+    @property
+    def n_households(self) -> int:
+        """Households at census time."""
+        return max(1, round(self.persons / self.mean_household_size))
 
 
 @dataclass(frozen=True)
@@ -309,14 +354,15 @@ class Population:
     use, kept for the life of the world and returned read-only.
 
     Household attributes are read per person by gathering with
-    `census_household` or `pes_household` directly.  A person without a
-    household there (-1) then reads the last household, so every such
-    read is paired with `census_household >= 0` (equivalently, scope not
-    born) or `pes_household >= 0`.
+    `census_household` or `pes_household` directly, through `gather` over
+    every person.  A person without a household there (-1) then reads the
+    last household, so every such read is paired with
+    `census_household >= 0` (equivalently, scope not born) or
+    `pes_household >= 0`.
     """
 
-    census_household: np.ndarray   # household index, -1 for persons born later
-    pes_household: np.ndarray      # household index, -1 for persons who died
+    census_household: np.ndarray   # int32 household index, -1 for persons born later
+    pes_household: np.ndarray      # int32 household index, -1 for persons who died
     post_stratum: np.ndarray
     scope: np.ndarray
     propensity: np.ndarray         # shared capture propensity, standard normal
@@ -349,7 +395,7 @@ class Population:
         return _memo(
             self._derived, "in_target",
             lambda: (self.scope != SCOPE_BORN)
-            & ~self.households.institutional[self.census_household],
+            & ~gather(self.households.institutional, self.census_household),
         )
 
     def household_area(self) -> np.ndarray:
@@ -461,14 +507,15 @@ def synthesize_population(
     )
     district_weight = district_weight / district_weight.sum()
 
-    n_households = max(1, round(config.persons / config.mean_household_size))
+    n_households = config.n_households
     hh_district = _choice(rng, district_weight, n_households).astype(np.int32)
     hh_address = _choice(rng, _ADDRESS_PROBS, n_households).astype(np.int8)
     hh_institutional = uniform_below(rng, n_households, config.institutional_rate)
     if hh_institutional.all():
         raise ConfigError("institutional_rate left no ordinary household")
 
-    census_hh = rng.integers(0, n_households, size=config.persons).astype(np.int64, copy=False)
+    # Drawn as int64 and stored as int32: `dtype=np.int32` draws other values.
+    census_hh = rng.integers(0, n_households, size=config.persons).astype(np.int32)
     scope = np.zeros(config.persons, dtype=np.int8)
     scope[uniform_below(rng, config.persons, config.death_rate)] = SCOPE_DIED
 
@@ -477,7 +524,7 @@ def synthesize_population(
 
     mover = uniform_below(rng, config.persons, config.mover_rate)
     mover &= scope == SCOPE_IN
-    mover &= ~hh_institutional[census_hh]
+    mover &= ~gather(hh_institutional, census_hh)
     mover_idx = np.nonzero(mover)[0]
     forms_new = uniform_below(rng, mover_idx.shape[0], config.new_household_rate)
 
@@ -504,8 +551,8 @@ def synthesize_population(
     if n_births:
         ordinary_all = np.nonzero(~hh_institutional)[0]
         born_hh = ordinary_all[rng.integers(0, ordinary_all.shape[0], size=n_births)]
-        census_hh = np.concatenate([census_hh, np.full(n_births, -1, dtype=np.int64)])
-        pes_hh = np.concatenate([pes_hh, born_hh.astype(np.int64)])
+        census_hh = np.concatenate([census_hh, np.full(n_births, -1, dtype=np.int32)])
+        pes_hh = np.concatenate([pes_hh, born_hh.astype(np.int32)])
         scope = np.concatenate([scope, np.full(n_births, SCOPE_BORN, dtype=np.int8)])
 
     # sex * age_groups + age, from every person's sex draw and then every
@@ -613,7 +660,7 @@ def simulate_census(
     # Eligible persons of responding households; persons born later read
     # the last household's status, and the scope test drops them.
     responding = pop.scope != SCOPE_BORN
-    responding &= ~noq_hh[home]
+    responding &= ~gather(noq_hh, home)
 
     captured = uniform_below(rng, n, _capture_probability(pop, probs.census, probs))
     captured &= responding
@@ -746,7 +793,7 @@ def census_counts(pop: Population, census: CensusSim) -> np.ndarray:
                 1 + census.captured[block].view(np.int8) + census.imputed[block].view(np.int8)
                 + 2 * census.duplicated[block].view(np.int8)
             )
-            key = joint_cell(pop, block, pop.census_household[block])
+            key = joint_cell(pop, block, pop.census_household[block].astype(np.intp))
             key *= 6
             key += klass
             by_class += np.bincount(key, minlength=6 * n_cells)

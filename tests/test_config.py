@@ -81,6 +81,25 @@ def test_config_built_in_python_is_checked_like_json(cls, kwargs, named):
     assert _names(str(excinfo.value), named), str(excinfo.value)
 
 
+# The largest values a world's index dtypes admit, and one past each: int16
+# post-strata, int32 households (each mover may found one), int32
+# districts and the int32 count key of `census_counts`.  Only configs are
+# built, never a world.
+@pytest.mark.parametrize("largest, past", [
+    ({"age_groups": 16383}, {"age_groups": 16384}),
+    ({"persons": 2**30 - 1, "mean_household_size": 1.0, "mover_rate": 0.1},
+     {"persons": 2**30, "mean_household_size": 1.0, "mover_rate": 0.1}),
+    ({"persons": 2**31 - 1, "mean_household_size": 1.0},
+     {"persons": 2**31, "mean_household_size": 1.0}),
+    ({"provinces": 1, "urban_districts": 2**31 - 3}, {"provinces": 1, "urban_districts": 2**31 - 2}),
+    ({"provinces": 17_895_697}, {"provinces": 17_895_698}),
+])
+def test_world_index_bounds_are_exact(largest, past):
+    PopulationConfig(**largest)
+    with pytest.raises(ConfigError):
+        PopulationConfig(**past)
+
+
 @pytest.mark.parametrize("version", [True, 1.0, 2, "1", None])
 def test_schema_version_must_be_the_integer_one(tmp_path, version):
     data = ExperimentConfig().to_json()

@@ -745,12 +745,32 @@ def test_cli_experiment_runs_from_config(tmp_path, capsys):
          "mean_household_size must be at least 1"),
         ({"population": {"persons": 500, "mean_household_size": 0.5}},
          "mean_household_size must be at least 1"),
+        # Integers past the dtypes of a world's arrays: from 16,385 age
+        # groups the int16 post-stratum wrapped negative, and from 32,768
+        # it overflowed.
+        ({"population": {"persons": 500, "age_groups": 16384}},
+         "population.age_groups must be at most 16383"),
+        ({"population": {"persons": 500, "age_groups": 20000}}, "population.age_groups"),
+        ({"population": {"persons": 500, "age_groups": 32768}}, "population.age_groups"),
+        # Household indices are int32; each mover may found a household.
+        ({"population": {"persons": 2**31 - 1, "mover_rate": 0.1}}, "population.persons"),
+        ({"population": {"persons": 8 * 10**9}}, "population.persons"),
+        ({"population": {"persons": 500, "urban_districts": 2**31}},
+         "population.provinces * (urban_districts + rural_districts)"),
+        # The int32 count key of `census_counts`, 6 per joint cell.
+        ({"population": {"persons": 500, "provinces": 10**6, "age_groups": 100}},
+         "population.provinces * age_groups"),
     ],
 )
-def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, edit, named):
+def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, edit, named):
     command = ("experiment",)
+    built = []
     if isinstance(edit, tuple):
         command, edit = edit, {}
+    else:
+        # A config file's error is found before any world is built.
+        for module in (covlab.cli, covlab.harness.experiment):
+            monkeypatch.setattr(module, "build_world", lambda *args: built.append(args))
     path = tmp_path / "absent.json"
     if edit is not None:
         path = tmp_path / "config.json"
@@ -760,6 +780,7 @@ def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, edit, name
     assert code == 2
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -801,9 +822,9 @@ def test_cli_missing_directory_is_a_schema_error(tmp_path, capsys):
 
 
 # Bytes per person of the traced peak of building a field-shaped world and
-# its record table: 74.6 measured, with 10% slack.  Memoized home arrays and
-# full-length uniforms read 90.8.
-_WORLD_BYTES_PER_PERSON = 82.0
+# its record table: 65.3 measured, with 10% slack.  int64 household indices
+# read 74.3, and memoized home arrays and full-length uniforms 90.8.
+_WORLD_BYTES_PER_PERSON = 72.0
 
 
 def test_world_build_holds_little_beyond_the_world():

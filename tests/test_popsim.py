@@ -22,8 +22,10 @@ from covlab.popsim import (
     CaptureProbabilities,
     PopulationConfig,
     _choice,
+    _occupied,
     _sigmoid,
     blocks,
+    gather,
     ground_truth_ledger,
     groups,
     joint_cell,
@@ -46,6 +48,15 @@ def _world(seed=11, **overrides):
     defaults.update(overrides)
     config = PopulationConfig(**defaults)
     return config, synthesize_population(config, seed=seed)
+
+
+def test_household_indices_are_int32():
+    # The golden digests pin the values; this pins the dtype, with and
+    # without the birth and mover paths that extend and rewrite them.
+    for rates in ({}, {"birth_rate": 0.0, "mover_rate": 0.0}):
+        _, pop = _world(**rates)
+        assert pop.census_household.dtype == np.int32
+        assert pop.pes_household.dtype == np.int32
 
 
 def test_synthesis_is_deterministic():
@@ -451,3 +462,19 @@ def test_derived_person_arrays_are_read_only_fresh_and_per_world():
             array[0] = array[0]
         assert np.array_equal(array, expected), name
         assert not np.shares_memory(array, getattr(other, name)()), name
+
+
+@pytest.mark.parametrize("n", [*_BLOCK_EDGES, 3 * DRAW_BLOCK + 7])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_block_cast_gather_and_scatter_equal_plain_indexing(n, index_dtype):
+    rng = np.random.default_rng(n)
+    n_households = 1000
+    index = rng.integers(-1, n_households, size=n).astype(index_dtype)
+    index[::97] = -1
+    for values in (rng.random(n_households) < 0.5, rng.random(n_households)):
+        got = gather(values, index)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, values[index])
+    occupied = np.zeros(n_households + 1, dtype=bool)
+    occupied[index] = True
+    assert np.array_equal(_occupied(index, n_households), occupied[:-1])
