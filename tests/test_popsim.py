@@ -1,5 +1,7 @@
 """Synthetic worlds: generation invariants and both capture passes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -67,6 +69,15 @@ def test_synthesis_is_deterministic():
     assert np.array_equal(pop.propensity, again.propensity)
     other = synthesize_population(config, seed=12)
     assert not np.array_equal(pop.propensity, other.propensity)
+
+
+def test_propensity_values_are_locked():
+    # SHA-256 of the float64 bytes, recorded while synthesis drew the
+    # propensity eagerly as its last draw.
+    _, pop = _world()
+    assert pop.propensity.dtype == np.float64 and pop.propensity.shape == (pop.size,)
+    digest = hashlib.sha256(pop.propensity.tobytes()).hexdigest()
+    assert digest == "6198bfe6b16dbd0a7355d2155d53b943543c2b35a105265faa79df78731c06ff"
 
 
 def test_population_scopes_and_sizes():
