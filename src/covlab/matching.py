@@ -403,7 +403,9 @@ def match_and_code(
 
     # Every rule below codes a person only through a sampled census-time
     # (o_in) or survey-time (d_in) household, so the rules run over those
-    # persons alone, `keep`.
+    # persons alone, `keep`.  When they are every person, as on a full
+    # frame, the person arrays are read whole instead of copied; no rule
+    # writes to them.
     origin = pop.census_household
     dest = pop.pes_household
     has_origin = origin >= 0
@@ -411,22 +413,23 @@ def match_and_code(
     o_in = gather(hh_in, origin) & has_origin
     d_in = gather(hh_in, dest) & has_dest
     keep = np.flatnonzero(o_in | d_in)
-    o_in, d_in = o_in[keep], d_in[keep]
-    origin, dest, has_origin, has_dest = origin[keep], dest[keep], has_origin[keep], has_dest[keep]
-    scope = pop.scope[keep]
-    born = scope == SCOPE_BORN
-    mover = pop.is_mover()[keep]
-    out_role = (mover | (scope == SCOPE_DIED)) & has_origin
-    m_captured = census.captured[keep] & ~census.imputed[keep]
-    listed = pes.listed[keep]
-    proxy_ok = pes.proxy_ok[keep]
-    duplicated = census.duplicated[keep]
     n_kept = keep.shape[0]
+    kept = slice(None) if n_kept == n else keep
+    o_in, d_in = o_in[kept], d_in[kept]
+    origin, dest, has_origin, has_dest = origin[kept], dest[kept], has_origin[kept], has_dest[kept]
+    scope = pop.scope[kept]
+    born = scope == SCOPE_BORN
+    mover = pop.is_mover()[kept]
+    out_role = (mover | (scope == SCOPE_DIED)) & has_origin
+    m_captured = census.captured[kept] & ~census.imputed[kept]
+    listed = pes.listed[kept]
+    proxy_ok = pes.proxy_ok[kept]
+    duplicated = census.duplicated[kept]
 
     def draw(rate: float) -> np.ndarray:
         """One uniform per person, kept for the persons coded: a mask
         changes no draw."""
-        return uniform_below(rng, n, rate)[keep] if rate else np.zeros(n_kept, dtype=bool)
+        return uniform_below(rng, n, rate)[kept] if rate else np.zeros(n_kept, dtype=bool)
 
     fnm = draw(model.false_nonmatch)
     fm = draw(model.false_match)
@@ -439,9 +442,9 @@ def match_and_code(
     )
     dup_flip = draw(model.resolution_flip)
 
-    ocell = np.where(has_origin, cell[origin], CELL_DARK)
-    dcell = np.where(has_dest, cell[dest], CELL_DARK)
-    o_status = pes.hh_status[origin]
+    ocell = np.where(has_origin, gather(cell, origin), CELL_DARK)
+    dcell = np.where(has_dest, gather(cell, dest), CELL_DARK)
+    o_status = gather(pes.hh_status, origin)
     in_role = (mover | born) & has_dest
     non_mover = (scope == SCOPE_IN) & ~mover
 
@@ -454,7 +457,7 @@ def match_and_code(
     pair = nm & (ocell == CELL_PAIR)
 
     would_match = pair & m_captured & listed
-    hh_split = would_match & hh_fnm[origin]
+    hh_split = would_match & gather(hh_fnm, origin)
     person_split = would_match & ~hh_split & fnm
     matched = would_match & ~hh_split & ~person_split
     pes_code[matched] = CODE_10
@@ -660,7 +663,7 @@ def record_table(
         [np.full(persons.shape[0], src, dtype=np.int8) for src, persons, _, _ in segments]
     )
     on_roster = source == SOURCE_ROSTER
-    household = np.where(on_roster, dest[person], origin[person])
+    household = np.where(on_roster, dest[person], origin[person]).astype(np.intp)
 
     # Roster records name who was found at the survey-time household,
     # reports who left the census-time household; codes on census records
@@ -674,6 +677,11 @@ def record_table(
     role[on_report & moved] = ROLE_OUT_MOVER
     role[on_report & (scope == SCOPE_DIED)] = ROLE_DEATH
     side = np.where(source >= SOURCE_CENSUS, SIDE_CENSUS, SIDE_SURVEY).astype(np.int8)
+    if household_weight is None and result.exclusion_mode == "sci":
+        # Unit weights and no reweighting: every record weighs 1.0.
+        record_weight = np.ones(person.shape[0], dtype=np.float64)
+    else:
+        record_weight = record_weights(side, role, household, weight, factor)
 
     return RecordTable(
         census_count=census_count,
@@ -685,7 +693,7 @@ def record_table(
         role=role,
         household=household,
         cell=joint_cell(pop, person, household),
-        weight=record_weights(side, role, household, weight, factor),
+        weight=record_weight,
         number=np.concatenate([*(persons for _, persons, _, _ in segments[:-1]), fabs]),
         source=source,
     )

@@ -20,7 +20,9 @@ assumption-violating knobs:
                    so positive values correlate capture probabilities
 
 Both knobs at zero give independent homogeneous captures, the model under
-which dual-system estimation is exact.
+which dual-system estimation is exact.  Without heterogeneity every capture
+probability is its post-stratum's, so it is computed once per stratum (and
+census outcome), and the propensity is never drawn.
 
 All person-level state lives in parallel numpy arrays so that Monte Carlo
 replication stays cheap at census-like sizes, and a world holds little
@@ -28,17 +30,20 @@ beyond its own arrays.  Uniforms that are compared with a probability as
 soon as they are drawn are drawn `DRAW_BLOCK` persons at a time
 (`uniform_below`); with PCG64 the blocks hold exactly the values, and
 leave the generator in exactly the state, of one call for all persons.
-The arrays every stage derives from a world -- the households occupied
-at census time, the target scope and the movers -- are computed once per
-`Population`, on first use, and returned read-only: a caller that needs
-to change one copies it first.  There is no separate home array: the
-household arrays are gathered from directly (see `Population`).  Household
-indices are int32, and a gather or scatter by them over every person casts
-the index to intp one block at a time (`gather`, `_occupied`,
-`census_counts`), which is faster than numpy's own cast of an int32 index
-and makes no full-length temporary.  The census records and target persons of a world are
-likewise counted once, by kind and cell (`census_counts`); the ledgers
-and tallies are sums of those cells.
+The arrays every stage derives from a world -- the propensity, the
+households occupied at census time, the target scope and the movers -- are
+computed once per `Population`, on first use, and returned read-only: a
+caller that needs to change one copies it first.  A world's own person
+arrays thus hold 11 bytes per person when it is homogeneous, and 19 once a
+heterogeneous capture pass has drawn the propensity.  There is no separate
+home array: the household arrays are gathered from directly (see
+`Population`).  Household indices are int32, and a gather or scatter by
+them over every person casts the index to intp one block at a time
+(`gather`, `_occupied`, `census_counts`), which is faster than numpy's own
+cast of an int32 index and makes no full-length temporary.  The census
+records and target persons of a world are likewise counted once, by kind
+and cell (`census_counts`); the ledgers and tallies are sums of those
+cells.
 """
 
 from __future__ import annotations
@@ -182,13 +187,16 @@ def _memo(derived: dict[str, np.ndarray], name: str, compute: Callable[[], np.nd
     """`derived[name]`, computed on first use and made read-only."""
     array = derived.get(name)
     if array is None:
-        array = derived[name] = compute()
+        # Made read-only before it is stored: threads that compute it at
+        # once each make an equal array, and all return the first stored.
+        array = compute()
         array.setflags(write=False)
+        array = derived.setdefault(name, array)
     return array
 
 
 def gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """`values[index]` for a person-length int32 `index`, cast to intp one
+    """`values[index]` for an int32 `index` over persons, cast to intp one
     block at a time.  numpy casts a non-intp index entry by entry inside
     its indexing loop, which made a million-person bool gather take about
     twice as long as with an intp index; this takes little longer."""
@@ -243,6 +251,12 @@ class PopulationConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {value}")
+        # A mover who does not found a household joins another one.
+        if self.n_households < 2 and self.mover_rate and self.new_household_rate < 1.0:
+            raise ConfigError(
+                f"mover_rate must be 0, or new_household_rate 1, when persons={self.persons} "
+                "make one household: a mover who joins another household needs a second"
+            )
         # Every index of a world must fit its dtype: the post-strata in
         # int16; districts, households and the count key of `census_counts`
         # (6 per joint cell) in int32.
@@ -351,7 +365,10 @@ class Population:
     """One synthetic world, frozen after generation.
 
     The derived person and household arrays below are computed on first
-    use, kept for the life of the world and returned read-only.
+    use, kept for the life of the world and returned read-only.  The
+    propensity is one of them: synthesis keeps the generator state its
+    last draw would have started from, so a homogeneous world, which never
+    reads it, holds 11 bytes per person and draws no normal.
 
     Household attributes are read per person by gathering with
     `census_household` or `pes_household` directly, through `gather` over
@@ -365,10 +382,11 @@ class Population:
     pes_household: np.ndarray      # int32 household index, -1 for persons who died
     post_stratum: np.ndarray
     scope: np.ndarray
-    propensity: np.ndarray         # shared capture propensity, standard normal
     households: Households
     districts: Districts
     stratum_labels: tuple[str, ...]
+    # The generator state synthesis ends in, which `propensity` draws from.
+    propensity_state: dict = field(repr=False, compare=False)
     _derived: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -380,6 +398,19 @@ class Population:
     @property
     def n_post_strata(self) -> int:
         return len(self.stratum_labels)
+
+    @property
+    def propensity(self) -> np.ndarray:
+        """Shared capture propensity, standard normal, one per person: the
+        last draw of synthesis, made on first use from a generator rebuilt
+        from `propensity_state`, so every read sees the same values."""
+
+        def draw() -> np.ndarray:
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = self.propensity_state
+            return rng.standard_normal(self.size)
+
+        return _memo(self._derived, "propensity", draw)
 
     def occupied_at_census(self) -> np.ndarray:
         """Households with at least one census-time resident, that is a
@@ -540,6 +571,11 @@ def synthesize_population(
     joiners = mover_idx[~forms_new]
     ordinary = np.nonzero(~hh_institutional[:n_households])[0]
     if joiners.shape[0]:
+        if ordinary.shape[0] < 2:
+            raise ConfigError(
+                "institutional_rate left one ordinary household, and a mover who joins "
+                "another household needs a second"
+            )
         destination = ordinary[rng.integers(0, ordinary.shape[0], size=joiners.shape[0])]
         stuck = destination == census_hh[joiners]
         while stuck.any():
@@ -569,8 +605,6 @@ def synthesize_population(
         for sex_label in ("m", "f")
         for band in range(config.age_groups)
     )
-    propensity = rng.standard_normal(n_total)
-
     households = Households(
         district=hh_district,
         address_type=hh_address,
@@ -581,10 +615,10 @@ def synthesize_population(
         pes_household=pes_hh,
         post_stratum=post_stratum,
         scope=scope,
-        propensity=propensity,
         households=households,
         districts=districts,
         stratum_labels=stratum_labels,
+        propensity_state=rng.bit_generator.state,
     )
 
 
@@ -600,9 +634,27 @@ def _capture_probability(
     persons the census missed when `census_captured` is given.
 
     The logit is taken per post-stratum and gathered after, and the sum is
-    built in place; each entry is the same sum of the same terms.
+    built in place; each entry is the same sum of the same terms.  Without
+    heterogeneity the propensity term is +-0.0, which leaves each logit its
+    stratum's (minus `dependence` for a census miss): the sigmoid is then
+    taken once per (census outcome, stratum) and gathered, and the
+    propensity is never drawn.
     """
     base_logit = _logit(base)
+    if not probs.heterogeneity.any():
+        if census_captured is None:
+            table = _sigmoid(base_logit)
+            return lambda block: table[pop.post_stratum[block].astype(np.intp)]
+        # The captured persons' thresholds by stratum, then the missed persons'.
+        table = _sigmoid(np.concatenate([base_logit, base_logit - probs.dependence]))
+        n_strata = base_logit.shape[0]
+
+        def threshold(block: slice) -> np.ndarray:
+            key = pop.post_stratum[block].astype(np.intp)
+            np.add(key, n_strata, out=key, where=~census_captured[block])
+            return table[key]
+
+        return threshold
 
     def probability(block: slice) -> np.ndarray:
         ps = pop.post_stratum[block].astype(np.intp)  # gathers with an intp index are fastest
@@ -675,7 +727,8 @@ def simulate_census(
         fab_person = np.zeros(0, dtype=np.int64)
 
     has_records = np.zeros(n_hh, dtype=bool)
-    has_records[home[captured]] = True
+    for block in blocks(n):
+        has_records[home[block][captured[block]].astype(np.intp)] = True
     has_records[home[fab_person]] = True
 
     hh_status = np.full(n_hh, CEN_NOT_LISTED, dtype=np.int8)

@@ -88,6 +88,31 @@ def person_codes(result, n, name):
     return out
 
 
+def two_branch_sigmoid(x):
+    """The logistic function as two masked branches, the reference the
+    one-exp kernel must match bit for bit."""
+    out = np.empty_like(x, dtype=np.float64)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    expx = np.exp(x[~positive])
+    out[~positive] = expx / (1.0 + expx)
+    return out
+
+
+def capture_reference(pop, base, probs, census_captured=None):
+    """Every person's capture probability by the per-person formula: the
+    sigmoid of the heterogeneity-scaled propensity plus the post-stratum
+    base logit, minus `dependence` for the persons the census missed when
+    `census_captured` is given.  Reads `pop.propensity` whatever the
+    heterogeneity."""
+    ps = pop.post_stratum.astype(np.intp)
+    logit = probs.heterogeneity[ps] * pop.propensity
+    logit += (np.log(base) - np.log1p(-base))[ps]
+    if census_captured is not None:
+        logit -= probs.dependence[ps] * ~census_captured
+    return two_branch_sigmoid(logit)
+
+
 def ledger_reference(pop, census, level):
     """Per-group ledgers from one masked bincount per quantity."""
     labels, _ = groups(pop, level)

@@ -760,6 +760,10 @@ def test_cli_experiment_runs_from_config(tmp_path, capsys):
         # The int32 count key of `census_counts`, 6 per joint cell.
         ({"population": {"persons": 500, "provinces": 10**6, "age_groups": 100}},
          "population.provinces * age_groups"),
+        # One household and movers who join another: the destination draw
+        # never ended.
+        ({"population": {"persons": 3, "mover_rate": 0.5, "new_household_rate": 0.0}},
+         "population.mover_rate must be 0, or new_household_rate 1"),
     ],
 )
 def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, edit, named):
@@ -821,14 +825,19 @@ def test_cli_missing_directory_is_a_schema_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# Bytes per person of the traced peak of building a field-shaped world and
-# its record table: 65.3 measured, with 10% slack.  int64 household indices
-# read 74.3, and memoized home arrays and full-length uniforms 90.8.
-_WORLD_BYTES_PER_PERSON = 72.0
+# Bytes per person of the traced peak of building a world of a benchmark
+# workload's shape at 200k persons and its record table, with 10% slack.
+# The field-shaped world: 65.3 measured; int64 household indices read 74.3,
+# and memoized home arrays and full-length uniforms 90.8.  The clean world,
+# whose full frame codes every person: 110.3 measured; per-person capture
+# thresholds, an eagerly drawn propensity and looked-up unit weights read
+# 123.4.
+_WORLD_BYTES_PER_PERSON = {"mc-field-1m": 72.0, "mc-clean-50k": 121.0}
 
 
-def test_world_build_holds_little_beyond_the_world():
-    config = perfbench_workloads().mc_config("mc-field-1m", 7)
+@pytest.mark.parametrize("workload", list(_WORLD_BYTES_PER_PERSON))
+def test_world_build_holds_little_beyond_the_world(workload):
+    config = perfbench_workloads().mc_config(workload, 7)
     config = dataclasses.replace(
         config, population=dataclasses.replace(config.population, persons=200_000)
     )
@@ -839,7 +848,7 @@ def test_world_build_holds_little_beyond_the_world():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / config.population.persons <= _WORLD_BYTES_PER_PERSON
+    assert peak / config.population.persons <= _WORLD_BYTES_PER_PERSON[workload]
 
 
 # Traced peaks of microdata I/O on a 200k-person sci world, per byte of its

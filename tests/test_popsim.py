@@ -1,6 +1,8 @@
 """Synthetic worlds: generation invariants and both capture passes."""
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from covlab.popsim import (
     SCOPE_IN,
     CaptureProbabilities,
     PopulationConfig,
+    _capture_probability,
     _choice,
     _occupied,
     _sigmoid,
@@ -36,7 +39,7 @@ from covlab.popsim import (
     synthesize_population,
     uniform_below,
 )
-from oracles import ledger_reference
+from oracles import capture_reference, ledger_reference, two_branch_sigmoid
 
 
 def _world(seed=11, **overrides):
@@ -346,17 +349,6 @@ def test_groups_label_every_cell_group():
         groups(pop, "county")
 
 
-def _two_branch_sigmoid(x):
-    """The logistic function as two masked branches, the reference the
-    one-exp kernel must match bit for bit."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    expx = np.exp(x[~positive])
-    out[~positive] = expx / (1.0 + expx)
-    return out
-
-
 def test_sigmoid_is_bit_equal_to_the_two_branch_reference():
     edges = np.array([0.0, 1e-300, 40.0, 745.0, 1e300])
     rng = np.random.default_rng(3)
@@ -365,9 +357,88 @@ def test_sigmoid_is_bit_equal_to_the_two_branch_reference():
         np.ldexp(rng.random(5000), rng.integers(-1074, 1000, size=5000)),
     ])
     for x in (np.concatenate([edges, -edges]), wide, -wide):
-        got, expected = _sigmoid(x), _two_branch_sigmoid(x)
+        got, expected = _sigmoid(x), two_branch_sigmoid(x)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("heterogeneity", [0.0, 0.5])
+def test_capture_draws_equal_the_per_person_formula(heterogeneity):
+    # Base probabilities with a logit of exactly 0.0 (p = 0.5) and
+    # dependence of both signs and 0.0, over several blocks of persons.
+    _, pop = _world(persons=2 * DRAW_BLOCK + 7)
+    n_strata = pop.n_post_strata
+    probs = CaptureProbabilities(
+        census=np.linspace(0.5, 0.95, n_strata), pes=np.linspace(0.3, 0.9, n_strata),
+        dependence=np.linspace(-1.0, 2.0, n_strata), heterogeneity=np.full(n_strata, heterogeneity),
+    )
+    assert 0.0 in probs.dependence
+    census = simulate_census(pop, probs, seed=3)
+    pes = simulate_pes(pop, census, probs, seed=4)
+    # Without heterogeneity the thresholds are taken per stratum, and the
+    # propensity is never drawn.
+    assert ("propensity" in pop._derived) == bool(heterogeneity)
+
+    for seed, got, base, captured in (
+        (3, census.captured, probs.census, None),
+        (4, pes.listed, probs.pes, census.captured),
+    ):
+        expected = capture_reference(pop, base, probs, captured)
+        threshold = _capture_probability(pop, base, probs, captured)
+        blockwise = np.concatenate([threshold(block) for block in blocks(pop.size)])
+        assert np.array_equal(blockwise.view(np.uint64), expected.view(np.uint64))
+        # Each pass draws its capture uniforms first (no listed nonresponse).
+        draws = np.random.default_rng(seed).random(pop.size) < expected
+        if captured is None:
+            draws &= pop.scope != SCOPE_BORN
+        assert np.array_equal(got, draws)
+
+
+def test_propensity_reads_in_threads_agree_and_are_read_only():
+    config, _ = _world(persons=4 * DRAW_BLOCK)
+    expected = synthesize_population(config, seed=11).propensity
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            pop = synthesize_population(config, seed=11)
+            barrier = threading.Barrier(4)
+            reads = []
+
+            def read():
+                barrier.wait(timeout=30)
+                reads.append(pop.propensity)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert len(reads) == 4
+            for array in reads:
+                assert np.array_equal(array, expected)
+                assert array is pop.propensity
+    finally:
+        sys.setswitchinterval(interval)
+    assert not pop.propensity.flags.writeable
+    with pytest.raises(ValueError):
+        pop.propensity[0] = 0.0
+
+
+def test_joiners_need_a_second_ordinary_household():
+    # A joiner's destination was redrawn until it left the census-time
+    # household, which one ordinary household never does.  At seed 4 the
+    # institutional draws leave one of the two households ordinary.
+    config = PopulationConfig(persons=8, mean_household_size=4, institutional_rate=0.5,
+                              mover_rate=0.9, new_household_rate=0.0)
+    with pytest.raises(ConfigError, match="left one ordinary household"):
+        synthesize_population(config, seed=4)
+    # One household at all is known from the config.
+    with pytest.raises(ConfigError, match="mover_rate must be 0, or new_household_rate 1"):
+        PopulationConfig(persons=3, mover_rate=0.5, new_household_rate=0.0)
+    for rates in ({"mover_rate": 0.5, "new_household_rate": 1.0}, {"mover_rate": 0.0}):
+        synthesize_population(PopulationConfig(persons=3, **rates), seed=1)
 
 
 @pytest.mark.parametrize("p, size", [
