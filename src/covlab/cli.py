@@ -64,7 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--config", help="experiment config JSON; defaults apply if omitted")
     experiment.add_argument("--seed", type=int, help="override the config base seed")
     experiment.add_argument("--replicates", type=int, help="override the replicate count")
-    experiment.add_argument("--workers", type=int, help="override the worker count")
+    experiment.add_argument(
+        "--workers", type=int,
+        help="override the worker count: replicates run on at most this many threads, and on "
+             "no more threads than there are replicates or usable CPUs",
+    )
     experiment.add_argument("--out", required=True, help="output directory")
 
     validate = sub.add_parser("validate", help="validate a microdata directory")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -145,7 +146,11 @@ class ExperimentConfig:
                 try:
                     kwargs[key] = nested(**kwargs[key])
                 except ConfigError as exc:
-                    raise ConfigError(f"{key}.{exc}") from None
+                    # The message starts with a field name; fields quoted
+                    # as `name=value` further on are named in full too.
+                    fields = "|".join(field.name for field in dataclasses.fields(nested))
+                    message = re.sub(rf"(?<=\s)({fields})=", rf"{key}.\1=", str(exc))
+                    raise ConfigError(f"{key}.{message}") from None
         return cls(**kwargs)
 
 

@@ -11,6 +11,7 @@ rerun of the same config is byte-identical regardless of worker count.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -106,6 +107,19 @@ def _draw_household_sample(
     return mask, weight
 
 
+@functools.lru_cache(maxsize=16)
+def _capture_probabilities(n_strata: int, census: float, pes: float, dependence: float,
+                           heterogeneity: float) -> CaptureProbabilities:
+    """`CaptureProbabilities.uniform` of a config, built once for all its
+    replicates and read-only."""
+    probs = CaptureProbabilities.uniform(
+        n_strata, census=census, pes=pes, dependence=dependence, heterogeneity=heterogeneity,
+    )
+    for array in (probs.census, probs.pes, probs.dependence, probs.heterogeneity):
+        array.setflags(write=False)
+    return probs
+
+
 def build_world(config: ExperimentConfig, replicate: int) -> WorldBundle:
     if replicate < 0:
         raise ConfigError(f"replicate must be non-negative, got {replicate}")
@@ -113,12 +127,9 @@ def build_world(config: ExperimentConfig, replicate: int) -> WorldBundle:
     s_pop, s_census, s_pes, s_match, s_sample = root.spawn(5)
 
     pop = synthesize_population(config.population, s_pop)
-    probs = CaptureProbabilities.uniform(
-        pop.n_post_strata,
-        census=config.capture_census,
-        pes=config.capture_pes,
-        dependence=config.dependence,
-        heterogeneity=config.heterogeneity,
+    probs = _capture_probabilities(
+        pop.n_post_strata, config.capture_census, config.capture_pes, config.dependence,
+        config.heterogeneity,
     )
     census = simulate_census(
         pop,
@@ -252,18 +263,28 @@ def summarize(config: ExperimentConfig, rows: list[EstimateRow]) -> dict[str, An
     }
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
     """Run every replicate, summarize, and optionally write the artifacts.
 
     Replicate seeds depend only on (base_seed, replicate index), and results
     are collected in index order, so the output is invariant to `workers`.
-    `out_dir` is created before the first replicate, so a path that cannot
-    hold the artifacts fails before any work is done.
+    Replicates run on `workers` threads at most, and on no more threads
+    than there are replicates or CPUs this process may use.  `out_dir` is
+    created before the first replicate, so a path that cannot hold the
+    artifacts fails before any work is done.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    threads = min(config.workers, config.replicates, _usable_cpus())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             per_replicate = list(
                 pool.map(lambda k: run_replicate(config, k), range(config.replicates))
             )

@@ -21,13 +21,16 @@ not UTF-8, a NUL byte, a wrong header, a row with the wrong number of
 fields, a quote never closed, a field longer than 256 bytes in a column
 ingest reads) raises SchemaError naming the file and row.
 
-Both directions go through `matching.RecordTable`: the writer formats the
-coded records of the table that `tally_groups` reduces, beside every
-census record, and ingest parses the files back into the same kind of
-table, post-strata as its census cells, and reduces it with the same
-`tally_records`.  Ingest validates before it tallies and reports every
-problem at once, so a bad delivery surfaces as one exception listing all
-issues.
+The writer formats, beside every census record, the coded records of
+`matching.record_listing`, which lists them in the rows of the
+`matching.RecordTable` that `tally_groups` reduces; it builds no cells,
+weights or census counts.  Ingest parses the files back into a
+`RecordTable`, post-strata as its census cells, and reduces it with the
+same `tally_records`.  Ingest validates before it tallies and reports
+every problem at once, so a bad delivery surfaces as one exception listing
+its issues: each check names its first `_ISSUES_PER_CHECK` failing rows
+and counts the rest in one line, so a wholly bad column costs a few
+messages, not one per row.
 
 Adjusted exclusion mode covers '#' households by reweighting.  Their
 followup-phase markers and the weights file hold everything
@@ -37,10 +40,9 @@ tallies and estimates equal the simulation path's bit for bit.
 
 Both directions work on columns, a block of rows at a time, and hold at
 most one file's bytes beyond the columns they need.  The writer formats
-each file as sections of rows, `popsim.DRAW_BLOCK` records at a time, as
-a uint8 matrix with a NUL-padded row per record, gathering the text of
-each column from a table straight into it, and writes only the non-NUL
-bytes.  Ingest reads a file into one buffer and works through it a
+each file as sections of rows, `_WRITE_ROWS` records at a time, as a
+uint8 matrix with a NUL-padded row per record, gathering the text of each
+column from a table straight into it, and writes only the non-NUL bytes.  Ingest reads a file into one buffer and works through it a
 megabyte at a time: one pass checks the UTF-8 text, counts the newlines
 and finds the doubled quotes, then a scan of each chunk finds the field
 bounds of the lines that end in it, and one column reader (`_Reader`)
@@ -62,6 +64,7 @@ import codecs
 import csv
 import itertools
 import os
+import string
 from collections.abc import Callable, Iterator
 
 import numpy as np
@@ -96,11 +99,11 @@ from ..matching import (
     RecordTable,
     among,
     census_records,
-    record_table,
+    record_listing,
     record_weights,
     tally_records,
 )
-from ..popsim import CensusSim, PesSim, Population, blocks
+from ..popsim import DRAW_BLOCK, CensusSim, PesSim, Population, blocks
 from ..sampling import ADDRESS_TYPES, noninterview_factor
 
 __all__ = ["write_microdata", "ingest_microdata"]
@@ -156,9 +159,14 @@ _CODE_SIDES = np.full(max(CODE_LABELS) + 2, -1, dtype=np.int8)
 _CODE_SIDES[list(CODE_SIDE)] = list(CODE_SIDE.values())
 
 
+# Rows the writer formats at a time: a block's matrix, its NUL mask and its
+# bytes then take about 1 MB together.
+_WRITE_ROWS = DRAW_BLOCK // 4
+
+
 def _write(path: str, header: list[str],
            *sections: tuple[int, Callable[[slice], tuple]]) -> None:
-    """Write the header, then each section's rows `DRAW_BLOCK` at a time.
+    """Write the header, then each section's rows `_WRITE_ROWS` at a time.
 
     A section is its number of rows and a function giving the parts of a
     block of them (see `_matrix`).  Each block becomes one NUL-padded
@@ -167,7 +175,8 @@ def _write(path: str, header: list[str],
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\r\n").encode("utf-8"))
         for n, parts in sections:
-            for rows in blocks(n):
+            for start in range(0, n, _WRITE_ROWS):
+                rows = slice(start, min(start + _WRITE_ROWS, n))
                 matrix = _matrix(rows.stop - rows.start, parts(rows))
                 handle.write(matrix[matrix != 0])
 
@@ -242,15 +251,14 @@ def write_microdata(
     Each file is a header and sections of rows, a section being its
     number of rows and the function that formats a block of them: census
     records, survey records, codes then household markers, and sampled
-    households.  A file is formatted `popsim.DRAW_BLOCK` rows at a time, a
-    block being one uint8 matrix with a NUL-padded row per record: integers
+    households.  A file is formatted `_WRITE_ROWS` rows at a time, a block
+    being one uint8 matrix with a NUL-padded row per record: integers
     become digits by array arithmetic, and columns that take only a few
     values are gathered from tables of their joined text.  Beyond the world
-    and its record table, the writer holds per-record indices and one
-    block.
+    the writer holds the census records' persons and kinds while it writes
+    census.csv, then the world's `record_listing`, and one block.
     """
     os.makedirs(out_dir, exist_ok=True)
-    table = record_table(pop, census, result, household_weight)
     strata = pop.stratum_labels
     households = pop.households
     place = _matrix(households.count, (
@@ -284,38 +292,42 @@ def write_microdata(
     _write(os.path.join(out_dir, "census.csv"), _CENSUS_HEADER, (person.shape[0], census_rows))
     del person, kind
 
+    listing = record_listing(pop, census, result)
     prefix = _table(ID_PREFIXES)
-    survey = np.flatnonzero(table.side == SIDE_SURVEY)
-    # Roster records first, then reports, each by person.
-    survey = survey[np.lexsort((table.number[survey], table.source[survey]))]
+    # The survey records are the listing's first rows: roster records by
+    # person, then reports, which are written by person as well.
+    survey = int(np.count_nonzero(listing.side == SIDE_SURVEY))
+    roster = int(np.count_nonzero(listing.source[:survey] == SOURCE_ROSTER))
+    reports = roster + np.argsort(listing.number[roster:survey], kind="stable")
     pes_tail = _joined(strata, ROSTER_ROLES, _PES_STATUSES, end="\r\n")
 
-    def pes_rows(rows: slice) -> tuple:
-        record = survey[rows]
-        record_person = table.number[record]  # survey records are numbered by their person
-        household = table.household[record]
+    def pes_rows(record: slice | np.ndarray) -> tuple:
+        record_person = listing.number[record]  # survey records are numbered by their person
+        household = listing.household[record]
         number = _digits(record_person)
         return (
-            (prefix, table.source[record]), number, b",", number, b",", (place, household), b",",
-            (pes_tail, (pop.post_stratum[record_person] * len(ROSTER_ROLES) + table.role[record])
-             * len(_PES_STATUSES) + pes.hh_status[household]),
+            (prefix, listing.source[record]), number, b",", number, b",", (place, household),
+            b",", (pes_tail, (pop.post_stratum[record_person] * len(ROSTER_ROLES)
+                              + listing.role[record]) * len(_PES_STATUSES)
+                   + pes.hh_status[household]),
         )
 
-    _write(os.path.join(out_dir, "pes.csv"), _PES_HEADER, (survey.shape[0], pes_rows))
-    del survey
+    _write(os.path.join(out_dir, "pes.csv"), _PES_HEADER, (roster, pes_rows),
+           (survey - roster, lambda rows: pes_rows(reports[rows])))
+    del reports
 
     codes = sorted(CODE_LABELS)
     phase_code = _joined(_PHASES, [CODE_LABELS[c] for c in codes], ("",), end="\r\n")
 
     def code_rows(rows: slice) -> tuple:
-        source = table.source[rows]
-        code = table.code[rows]
-        recovered = among(result.hh_cell[table.household[rows]], (CELL_SECT, CELL_PILCROW))
+        source = listing.source[rows]
+        code = listing.code[rows]
+        recovered = among(result.hh_cell[listing.household[rows]], (CELL_SECT, CELL_PILCROW))
         followup = ~among(code, _INITIAL_CODES) | (source == SOURCE_REPORT) | (
             (source == SOURCE_ROSTER) & recovered
         )
         return (
-            (prefix, source), _digits(table.number[rows]), b",",
+            (prefix, source), _digits(listing.number[rows]), b",",
             (phase_code, followup * len(codes) + np.searchsorted(codes, code)),
         )
 
@@ -329,10 +341,10 @@ def write_microdata(
     marker_text = {cell: f",{marker_phase},{label},{EXCLUSION_MARKERS[cell]}\r\n"
                    for label, cell in _MARKER_CELLS.items()}
     marker = _table(marker_text.get(cell, "") for cell in range(max(marker_text) + 1))
-    _write(os.path.join(out_dir, "codes.csv"), _CODES_HEADER, (table.code.shape[0], code_rows),
+    _write(os.path.join(out_dir, "codes.csv"), _CODES_HEADER, (listing.code.shape[0], code_rows),
            (marked.shape[0], lambda rows: (b"h", _digits(marked[rows]),
                                            (marker, result.hh_cell[marked[rows]]))))
-    del table
+    del listing
 
     sampled = np.flatnonzero(mask)
     weight = (np.ones(households.count) if household_weight is None
@@ -558,7 +570,9 @@ class _Reader:
     """One column of a file, read a block of rows at a time into room for
     `n` rows.  A column with a vocabulary is held as each field's position
     in it, `index`, -1 for other text, in the narrowest integer type, and
-    `reader[row]` is a field's bytes; any other column as the little-endian
+    `reader[row]` is a field's bytes; of other text only the first
+    `_ISSUES_PER_CHECK` fields are kept, in `other`, which is all a capped
+    issue list can show.  Any other column is held as the little-endian
     8-byte words of each field, NUL padded, a row of `field` each, from
     which `result` makes keys or bytes.  `long` is the first row with a
     field longer than `_MAX_FIELD`, after which nothing more is read.
@@ -604,9 +618,13 @@ class _Reader:
                     words = word_at[start[equal] + 8 * k] & _LOW_BYTES[min(len(word) - 8 * k, 8)]
                     equal = equal[words == target[k]]
             index[equal] = position
-        other = np.flatnonzero(index < 0)
+        other = np.flatnonzero(index < 0)[:_ISSUES_PER_CHECK - len(self.other)]
         text = _as_bytes(_words(word_at, start[other], length[other], first[other]))
         self.other.update(zip((other + rows.start).tolist(), text.tolist()))
+
+    def kept(self, rows: np.ndarray) -> np.ndarray:
+        """Which of the rows have their field's bytes at hand."""
+        return (self.index[rows] >= 0) | np.isin(rows, list(self.other))
 
     def __getitem__(self, row: int) -> bytes:
         position = self.index[row]
@@ -739,20 +757,44 @@ def _found(rows: np.ndarray, passed: np.ndarray) -> np.ndarray:
     return np.where(np.append(passed, False)[rows], rows, -1)
 
 
+# Rows of a file reported by name for each check they fail; the others are
+# counted.
+_ISSUES_PER_CHECK = 10
+
+
 def _check(issues: list[str], name: str, fields: dict, checks: list[tuple[np.ndarray, str]]
            ) -> np.ndarray:
     """Report each row's first failing check as "<file> row <n>: <message>",
     in row order, the message being the check's template filled in from the
-    row's `fields`: a column, or a function of the row for text that only
-    a message needs.  Returns which rows passed every check."""
+    row's `fields`: a column, a `_Reader`, or a function of the row for
+    text that only a message needs.  Each check reports its first
+    `_ISSUES_PER_CHECK` rows whose fields are at hand and then, when more
+    rows fail it, one line "<file> row <n>: <count> more rows fail:
+    <template>", n being the first of them.  Returns which rows passed
+    every check."""
     first = np.full(checks[0][0].shape[0], -1, dtype=_index_type(len(checks)))
     for number in reversed(range(len(checks))):
         if checks[number][0].any():
             first[checks[number][0]] = number
-    for i in np.flatnonzero(first >= 0).tolist():
-        row = {key: _text(field(i) if callable(field) else field[i])
-               for key, field in fields.items()}
-        issues.append(f"{name} row {i + 2}: " + checks[first[i]][1].format(**row))
+    failing = np.flatnonzero(first >= 0)
+    shown, more = [], []
+    for number, (_, template) in enumerate(checks):
+        rows = failing[first[failing] == number]
+        keys = [key for _, key, _, _ in string.Formatter().parse(template) if key]
+        listed = rows
+        for key in keys:
+            if isinstance(fields[key], _Reader):
+                listed = listed[fields[key].kept(listed)]
+        listed = listed[:_ISSUES_PER_CHECK]
+        for i in listed.tolist():
+            row = {key: _text(fields[key](i) if callable(fields[key]) else fields[key][i])
+                   for key in keys}
+            shown.append((i, f"{name} row {i + 2}: " + template.format(**row)))
+        rest = rows[~np.isin(rows, listed)]
+        if rest.shape[0]:
+            more.append(f"{name} row {rest[0] + 2}: {rest.shape[0]} more rows fail: {template}")
+    issues.extend(message for _, message in sorted(shown))
+    issues.extend(more)
     return first < 0
 
 
@@ -958,7 +1000,6 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
         side=side,
         code=code,
         role=coded_role,
-        household=row,
         cell=cell,
         weight=record_weight,
     )

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,7 @@ from .popsim import (
     CensusSim,
     PesSim,
     Population,
+    blocks,
     census_counts,
     gather,
     groups,
@@ -103,9 +105,11 @@ __all__ = [
     "MatchErrorModel",
     "MatchResult",
     "MatchTallies",
+    "RecordListing",
     "RecordTable",
     "census_records",
     "match_and_code",
+    "record_listing",
     "record_table",
     "record_weights",
     "tally_groups",
@@ -295,7 +299,8 @@ _CODE_SLOT[list(CODE_LABELS)] = np.arange(len(CODE_LABELS))
 
 @dataclass(frozen=True)
 class RecordTable:
-    """One matched world as columns: its census side and its codes.
+    """What `tally_records` reduces of one matched world: its census side
+    and its coded records, as columns.
 
     `census_count` counts the in-scope census records by kind (a row per
     `CENSUS_KINDS` entry) and cell (a column each), the finest group key at
@@ -306,12 +311,10 @@ class RecordTable:
     by its count.
 
     Coded records carry one final code each, on a survey record or on the
-    census record it resolves (`side`).  `household` is where a record was
-    collected, `cell` its cell and `weight` its `record_weights` weight.
-    Simulation and ingest fill every column by the same rules, so the two
-    tally alike.  Tables built from a simulated world also name their coded
-    records for the writer: `number` is the number in the record id, and
-    `source` indexes `ID_PREFIXES`.
+    census record it resolves (`side`), and a roster `role`; `cell` is the
+    cell of the record where it was collected and `weight` its
+    `record_weights` weight.  Simulation (`record_table`) and ingest fill
+    every column by the same rules, so the two tally alike.
     """
 
     census_count: np.ndarray
@@ -321,11 +324,38 @@ class RecordTable:
     side: np.ndarray
     code: np.ndarray
     role: np.ndarray
-    household: np.ndarray
     cell: np.ndarray
     weight: np.ndarray
-    number: np.ndarray | None = None
-    source: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class RecordListing:
+    """The coded records of a simulated world as the writer lists them, in
+    the rows of its `record_table`: `side`, `code` and `role` as there,
+    `household` where the record was collected, `number` the number in its
+    record id and `source` the index of its id prefix in `ID_PREFIXES`."""
+
+    side: np.ndarray
+    code: np.ndarray
+    role: np.ndarray
+    household: np.ndarray
+    number: np.ndarray
+    source: np.ndarray
+
+
+# Household grid cell by census listing status, survey listing status and
+# whether anyone lived in the household at census time.
+_GRID = np.full((3, 5, 2), CELL_DARK, dtype=np.int8)
+for _status, _cell in ((PES_WITH_Q, CELL_PAIR), (PES_ABSENT, CELL_PRESUME),
+                       (PES_NOT_LISTED, CELL_CEN_NL), (PES_VACANT, CELL_CEN_VAC),
+                       (PES_VACANT_MISSED, CELL_CEN_VACM)):
+    _GRID[CEN_WITH_Q, _status] = _cell
+_GRID[CEN_WITHOUT_Q, PES_WITH_Q] = CELL_BARE42
+_GRID[CEN_WITHOUT_Q, PES_ABSENT] = CELL_HASH
+_GRID[CEN_WITHOUT_Q, PES_NOT_LISTED] = CELL_SECT
+_GRID[CEN_NOT_LISTED, PES_WITH_Q] = (CELL_PES_ONLY, CELL_BARE42)
+_GRID[CEN_NOT_LISTED, PES_ABSENT, 1] = CELL_PILCROW
+_GRID = _GRID.reshape(-1)
 
 
 def _classify_households(
@@ -333,33 +363,23 @@ def _classify_households(
     census: CensusSim,
     pes: PesSim,
 ) -> np.ndarray:
-    n_hh = pop.households.count
-    occupied_at_census = pop.occupied_at_census()
-
-    cs = census.hh_status
-    ss = pes.hh_status
-    cell = np.full(n_hh, CELL_DARK, dtype=np.int8)
-
-    with_q = cs == CEN_WITH_Q
-    cell[with_q & (ss == PES_WITH_Q)] = CELL_PAIR
-    cell[with_q & (ss == PES_ABSENT)] = CELL_PRESUME
-    cell[with_q & (ss == PES_NOT_LISTED)] = CELL_CEN_NL
-    cell[with_q & (ss == PES_VACANT)] = CELL_CEN_VAC
-    cell[with_q & (ss == PES_VACANT_MISSED)] = CELL_CEN_VACM
-
-    without_q = cs == CEN_WITHOUT_Q
-    cell[without_q & (ss == PES_WITH_Q)] = CELL_BARE42
-    cell[without_q & (ss == PES_ABSENT)] = CELL_HASH
-    cell[without_q & (ss == PES_NOT_LISTED)] = CELL_SECT
-
-    unlisted = cs == CEN_NOT_LISTED
-    found = unlisted & (ss == PES_WITH_Q)
-    cell[found & occupied_at_census] = CELL_BARE42
-    cell[found & ~occupied_at_census] = CELL_PES_ONLY
-    cell[unlisted & (ss == PES_ABSENT) & occupied_at_census] = CELL_PILCROW
-
+    key = census.hh_status.astype(np.intp)
+    key *= 5
+    key += pes.hh_status
+    key *= 2
+    key += pop.occupied_at_census()
+    cell = _GRID[key]
     cell[pop.households.institutional] = CELL_INSTITUTIONAL
     return cell
+
+
+def _put(codes: np.ndarray, where: np.ndarray, value) -> None:
+    """`codes[where] = value`, through the positions `where` selects: numpy
+    assigns through a boolean mask several times more slowly than through
+    an index.  `value` is a code, or a function giving the codes of the
+    positions."""
+    at = np.flatnonzero(where)
+    codes[at] = value(at) if callable(value) else value
 
 
 def match_and_code(
@@ -405,13 +425,17 @@ def match_and_code(
     # (o_in) or survey-time (d_in) household, so the rules run over those
     # persons alone, `keep`.  When they are every person, as on a full
     # frame, the person arrays are read whole instead of copied; no rule
-    # writes to them.
+    # writes to them.  Without a mask every household is sampled, so o_in
+    # and d_in are whether a person has a household at all.
     origin = pop.census_household
     dest = pop.pes_household
     has_origin = origin >= 0
     has_dest = dest >= 0
-    o_in = gather(hh_in, origin) & has_origin
-    d_in = gather(hh_in, dest) & has_dest
+    if household_mask is None:
+        o_in, d_in = has_origin, has_dest
+    else:
+        o_in = gather(hh_in, origin) & has_origin
+        d_in = gather(hh_in, dest) & has_dest
     keep = np.flatnonzero(o_in | d_in)
     n_kept = keep.shape[0]
     kept = slice(None) if n_kept == n else keep
@@ -438,56 +462,63 @@ def match_and_code(
     hh_fnm = (
         uniform_below(rng, n_hh, model.household_false_nonmatch)
         if model.household_false_nonmatch
-        else np.zeros(n_hh, dtype=bool)
+        else None
     )
     dup_flip = draw(model.resolution_flip)
 
-    ocell = np.where(has_origin, gather(cell, origin), CELL_DARK)
-    dcell = np.where(has_dest, gather(cell, dest), CELL_DARK)
+    # A person without a household on one side reads the dark cell there,
+    # the entry after every household's.
+    cell_or_dark = np.append(cell, np.int8(CELL_DARK))
+    ocell = gather(cell_or_dark, origin)
+    dcell = gather(cell_or_dark, dest)
     o_status = gather(pes.hh_status, origin)
     in_role = (mover | born) & has_dest
     non_mover = (scope == SCOPE_IN) & ~mover
 
+    # Codes are written through `_put`, except the matched pairs, the first
+    # codes written, which are products into the zeros.
     pes_code = np.zeros(n_kept, dtype=np.int16)
     cen_code = np.zeros(n_kept, dtype=np.int16)
     orphan_code = np.zeros(n_kept, dtype=np.int16)
+
+    def flipped(flip: np.ndarray, if_flipped: int, code: int) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda at: np.where(flip[at], if_flipped, code)
 
     # --- non-movers: one household, both sides ---
     nm = non_mover & o_in
     pair = nm & (ocell == CELL_PAIR)
 
     would_match = pair & m_captured & listed
-    hh_split = would_match & gather(hh_fnm, origin)
-    person_split = would_match & ~hh_split & fnm
-    matched = would_match & ~hh_split & ~person_split
-    pes_code[matched] = CODE_10
-    cen_code[matched] = CODE_PAIRED
-    pes_code[hh_split] = CODE_42_2
-    cen_code[hh_split] = CODE_52_2
-    pes_code[person_split] = np.where(flip40[person_split], CODE_41, CODE_42_4)
-    cen_code[person_split] = np.where(flip50[person_split], CODE_51, CODE_52_4)
+    if hh_fnm is not None:
+        hh_split = would_match & gather(hh_fnm, origin)
+        would_match &= ~hh_split
+    person_split = would_match & fnm
+    matched = would_match & ~person_split
+    np.multiply(matched, CODE_10, out=pes_code, dtype=np.int16)
+    np.multiply(matched, CODE_PAIRED, out=cen_code, dtype=np.int16)
+    if hh_fnm is not None:
+        _put(pes_code, hh_split, CODE_42_2)
+        _put(cen_code, hh_split, CODE_52_2)
+    _put(pes_code, person_split, flipped(flip40, CODE_41, CODE_42_4))
+    _put(cen_code, person_split, flipped(flip50, CODE_51, CODE_52_4))
 
     survey_missed = pair & m_captured & ~listed
-    cen_code[survey_missed] = np.where(flip50[survey_missed], CODE_51, CODE_52_4)
+    _put(cen_code, survey_missed, flipped(flip50, CODE_51, CODE_52_4))
 
     census_missed = pair & ~m_captured & listed
-    spurious = census_missed & fm
-    pes_code[spurious] = CODE_10
-    rest = census_missed & ~fm
-    pes_code[rest] = np.where(flip40[rest], CODE_41, CODE_42_4)
+    _put(pes_code, census_missed & fm, CODE_10)
+    _put(pes_code, census_missed & ~fm, flipped(flip40, CODE_41, CODE_42_4))
 
-    in_not_listed = nm & (ocell == CELL_CEN_NL) & m_captured
-    cen_code[in_not_listed] = CODE_52_1
+    _put(cen_code, nm & (ocell == CELL_CEN_NL) & m_captured, CODE_52_1)
 
     bare = nm & (ocell == CELL_BARE42) & listed
-    pes_code[bare] = np.where(
-        census.hh_status[origin[bare]] == CEN_WITHOUT_Q, CODE_42_2, CODE_42_1
-    )
+    _put(pes_code, bare, lambda at: np.where(
+        census.hh_status[origin[at]] == CEN_WITHOUT_Q, CODE_42_2, CODE_42_1
+    ))
 
     # --- presumption: survey-absent households with census records keep
     # every record as a match, the carry-forward of the field rule ---
-    presumed = (ocell == CELL_PRESUME) & o_in & m_captured
-    cen_code[presumed] = CODE_10
+    _put(cen_code, (ocell == CELL_PRESUME) & o_in & m_captured, CODE_10)
 
     # --- out-roles: movers-out and deaths, resolved at the origin ---
     avail = out_role & o_in & (ocell != CELL_INSTITUTIONAL) & (ocell != CELL_PRESUME)
@@ -495,42 +526,36 @@ def match_and_code(
         avail & listed & proxy_ok
         & ((o_status == PES_WITH_Q) | (o_status == PES_VACANT))
     )
-    linked = reported & m_captured & ~fnm
-    cen_code[linked] = CODE_30
+    _put(cen_code, reported & m_captured & ~fnm, CODE_30)
     link_fail = reported & m_captured & fnm
-    orphan_code[link_fail] = np.where(flip40[link_fail], CODE_41, CODE_42_4)
-    cen_code[link_fail] = np.where(flip50[link_fail], CODE_51, CODE_52_4)
-    report_only = reported & ~m_captured
-    cen_code[report_only] = np.where(flip40[report_only], CODE_41, CODE_42_4)
+    _put(orphan_code, link_fail, flipped(flip40, CODE_41, CODE_42_4))
+    _put(cen_code, link_fail, flipped(flip50, CODE_51, CODE_52_4))
+    _put(cen_code, reported & ~m_captured, flipped(flip40, CODE_41, CODE_42_4))
 
     unreported = avail & ~reported & m_captured
-    at_home = unreported & (o_status == PES_WITH_Q)
-    cen_code[at_home] = np.where(flip50[at_home], CODE_51, CODE_52_4)
-    cen_code[unreported & (o_status == PES_VACANT)] = CODE_52_2
-    cen_code[
-        unreported & ((o_status == PES_NOT_LISTED) | (o_status == PES_VACANT_MISSED))
-    ] = CODE_52_1
+    _put(cen_code, unreported & (o_status == PES_WITH_Q), flipped(flip50, CODE_51, CODE_52_4))
+    _put(cen_code, unreported & (o_status == PES_VACANT), CODE_52_2)
+    _put(cen_code,
+         unreported & ((o_status == PES_NOT_LISTED) | (o_status == PES_VACANT_MISSED)),
+         CODE_52_1)
 
     # --- survey roster: in-movers and births at the destination ---
     roster_cell = (dcell == CELL_PAIR) | (dcell == CELL_BARE42) | (dcell == CELL_PES_ONLY)
-    roster = in_role & d_in & listed & roster_cell
-    pes_code[roster] = CODE_20
+    _put(pes_code, in_role & d_in & listed & roster_cell, CODE_20)
 
     if adjusted:
         # '§': recover every census-time member, none of whom has a record
         # on either side; '¶': late interview of the absent household.
-        sect = (ocell == CELL_SECT) & o_in & ~born & (cen_code == CODE_NONE)
-        cen_code[sect] = CODE_42_2
+        _put(cen_code, (ocell == CELL_SECT) & o_in & ~born & (cen_code == CODE_NONE), CODE_42_2)
         pilcrow = (dcell == CELL_PILCROW) & d_in
-        pes_code[pilcrow & non_mover] = CODE_42_1
-        pes_code[pilcrow & in_role] = CODE_20
+        _put(pes_code, pilcrow & non_mover, CODE_42_1)
+        _put(pes_code, pilcrow & in_role, CODE_20)
 
     # --- duplicate and fabricated census records ---
     dup_code = np.zeros(n_kept, dtype=np.int16)
     dup = duplicated & o_in & (ocell != CELL_INSTITUTIONAL)
-    dup_code[dup & (ocell == CELL_PRESUME)] = CODE_10
-    dup_seen = dup & (ocell != CELL_PRESUME)
-    dup_code[dup_seen] = np.where(dup_flip[dup_seen], CODE_52_4, CODE_51)
+    _put(dup_code, dup & (ocell == CELL_PRESUME), CODE_10)
+    _put(dup_code, dup & (ocell != CELL_PRESUME), flipped(dup_flip, CODE_52_4, CODE_51))
 
     fab_home = pop.census_household[census.fab_person]
     fab_cell = cell[fab_home]
@@ -585,20 +610,113 @@ def record_weights(side: np.ndarray, role: np.ndarray, household: np.ndarray,
     return weight[household] * np.where(found, factor[household], 1.0)
 
 
+# Roster role of a survey record: a roster record names who was found at
+# the survey-time household (an in-mover, or else a birth), a report who
+# left the census-time household (an out-mover, or else a death).  Each
+# source's role of a mover, and its scope and the role of that scope; a
+# mover is in scope at both times, so the two never meet.  Codes on census
+# records carry no role.
+_MOVED_ROLE = {SOURCE_ROSTER: ROLE_IN_MOVER, SOURCE_REPORT: ROLE_OUT_MOVER}
+_SCOPE_ROLE = {SOURCE_ROSTER: (SCOPE_BORN, ROLE_BIRTH), SOURCE_REPORT: (SCOPE_DIED, ROLE_DEATH)}
+
+
+def _segments(result: MatchResult) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """The coded records of a matched world by segment, in the order the
+    codes file lists them: survey roster records, out-mover reports,
+    stranded reports, then census, duplicate and fabricated census records.
+    Each segment is its source, the codes its records take theirs from and
+    where those codes make a record, nonzero entries (CODE_NONE is 0)."""
+    report = among(result.cen_code, REPORT_CODES)
+    resolved = result.cen_code > CODE_PAIRED
+    resolved &= ~report
+    return (
+        (SOURCE_ROSTER, result.pes_code, result.pes_code),
+        (SOURCE_REPORT, result.cen_code, report),
+        (SOURCE_REPORT, result.orphan_code, result.orphan_code),
+        (SOURCE_CENSUS, result.cen_code, resolved),
+        (SOURCE_DUPLICATE, result.dup_code, result.dup_code),
+        (SOURCE_FABRICATED, result.fab_code, result.fab_code),
+    )
+
+
+def _coded_blocks(pop: Population, census: CensusSim, result: MatchResult, segments
+                  ) -> Iterator[tuple[slice, int, np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray, np.ndarray]]:
+    """The records of `segments`, those of `popsim.DRAW_BLOCK` slots (or
+    fabrications) at a time: each block's rows, source, persons, numbers,
+    codes, households and roles.  Slot records are numbered by the persons
+    they belong to, fabricated records by their fabrication.  A roster
+    record is collected at its person's survey-time household, every other
+    record at the census-time one; households come as intp."""
+    start = 0
+    # When every person is listed, a slot is its person.
+    every = result.person.shape[0] == pop.size
+    for source, codes, held in segments:
+        named = census.fab_person if source == SOURCE_FABRICATED else result.person
+        home = pop.pes_household if source == SOURCE_ROSTER else pop.census_household
+        for block in blocks(held.shape[0]):
+            slot = np.flatnonzero(held[block] != 0)
+            if not slot.shape[0]:
+                continue
+            slot += block.start
+            person = slot if every and source != SOURCE_FABRICATED else named[slot]
+            if source <= SOURCE_REPORT:
+                role = pop.is_mover()[person].view(np.int8) * np.int8(_MOVED_ROLE[source])
+                scope, scope_role = _SCOPE_ROLE[source]
+                role += (pop.scope[person] == scope).view(np.int8) * np.int8(scope_role)
+            else:
+                role = np.full(slot.shape[0], ROLE_NON_MOVER, dtype=np.int8)
+            rows = slice(start, start + slot.shape[0])
+            start = rows.stop
+            yield (rows, source, person, slot if source == SOURCE_FABRICATED else person,
+                   codes[slot], home[person].astype(np.intp), role)
+
+
+def _record_count(segments) -> int:
+    return sum(int(np.count_nonzero(held)) for _, _, held in segments)
+
+
+def _side(source: int) -> int:
+    return SIDE_CENSUS if source >= SOURCE_CENSUS else SIDE_SURVEY
+
+
+def record_listing(pop: Population, census: CensusSim, result: MatchResult) -> RecordListing:
+    """The coded records of a matched world as the writer lists them, built
+    a block of a segment at a time (see `record_table` for their order)."""
+    segments = _segments(result)
+    n = _record_count(segments)
+    listing = RecordListing(
+        side=np.empty(n, dtype=np.int8), code=np.empty(n, dtype=np.int16),
+        role=np.empty(n, dtype=np.int8), household=np.empty(n, dtype=np.intp),
+        number=np.empty(n, dtype=np.intp), source=np.empty(n, dtype=np.int8),
+    )
+    for rows, source, _, number, code, household, role in _coded_blocks(
+            pop, census, result, segments):
+        listing.side[rows] = _side(source)
+        listing.code[rows] = code
+        listing.role[rows] = role
+        listing.household[rows] = household
+        listing.number[rows] = number
+        listing.source[rows] = source
+    return listing
+
+
 def record_table(
     pop: Population,
     census: CensusSim,
     result: MatchResult,
     household_weight: np.ndarray | None = None,
 ) -> RecordTable:
-    """The census side and coded records of a matched world, as columns.
+    """What `tally_records` reduces of a matched world, as columns.
 
     Cells are the joint cells of `popsim.joint_cell`, and the census counts
     the world's `popsim.census_counts`.  Coded records come in the order the
-    codes file lists them: survey roster records, out-mover reports,
-    stranded reports, then census, duplicate and fabricated census records.
-    Each weighs what `record_weights` gives it: the '#' reweighting of
-    adjusted mode applies to records found at the survey interview.
+    codes file lists them, the rows of `record_listing`: survey roster
+    records, out-mover reports, stranded reports, then census, duplicate and
+    fabricated census records.  They are built a block of a segment at a
+    time, and each weighs what `record_weights` gives it: the '#'
+    reweighting of adjusted mode applies to records found at the survey
+    interview.
     """
     n_hh = pop.households.count
     if household_weight is None:
@@ -621,9 +739,6 @@ def record_table(
     # A person without a household on one side reads the last household
     # there; no record of theirs is placed on that side.
     origin = pop.census_household
-    dest = pop.pes_household
-    fab_person = census.fab_person
-
     census_count = census_counts(pop, census)[:len(CENSUS_KINDS)]
     if household_weight is None and result.household_mask.all():
         # Every in-scope record weighs 1.0, and n ones sum to exactly n.
@@ -635,53 +750,28 @@ def record_table(
         sampled = result.household_mask & ~pop.households.institutional
         census_person, census_kind = census_records(
             census, result.person[sampled[origin[result.person]]],
-            np.flatnonzero(sampled[origin[fab_person]]),
+            np.flatnonzero(sampled[origin[census.fab_person]]),
         )
         census_cells = joint_cell(pop, census_person, origin[census_person])
         census_weight = weight[origin[census_person]]
 
-    # Slot records are named by the persons they belong to, fabricated
-    # records by their fabrication.
-    named = result.person
-    report = among(result.cen_code, REPORT_CODES)
-    roster = np.flatnonzero(result.pes_code != CODE_NONE)
-    reports = np.flatnonzero(report)
-    orphans = np.flatnonzero(result.orphan_code != CODE_NONE)
-    resolved = np.flatnonzero((result.cen_code > CODE_PAIRED) & ~report)
-    dups = np.flatnonzero(result.dup_code != CODE_NONE)
-    fabs = np.flatnonzero(result.fab_code != CODE_NONE)
-    segments = (
-        (SOURCE_ROSTER, named[roster], roster, result.pes_code),
-        (SOURCE_REPORT, named[reports], reports, result.cen_code),
-        (SOURCE_REPORT, named[orphans], orphans, result.orphan_code),
-        (SOURCE_CENSUS, named[resolved], resolved, result.cen_code),
-        (SOURCE_DUPLICATE, named[dups], dups, result.dup_code),
-        (SOURCE_FABRICATED, fab_person[fabs], fabs, result.fab_code),
-    )
-    person = np.concatenate([persons for _, persons, _, _ in segments])
-    source = np.concatenate(
-        [np.full(persons.shape[0], src, dtype=np.int8) for src, persons, _, _ in segments]
-    )
-    on_roster = source == SOURCE_ROSTER
-    household = np.where(on_roster, dest[person], origin[person]).astype(np.intp)
-
-    # Roster records name who was found at the survey-time household,
-    # reports who left the census-time household; codes on census records
-    # carry no role.
-    scope = pop.scope[person]
-    moved = pop.is_mover()[person]
-    role = np.full(person.shape[0], ROLE_NON_MOVER, dtype=np.int8)
-    role[on_roster & moved] = ROLE_IN_MOVER
-    role[on_roster & (scope == SCOPE_BORN)] = ROLE_BIRTH
-    on_report = source == SOURCE_REPORT
-    role[on_report & moved] = ROLE_OUT_MOVER
-    role[on_report & (scope == SCOPE_DIED)] = ROLE_DEATH
-    side = np.where(source >= SOURCE_CENSUS, SIDE_CENSUS, SIDE_SURVEY).astype(np.int8)
-    if household_weight is None and result.exclusion_mode == "sci":
-        # Unit weights and no reweighting: every record weighs 1.0.
-        record_weight = np.ones(person.shape[0], dtype=np.float64)
-    else:
-        record_weight = record_weights(side, role, household, weight, factor)
+    segments = _segments(result)
+    n = _record_count(segments)
+    side = np.empty(n, dtype=np.int8)
+    code = np.empty(n, dtype=np.int16)
+    role = np.empty(n, dtype=np.int8)
+    cell = np.empty(n, dtype=np.int32)
+    # Unit weights and no reweighting: every record weighs 1.0.
+    unit = household_weight is None and result.exclusion_mode == "sci"
+    record_weight = np.ones(n, dtype=np.float64) if unit else np.empty(n, dtype=np.float64)
+    for rows, source, person, _, codes, household, roles in _coded_blocks(
+            pop, census, result, segments):
+        side[rows] = _side(source)
+        code[rows] = codes
+        role[rows] = roles
+        cell[rows] = joint_cell(pop, person, household)
+        if not unit:
+            record_weight[rows] = record_weights(_side(source), roles, household, weight, factor)
 
     return RecordTable(
         census_count=census_count,
@@ -689,13 +779,10 @@ def record_table(
         census_cell=census_cells,
         census_weight=census_weight,
         side=side,
-        code=np.concatenate([codes[index] for _, _, index, codes in segments]),
+        code=code,
         role=role,
-        household=household,
-        cell=joint_cell(pop, person, household),
+        cell=cell,
         weight=record_weight,
-        number=np.concatenate([*(persons for _, persons, _, _ in segments[:-1]), fabs]),
-        source=source,
     )
 
 
@@ -747,11 +834,17 @@ def tally_records(
     which only a simulated world knows; without it `m_in` is unset.
     """
     n_groups = len(labels)
-    slot = ((table.side.astype(np.int64) * len(CODE_LABELS) + _CODE_SLOT[table.code])
-            * len(ROSTER_ROLES) + table.role)
+    # Gathers with an intp index are fastest; numpy casts a narrower index
+    # entry by entry.  A single group is every cell's, group 0.
+    slot = _CODE_SLOT[table.code.astype(np.intp)]
+    slot += table.side * len(CODE_LABELS)
+    slot *= len(ROSTER_ROLES)
+    slot += table.role
+    if n_groups > 1:
+        slot *= n_groups
+        slot += cell_group[table.cell.astype(np.intp)]
     sums = np.bincount(
-        slot * n_groups + cell_group[table.cell], weights=table.weight,
-        minlength=len(_SLOT_FIELDS) * n_groups,
+        slot, weights=table.weight, minlength=len(_SLOT_FIELDS) * n_groups,
     ).reshape(len(_SLOT_FIELDS), n_groups)
     # Every field sums the same slots in the same order, so a field whose
     # slots contain another's never comes out smaller.  `n_in`'s in-mover
@@ -765,7 +858,7 @@ def tally_records(
     counts = table.census_count @ (cell_group[:, None] == np.arange(n_groups))
     kinds = len(CENSUS_KINDS)
     weighted = np.bincount(
-        table.census_kind * n_groups + cell_group[table.census_cell],
+        table.census_kind * n_groups + cell_group[table.census_cell.astype(np.intp)],
         weights=table.census_weight, minlength=kinds * n_groups,
     ).reshape(kinds, n_groups)
     e_sample = np.delete(weighted, KIND_IMPUTED, axis=0).sum(axis=0)

@@ -29,7 +29,11 @@ replication stays cheap at census-like sizes, and a world holds little
 beyond its own arrays.  Uniforms that are compared with a probability as
 soon as they are drawn are drawn `DRAW_BLOCK` persons at a time
 (`uniform_below`); with PCG64 the blocks hold exactly the values, and
-leave the generator in exactly the state, of one call for all persons.
+leave the generator in exactly the state, of one call for all persons.  A
+probability of 0 draws nothing: PCG64 is advanced past the uniforms
+instead, to the same state.  Rates that are 0 and worlds without
+institutional households skip the gathers they would make per person, and
+the categorical draw's bucket bounds are computed once per weight vector.
 The arrays every stage derives from a world -- the propensity, the
 households occupied at census time, the target scope and the movers -- are
 computed once per `Population`, on first use, and returned read-only: a
@@ -48,6 +52,7 @@ cells.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -128,8 +133,19 @@ def uniform_below(rng: np.random.Generator, n: int,
     `threshold` is a number, or a function giving the thresholds of the
     persons in a block.  Each double spends one 64-bit output of the bit
     generator, so the blocks draw the values of one call, in order, and
-    leave the generator in the state one call would.
+    leave the generator in the state one call would.  No uniform lies below
+    a threshold of 0, so a PCG64 generator is then advanced by n outputs
+    instead, its buffered 32-bit half kept as a draw of doubles keeps it;
+    other bit generators draw.
     """
+    if not callable(threshold) and threshold == 0 and type(rng.bit_generator) is np.random.PCG64:
+        state = rng.bit_generator.state
+        rng.bit_generator.advance(n)
+        # `advance` drops the buffered half, which a draw of doubles keeps.
+        advanced = rng.bit_generator.state
+        advanced["has_uint32"], advanced["uinteger"] = state["has_uint32"], state["uinteger"]
+        rng.bit_generator.state = advanced
+        return np.zeros(n, dtype=bool)
     below = np.empty(n, dtype=bool)
     uniform = np.empty(min(n, DRAW_BLOCK))
     for block in blocks(n):
@@ -162,6 +178,20 @@ _CHOICE_BUCKETS = 4096
 _BUCKET_EDGES = np.arange(_CHOICE_BUCKETS + 1) / _CHOICE_BUCKETS
 
 
+@functools.lru_cache(maxsize=16)
+def _buckets(p: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normalized cdf of the float64 weights `p` (their bytes), each
+    bucket's lowest index and whether a cdf edge crosses the bucket, made
+    read-only: the same for every world drawn with these weights."""
+    cdf = np.frombuffer(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    lower = cdf.searchsorted(_BUCKET_EDGES[:-1], side="right")
+    crossed = lower != cdf.searchsorted(_BUCKET_EDGES[1:], side="left")
+    for array in (cdf, lower, crossed):
+        array.setflags(write=False)
+    return cdf, lower, crossed
+
+
 def _choice(rng: np.random.Generator, p, size: int) -> np.ndarray:
     """`rng.choice(len(p), size, p=p)`: the same draw, the same indices.
 
@@ -170,15 +200,12 @@ def _choice(rng: np.random.Generator, p, size: int) -> np.ndarray:
     bucket that no cdf edge crosses has that bucket's index, and only the
     rest are searched.
     """
-    cdf = np.asarray(p, dtype=np.float64).cumsum()
-    cdf /= cdf[-1]
+    cdf, lower, crossed = _buckets(np.asarray(p, dtype=np.float64).tobytes())
     u = rng.random(size)
-    lower = cdf.searchsorted(_BUCKET_EDGES[:-1], side="right")
-    upper = cdf.searchsorted(_BUCKET_EDGES[1:], side="left")
     bucket = (u * _CHOICE_BUCKETS).astype(np.intp)
     index = lower[bucket]
-    crossed = (lower != upper)[bucket]
-    index[crossed] = cdf.searchsorted(u[crossed], side="right")
+    search = crossed[bucket]
+    index[search] = cdf.searchsorted(u[search], side="right")
     return index
 
 
@@ -255,7 +282,8 @@ class PopulationConfig:
         if self.n_households < 2 and self.mover_rate and self.new_household_rate < 1.0:
             raise ConfigError(
                 f"mover_rate must be 0, or new_household_rate 1, when persons={self.persons} "
-                "make one household: a mover who joins another household needs a second"
+                f"and mean_household_size={self.mean_household_size} make one household: "
+                "a mover who joins another household needs a second"
             )
         # Every index of a world must fit its dtype: the post-strata in
         # int16; districts, households and the count key of `census_counts`
@@ -423,11 +451,14 @@ class Population:
     def in_target(self) -> np.ndarray:
         """Census target scope: existed at census time, in an ordinary
         (non-institutional) household."""
-        return _memo(
-            self._derived, "in_target",
-            lambda: (self.scope != SCOPE_BORN)
-            & ~gather(self.households.institutional, self.census_household),
-        )
+
+        def target() -> np.ndarray:
+            existed = self.scope != SCOPE_BORN
+            if self.households.institutional.any():
+                existed &= ~gather(self.households.institutional, self.census_household)
+            return existed
+
+        return _memo(self._derived, "in_target", target)
 
     def household_area(self) -> np.ndarray:
         """Province-stratum of each household, `province * 2 + stratum`."""
@@ -555,7 +586,8 @@ def synthesize_population(
 
     mover = uniform_below(rng, config.persons, config.mover_rate)
     mover &= scope == SCOPE_IN
-    mover &= ~gather(hh_institutional, census_hh)
+    if hh_institutional.any():
+        mover &= ~gather(hh_institutional, census_hh)
     mover_idx = np.nonzero(mover)[0]
     forms_new = uniform_below(rng, mover_idx.shape[0], config.new_household_rate)
 
@@ -712,7 +744,8 @@ def simulate_census(
     # Eligible persons of responding households; persons born later read
     # the last household's status, and the scope test drops them.
     responding = pop.scope != SCOPE_BORN
-    responding &= ~gather(noq_hh, home)
+    if listed_nonresponse_rate:
+        responding &= ~gather(noq_hh, home)
 
     captured = uniform_below(rng, n, _capture_probability(pop, probs.census, probs))
     captured &= responding

@@ -8,10 +8,30 @@ from pathlib import Path
 import numpy as np
 
 from covlab.matching import (
+    CELL_HASH,
+    CENSUS_KINDS,
+    CODE_NONE,
+    CODE_PAIRED,
     KIND_DUPLICATE,
     KIND_FABRICATED,
     KIND_IMPUTED,
     KIND_PERSON,
+    REPORT_CODES,
+    ROLE_BIRTH,
+    ROLE_DEATH,
+    ROLE_IN_MOVER,
+    ROLE_NON_MOVER,
+    ROLE_OUT_MOVER,
+    SIDE_CENSUS,
+    SIDE_SURVEY,
+    SOURCE_CENSUS,
+    SOURCE_DUPLICATE,
+    SOURCE_FABRICATED,
+    SOURCE_REPORT,
+    SOURCE_ROSTER,
+    among,
+    census_records,
+    record_weights,
     tally_groups,
 )
 from covlab.popsim import (
@@ -21,8 +41,11 @@ from covlab.popsim import (
     SCOPE_DIED,
     SCOPE_IN,
     GroundTruthLedger,
+    census_counts,
     groups,
+    joint_cell,
 )
+from covlab.sampling import noninterview_factor
 
 
 def clean_expected(pop, cen, sur):
@@ -199,6 +222,91 @@ def tally_reference(pop, census, result, level="national", household_weight=None
             e_sample=float(e_sample[g]),
         )
         for g, label in enumerate(labels)
+    }
+
+
+def record_table_reference(pop, census, result, household_weight=None):
+    """Every column of a matched world's coded records and census side,
+    built in one pass over all its records: record-length `np.where` for
+    the households and sides and masked passes for the roles.  Returns the
+    columns by name, those of `matching.RecordTable` and
+    `matching.RecordListing` together."""
+    n_hh = pop.households.count
+    weight = (np.ones(n_hh, dtype=np.float64) if household_weight is None
+              else np.asarray(household_weight, dtype=np.float64))
+    if result.exclusion_mode == "adjusted":
+        factor = noninterview_factor(
+            pop.households.district, pop.households.address_type, weight,
+            result.interviewed(), result.household_mask & (result.hh_cell == CELL_HASH),
+            pop.districts.count,
+        )
+    else:
+        factor = np.ones(n_hh, dtype=np.float64)
+    origin = pop.census_household
+    dest = pop.pes_household
+    fab_person = census.fab_person
+
+    census_count = census_counts(pop, census)[:len(CENSUS_KINDS)]
+    if household_weight is None and result.household_mask.all():
+        census_kind, census_cells = np.indices(census_count.shape).reshape(2, -1)
+        census_weight = census_count.ravel().astype(np.float64)
+    else:
+        sampled = result.household_mask & ~pop.households.institutional
+        census_person, census_kind = census_records(
+            census, result.person[sampled[origin[result.person]]],
+            np.flatnonzero(sampled[origin[fab_person]]),
+        )
+        census_cells = joint_cell(pop, census_person, origin[census_person])
+        census_weight = weight[origin[census_person]]
+
+    named = result.person
+    report = among(result.cen_code, REPORT_CODES)
+    roster = np.flatnonzero(result.pes_code != CODE_NONE)
+    reports = np.flatnonzero(report)
+    orphans = np.flatnonzero(result.orphan_code != CODE_NONE)
+    resolved = np.flatnonzero((result.cen_code > CODE_PAIRED) & ~report)
+    dups = np.flatnonzero(result.dup_code != CODE_NONE)
+    fabs = np.flatnonzero(result.fab_code != CODE_NONE)
+    segments = (
+        (SOURCE_ROSTER, named[roster], roster, result.pes_code),
+        (SOURCE_REPORT, named[reports], reports, result.cen_code),
+        (SOURCE_REPORT, named[orphans], orphans, result.orphan_code),
+        (SOURCE_CENSUS, named[resolved], resolved, result.cen_code),
+        (SOURCE_DUPLICATE, named[dups], dups, result.dup_code),
+        (SOURCE_FABRICATED, fab_person[fabs], fabs, result.fab_code),
+    )
+    person = np.concatenate([persons for _, persons, _, _ in segments])
+    source = np.concatenate(
+        [np.full(persons.shape[0], src, dtype=np.int8) for src, persons, _, _ in segments]
+    )
+    on_roster = source == SOURCE_ROSTER
+    household = np.where(on_roster, dest[person], origin[person]).astype(np.intp)
+    scope = pop.scope[person]
+    moved = pop.is_mover()[person]
+    role = np.full(person.shape[0], ROLE_NON_MOVER, dtype=np.int8)
+    role[on_roster & moved] = ROLE_IN_MOVER
+    role[on_roster & (scope == SCOPE_BORN)] = ROLE_BIRTH
+    on_report = source == SOURCE_REPORT
+    role[on_report & moved] = ROLE_OUT_MOVER
+    role[on_report & (scope == SCOPE_DIED)] = ROLE_DEATH
+    side = np.where(source >= SOURCE_CENSUS, SIDE_CENSUS, SIDE_SURVEY).astype(np.int8)
+    if household_weight is None and result.exclusion_mode == "sci":
+        record_weight = np.ones(person.shape[0], dtype=np.float64)
+    else:
+        record_weight = record_weights(side, role, household, weight, factor)
+    return {
+        "census_count": census_count,
+        "census_kind": census_kind,
+        "census_cell": census_cells,
+        "census_weight": census_weight,
+        "side": side,
+        "code": np.concatenate([codes[index] for _, _, index, codes in segments]),
+        "role": role,
+        "household": household,
+        "cell": joint_cell(pop, person, household),
+        "weight": record_weight,
+        "number": np.concatenate([*(persons for _, persons, _, _ in segments[:-1]), fabs]),
+        "source": source,
     }
 
 

@@ -29,6 +29,7 @@ from covlab.harness import (
     write_microdata,
 )
 from covlab.harness.experiment import EstimateRow
+from covlab.harness.ingest import _ISSUES_PER_CHECK
 from covlab.matching import record_table, tally_groups
 from covlab.popsim import DRAW_BLOCK, PopulationConfig
 
@@ -132,6 +133,57 @@ def test_run_replicate_rows_match_direct_recomputation():
     assert by_estimator["procedure_c"] == cc * mover_ratio(tallies.movers, "c")
     assert by_estimator["fcode_omitted"] == fcode_estimate(tallies.fcode, "omitted")
     assert by_estimator["fcode_denominator"] == fcode_estimate(tallies.fcode, "denominator")
+
+
+@pytest.mark.parametrize("workers, replicates, cpus, threads", [
+    (40, 40, 4, 4), (40, 3, 8, 3), (3, 40, 8, 3), (2, 40, 1, 1), (1, 40, 8, 1),
+])
+def test_replicates_run_on_no_more_threads_than_they_can_use(
+    tmp_path, monkeypatch, workers, replicates, cpus, threads
+):
+    started = []
+
+    class RecordingPool:
+        """Records its thread count and runs the replicates in this thread."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, function, items):
+            return map(function, items)
+
+    experiment = covlab.harness.experiment
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+    ran = []
+    monkeypatch.setattr(experiment, "run_replicate", lambda config, k: ran.append(k) or [])
+    config = dataclasses.replace(_small_config(replicates=replicates), workers=workers)
+    run_experiment(config, out_dir=str(tmp_path))
+    assert started == ([threads] if threads > 1 else [])
+    assert ran == list(range(replicates))
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert summary["config"]["workers"] == workers
+
+
+def test_capture_probabilities_are_built_once_per_config_and_read_only():
+    config = _small_config(dependence=0.2)
+    probs = covlab.harness.experiment._capture_probabilities(
+        10, config.capture_census, config.capture_pes, config.dependence, config.heterogeneity,
+    )
+    assert probs is covlab.harness.experiment._capture_probabilities(
+        10, config.capture_census, config.capture_pes, config.dependence, config.heterogeneity,
+    )
+    for array in (probs.census, probs.pes, probs.dependence, probs.heterogeneity):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+    assert np.array_equal(probs.dependence, np.full(10, 0.2))
 
 
 def test_worker_count_does_not_change_outputs(tmp_path):
@@ -519,6 +571,63 @@ def test_ingest_validation_issue_catalogue(tmp_path):
     ]
 
 
+def test_issue_lists_name_a_few_rows_per_check_and_count_the_rest(tmp_path):
+    out = _write_clean_microdata(tmp_path)
+    census = (out / "census.csv").read_bytes().split(b"\r\n")
+    records = [line.split(b",") for line in census[1:-1]]
+    (out / "census.csv").write_bytes(b"\r\n".join(
+        [census[0], *(b",".join([*fields[:5], b"alias", *fields[6:]]) for fields in records), b""]
+    ))
+    with open(out / "codes.csv", newline="", encoding="utf-8") as handle:
+        on_census = [(row, record["record_id"])
+                     for row, record in enumerate(csv.DictReader(handle), start=2)
+                     if record["record_id"][0] in "cdf"]
+    with pytest.raises(ValidationError) as excinfo:
+        ingest_microdata(str(out))
+    shown = _ISSUES_PER_CHECK
+    assert len(records) > shown and len(on_census) > shown
+    assert excinfo.value.issues == [
+        *(f"census.csv row {row}: record {fields[0].decode()} has unknown kind 'alias'"
+          for row, fields in enumerate(records[:shown], start=2)),
+        f"census.csv row {shown + 2}: {len(records) - shown} more rows fail: "
+        "record {record_id} has unknown kind {kind!r}",
+        *(f"codes.csv row {row}: record {record_id} not found in census or pes files"
+          for row, record_id in on_census[:shown]),
+        f"codes.csv row {on_census[shown][0]}: {len(on_census) - shown} more rows fail: "
+        "record {record_id} not found in census or pes files",
+    ]
+
+
+def test_rows_whose_text_is_not_kept_are_counted(tmp_path):
+    # Ingest keeps the first texts of unknown kinds, two of which belong to
+    # rows that report a duplicate id instead: the rows after them that
+    # fail on their kind are counted, never looked up.
+    out = _write_clean_microdata(tmp_path)
+    census = (out / "census.csv").read_bytes().split(b"\r\n")
+    records = [line.split(b",") for line in census[1:-1]]
+    unknown = _ISSUES_PER_CHECK + 2
+    for i in range(unknown):
+        records[i][5] = b"kind%d" % i
+    for i in (1, 2):
+        records[i][0] = records[0][0]
+    (out / "census.csv").write_bytes(
+        b"\r\n".join([census[0], *(b",".join(fields) for fields in records), b""])
+    )
+    with pytest.raises(ValidationError) as excinfo:
+        ingest_microdata(str(out))
+    census_issues = [issue for issue in excinfo.value.issues if issue.startswith("census.csv")]
+    first = records[0][0].decode()
+    assert census_issues == [
+        f"census.csv row 2: record {first} has unknown kind 'kind0'",
+        f"census.csv row 3: duplicate record_id {first}",
+        f"census.csv row 4: duplicate record_id {first}",
+        *(f"census.csv row {i + 2}: record {records[i][0].decode()} has unknown kind 'kind{i}'"
+          for i in range(3, _ISSUES_PER_CHECK)),
+        f"census.csv row {_ISSUES_PER_CHECK + 2}: 2 more rows fail: "
+        "record {record_id} has unknown kind {kind!r}",
+    ]
+
+
 def test_ingest_validation_issue_catalogue_of_the_other_checks(tmp_path):
     # Every id here is at most 8 bytes, so the ids join as integer keys;
     # the catalogue above joins them as bytes ("h-unknown" is 9 bytes).
@@ -764,6 +873,9 @@ def test_cli_experiment_runs_from_config(tmp_path, capsys):
         # never ended.
         ({"population": {"persons": 3, "mover_rate": 0.5, "new_household_rate": 0.0}},
          "population.mover_rate must be 0, or new_household_rate 1"),
+        # ... and the keys that made the one household are named in full.
+        ({"population": {"persons": 4000, "mean_household_size": 2667, "mover_rate": 0.05}},
+         "when population.persons=4000 and population.mean_household_size=2667 make one"),
     ],
 )
 def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, edit, named):
@@ -827,12 +939,13 @@ def test_cli_missing_directory_is_a_schema_error(tmp_path, capsys):
 
 # Bytes per person of the traced peak of building a world of a benchmark
 # workload's shape at 200k persons and its record table, with 10% slack.
-# The field-shaped world: 65.3 measured; int64 household indices read 74.3,
-# and memoized home arrays and full-length uniforms 90.8.  The clean world,
-# whose full frame codes every person: 110.3 measured; per-person capture
-# thresholds, an eagerly drawn propensity and looked-up unit weights read
-# 123.4.
-_WORLD_BYTES_PER_PERSON = {"mc-field-1m": 72.0, "mc-clean-50k": 121.0}
+# The field-shaped world: 60.6 measured; a record table built in one pass
+# over every record read 64.8, int64 household indices 74.3, and memoized
+# home arrays and full-length uniforms 90.8.  The clean world, whose full
+# frame codes every person: 68.8 measured; a one-pass record table read
+# 106.6, and per-person capture thresholds, an eagerly drawn propensity and
+# looked-up unit weights 123.4.
+_WORLD_BYTES_PER_PERSON = {"mc-field-1m": 67.0, "mc-clean-50k": 76.0}
 
 
 @pytest.mark.parametrize("workload", list(_WORLD_BYTES_PER_PERSON))
@@ -852,10 +965,12 @@ def test_world_build_holds_little_beyond_the_world(workload):
 
 
 # Traced peaks of microdata I/O on a 200k-person sci world, per byte of its
-# four files: the writer's above the world it formats (0.72 measured) and
+# four files: the writer's above the world it formats (0.306 measured) and
 # ingest's (1.22 measured), each with 10% slack.  Whole-file matrices on the
-# way out and whole-file temporaries on the way in read 2.02 and 3.65.
-_WRITE_PEAK_PER_BYTE = 0.80
+# way out and whole-file temporaries on the way in read 2.02 and 3.65; a
+# writer that built the whole record table, cells, weights and census side
+# included, read 0.72.
+_WRITE_PEAK_PER_BYTE = 0.34
 _INGEST_PEAK_PER_BYTE = 1.34
 
 
@@ -891,6 +1006,12 @@ _INGEST_INPUTS = {
                              *lines[1].split(b",")[5:]]), *lines[2:],
     ]),
     "unclosed-quote": ("pes.csv", lambda lines: [*lines[:-2], b'"' + lines[-2], lines[-1]]),
+    # Every census record of an unknown kind: each fails a check, and so
+    # does every code on a census record.
+    "wholly-bad-column": ("census.csv", lambda lines: [lines[0], *(
+        b",".join([*line.split(b",")[:5], b"alias", *line.split(b",")[6:]])
+        for line in lines[1:-1]
+    ), lines[-1]]),
 }
 
 
@@ -911,6 +1032,10 @@ def test_ingest_holds_little_beyond_one_file(tmp_path, sci_200k_files, case):
                 ingest_microdata(str(tmp_path), level="post_stratum")
             rows = (tmp_path / name).read_bytes().count(b"\n")
             assert caught.value.row == rows
+        elif case == "wholly-bad-column":
+            with pytest.raises(ValidationError) as caught:
+                ingest_microdata(str(tmp_path), level="post_stratum")
+            assert len(caught.value.issues) == 2 * (_ISSUES_PER_CHECK + 1)
         else:
             ingest_microdata(str(tmp_path), level="post_stratum")
         peak = tracemalloc.get_traced_memory()[1]

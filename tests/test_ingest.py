@@ -97,7 +97,10 @@ def test_sliced_columns_equal_csv_reader_in_small_chunks(tmp_path, rows, quoting
     csv.writer(text, quoting=quoting).writerows([["a", "b", "c"], *rows])
     (tmp_path / "f.csv").write_bytes(text.getvalue().encode("utf-8"))
     expected = list(csv.reader(io.StringIO(text.getvalue(), newline="")))[1:]
-    with mock.patch.object(ingest_module, "_CHUNK", chunk):
+    # Every field outside the vocabulary is kept, not only those a capped
+    # issue list can show.
+    with mock.patch.object(ingest_module, "_CHUNK", chunk), \
+            mock.patch.object(ingest_module, "_ISSUES_PER_CHECK", len(rows)):
         columns = _read_columns(str(tmp_path), "f.csv", ["a", "b", "c"], ("a", "c"),
                                 keys=("c",), vocabularies={"c": ("", "x", "longer word")})
     assert [[columns["a"][i].decode("utf-8"), columns["c"][i].decode("utf-8")]

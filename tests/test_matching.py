@@ -1,10 +1,13 @@
 """Record matching and final code assignment, checked against the world."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from covlab.errors import ConfigError, DomainError
 from covlab.estimators import fcode_estimate, mover_ratio
+from covlab.harness import build_world
 from covlab.matching import (
     CELL_HASH,
     CELL_PAIR,
@@ -29,9 +32,12 @@ from covlab.matching import (
     MatchErrorModel,
     MatchResult,
     MatchTallies,
+    RecordTable,
     match_and_code,
+    record_listing,
     record_table,
     tally_groups,
+    tally_records,
 )
 from covlab.popsim import (
     SCOPE_BORN,
@@ -41,12 +47,20 @@ from covlab.popsim import (
     PopulationConfig,
     census_counts,
     ground_truth_ledger,
+    groups,
     simulate_census,
     simulate_pes,
     synthesize_population,
 )
 from covlab.sampling import noninterview_factor
-from oracles import clean_expected, person_codes, tally_reference
+from oracles import (
+    clean_expected,
+    multi_block_config,
+    person_codes,
+    record_table_reference,
+    tally_reference,
+)
+from test_golden_outputs import LOCKED
 
 
 def _world(
@@ -318,8 +332,9 @@ def test_hash_reweighting_conserves_survey_mass():
     assert (factor[~interviewed] == 1.0).all()
     # Survey roster records carry exactly this reweighted household weight.
     table = record_table(pop, cen, result, weight)
-    roster = table.source == SOURCE_ROSTER
-    assert (table.weight[roster] == (weight * factor)[table.household[roster]]).all()
+    listing = record_listing(pop, cen, result)
+    roster = listing.source == SOURCE_ROSTER
+    assert (table.weight[roster] == (weight * factor)[listing.household[roster]]).all()
 
 
 def test_household_mask_gates_every_code():
@@ -381,6 +396,34 @@ def test_weighted_tallies_scale_with_the_design_weight():
     assert double.census_count == unit.census_count
     assert double.imputations == unit.imputations
     assert double.census_correct() == pytest.approx(unit.census_correct())
+
+
+@pytest.mark.parametrize(
+    "world", ["clean-national", "adjusted-sampled", "every-knob", "multi-block"]
+)
+def test_listing_and_table_equal_the_one_pass_reference(world):
+    config = multi_block_config() if world == "multi-block" else LOCKED[world]
+    bundle = build_world(config, 1)
+    world_args = (bundle.pop, bundle.census, bundle.result)
+    expected = record_table_reference(*world_args, bundle.household_weight)
+    table = record_table(*world_args, bundle.household_weight)
+    listing = record_listing(*world_args)
+    built = {**dataclasses.asdict(listing), **dataclasses.asdict(table)}
+    assert set(built) == set(expected)
+    for name, column in expected.items():
+        got = built[name]
+        assert got.dtype == column.dtype, name
+        assert got.shape == column.shape and got.tobytes() == column.tobytes(), name
+    assert np.array_equal(listing.side, table.side)
+    assert np.array_equal(listing.code, table.code)
+    assert np.array_equal(listing.role, table.role)
+    reference = RecordTable(
+        **{field.name: expected[field.name] for field in dataclasses.fields(RecordTable)}
+    )
+    for level in ("national", "post_stratum", "province_stratum"):
+        labels, cell_group = groups(bundle.pop, level)
+        assert (repr(tally_records(table, labels, cell_group))
+                == repr(tally_records(reference, labels, cell_group)))
 
 
 def test_prebuilt_table_tallies_equal_direct_tallies():

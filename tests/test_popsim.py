@@ -1,6 +1,7 @@
 """Synthetic worlds: generation invariants and both capture passes."""
 
 import hashlib
+import itertools
 import sys
 import threading
 
@@ -26,6 +27,7 @@ from covlab.popsim import (
     CaptureProbabilities,
     PopulationConfig,
     _capture_probability,
+    _buckets,
     _choice,
     _occupied,
     _sigmoid,
@@ -472,6 +474,18 @@ def test_choice_draws_as_generator_choice_on_random_weights():
         assert ours.random() == numpys.random()
 
 
+def test_choice_buckets_are_kept_read_only_per_weight_vector():
+    weights = np.array([0.2, 0.5, 0.3])
+    first = _choice(np.random.default_rng(3), weights, 100)
+    weights[:] = [0.5, 0.3, 0.2]
+    other = _choice(np.random.default_rng(3), weights, 100)
+    assert np.array_equal(other, np.random.default_rng(3).choice(3, size=100, p=weights))
+    assert not np.array_equal(first, other)
+    for array in _buckets(weights.tobytes()):
+        assert not array.flags.writeable
+    assert _buckets(weights.tobytes())[0] is _buckets(weights.copy().tobytes())[0]
+
+
 # The person-length draws of a world, as synthesis and the passes make them.
 _DRAWS = {
     "random": lambda rng, n: rng.random(n),
@@ -515,13 +529,43 @@ def test_block_draws_equal_one_call(kind, n, seed, buffered):
 @pytest.mark.parametrize("n", [*_BLOCK_EDGES, 3 * DRAW_BLOCK + 7])
 def test_uniform_below_equals_one_comparison(n):
     thresholds = np.random.default_rng(n).random(n)
-    for threshold in (0.3, lambda block: thresholds[block]):
+    for threshold, buffered in itertools.product(
+        (0.3, 0.0, lambda block: thresholds[block]), (False, True)
+    ):
         one, blocked = np.random.default_rng(9), np.random.default_rng(9)
+        if buffered:
+            # A 32-bit draw leaves the other half of a 64-bit output
+            # buffered; a zero threshold advances the generator and keeps it.
+            for rng in (one, blocked):
+                rng.integers(0, 2**32, dtype=np.uint32)
+            assert one.bit_generator.state["has_uint32"] == 1
         expected = one.random(n) < (thresholds if callable(threshold) else threshold)
         got = uniform_below(blocked, n, threshold)
         assert got.dtype == bool
         assert np.array_equal(got, expected)
         assert blocked.bit_generator.state == one.bit_generator.state
+        assert blocked.integers(0, 2**32, dtype=np.uint32) == one.integers(0, 2**32, dtype=np.uint32)
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its calls of `random`."""
+
+    calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return super().random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("bit_generator, draws", [(np.random.PCG64, 0), (np.random.Philox, 1)])
+def test_uniform_below_draws_below_zero_only_off_pcg64(bit_generator, draws):
+    one, blocked = np.random.Generator(bit_generator(5)), _CountingGenerator(bit_generator(5))
+    expected = one.random(1000) < 0.0
+    got = uniform_below(blocked, 1000, 0.0)
+    assert blocked.calls == draws
+    assert np.array_equal(got, expected)
+    # Philox's state holds arrays, so the next outputs are compared instead.
+    assert np.array_equal(blocked.integers(0, 2**63, size=9), one.integers(0, 2**63, size=9))
 
 
 def test_derived_person_arrays_are_read_only_fresh_and_per_world():
