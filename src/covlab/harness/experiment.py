@@ -126,11 +126,14 @@ def build_world(config: ExperimentConfig, replicate: int) -> WorldBundle:
     root = np.random.SeedSequence(config.base_seed, spawn_key=(replicate,))
     s_pop, s_census, s_pes, s_match, s_sample = root.spawn(5)
 
-    pop = synthesize_population(config.population, s_pop)
+    # Kept from the first replicate on, so made before the world: a small
+    # allocation that outlives a world, made above its arrays, keeps the
+    # heap from shrinking after them.
     probs = _capture_probabilities(
-        pop.n_post_strata, config.capture_census, config.capture_pes, config.dependence,
-        config.heterogeneity,
+        config.population.n_post_strata, config.capture_census, config.capture_pes,
+        config.dependence, config.heterogeneity,
     )
+    pop = synthesize_population(config.population, s_pop)
     census = simulate_census(
         pop,
         probs,

@@ -486,6 +486,40 @@ def test_choice_buckets_are_kept_read_only_per_weight_vector():
     assert _buckets(weights.tobytes())[0] is _buckets(weights.copy().tobytes())[0]
 
 
+def test_choice_in_threads_draws_as_generator_choice_past_the_bucket_cache():
+    # More weight vectors than the bucket cache keeps, drawn from four
+    # threads at once, so that entries are added and evicted concurrently.
+    source = np.random.default_rng(4)
+    weights = [source.random(int(source.integers(1, 40))) for _ in range(24)]
+    expected = [np.random.default_rng(k).choice(p.shape[0], size=300, p=p / p.sum())
+                for k, p in enumerate(weights)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        barrier = threading.Barrier(4)
+        wrong = []
+
+        def draw(offset):
+            barrier.wait(timeout=30)
+            for round_ in range(5):
+                for k in range(len(weights)):
+                    k = (k + offset * 7 + round_) % len(weights)
+                    p = weights[k] / weights[k].sum()
+                    got = _choice(np.random.default_rng(k), p, 300)
+                    if not np.array_equal(got, expected[k]):
+                        wrong.append(k)
+
+        threads = [threading.Thread(target=draw, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
 # The person-length draws of a world, as synthesis and the passes make them.
 _DRAWS = {
     "random": lambda rng, n: rng.random(n),
