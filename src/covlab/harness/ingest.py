@@ -42,20 +42,20 @@ Both directions work on columns, a block of rows at a time, and hold at
 most one file's bytes beyond the columns they need.  The writer formats
 each file as sections of rows, `_WRITE_ROWS` records at a time, as a
 uint8 matrix with a NUL-padded row per record, gathering the text of each
-column from a table straight into it, and writes only the non-NUL bytes.  Ingest reads a file into one buffer and works through it a
-megabyte at a time: one pass checks the UTF-8 text, counts the newlines
-and finds the doubled quotes, then a scan of each chunk finds the field
-bounds of the lines that end in it, and one column reader (`_Reader`)
-reads each needed column for those lines straight out of the buffer as
-8-byte words, into room sized by the file's newlines: id and stratum
-columns as big-endian uint64 keys (or bytes, when a field is longer than
-8 bytes), columns with a fixed vocabulary as positions in it, and weights
-as text.  Every search among keys goes through one index (`_Index`),
+column from a table straight into it, and writes only the non-NUL bytes.
+Ingest reads a file into one buffer and works through it a megabyte at a
+time: one pass checks the UTF-8 text, counts the newlines and finds the
+doubled quotes, then a scan of each chunk finds the field bounds of the
+lines that end in it, and one column reader (`_Reader`) reads each
+needed column for those lines straight out of the buffer as 8-byte words,
+into room sized by the file's newlines: id and stratum columns as
+big-endian uint64 keys (or bytes, when a field is longer than 8 bytes),
+columns with a fixed vocabulary as positions in it, and weights as text.  Every search among keys goes through one index (`_Index`),
 built once per key set: record ids, household ids, strata, districts and
 weight texts are hashed into a table sized by their distinct keys, and
 only keys that share a slot are sorted.  Per-row intermediates are held
 in the narrowest integer type that fits and released after their last
-use.  The text of a message is built only for the rows that fail a check.
+use.  The text of a message is built only for the rows it names.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ from ..matching import (
     record_weights,
     tally_records,
 )
-from ..popsim import DRAW_BLOCK, CensusSim, PesSim, Population, blocks
+from ..popsim import DRAW_BLOCK, CensusSim, PesSim, Population
 from ..sampling import ADDRESS_TYPES, noninterview_factor
 
 __all__ = ["write_microdata", "ingest_microdata"]
