@@ -12,11 +12,15 @@ written from four worlds.  The two small full-frame digests were recorded
 before procedure C's inputs were folded into `MoverTallies`, the sampled
 adjusted one before the column parse of ingest was reworked, and the
 multi-block one before the writer formatted files a block at a time.
+
+The household weights of two sampled worlds are pinned too, recorded
+before the sample was drawn in district codes rather than label keys.
 """
 
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 from oracles import multi_block_config
 
@@ -146,3 +150,35 @@ def test_estimate_report_is_byte_identical_to_locked_hash(tmp_path, name):
     report = tmp_path / "report.json"
     assert cli_main(["estimate", "--in", str(micro), *args, "--out", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == ESTIMATE_DIGESTS[name]
+
+
+# Worlds whose sample draw is pinned by the SHA-256 of their household
+# weights.  With 101 provinces the labels p00..p100 sort p10, p100, p11,
+# so the draw's label order differs from the code order; every pair holds
+# one district, larger than its take, so the order shows in which
+# household draw each district gets.
+SAMPLE_LOCKED = {
+    "eight-provinces": ExperimentConfig(
+        name="lock-sample-8", base_seed=31,
+        population=PopulationConfig(persons=8000, provinces=8),
+        sample=SampleSpec(psus_per_stratum=2, urban_take=20, rural_take=30),
+    ),
+    "label-order": ExperimentConfig(
+        name="lock-sample-101", base_seed=32,
+        population=PopulationConfig(persons=10000, provinces=101, urban_districts=1,
+                                    rural_districts=1),
+        sample=SampleSpec(psus_per_stratum=1, urban_take=10, rural_take=5),
+    ),
+}
+
+SAMPLE_DIGESTS = {
+    "eight-provinces": "2fdb146e1326cfe45d1b69710dd84c0a3d18c4ee06ef02b124ac3da250b962dd",
+    "label-order": "69127646d7051488910310a768fc45f277300b22a93940621ca4548cc6cf211a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_LOCKED))
+def test_sampled_household_weights_are_locked(name):
+    weight = build_world(SAMPLE_LOCKED[name], 0).household_weight
+    assert weight.dtype == np.float64
+    assert hashlib.sha256(weight.tobytes()).hexdigest() == SAMPLE_DIGESTS[name]
