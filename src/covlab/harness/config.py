@@ -20,31 +20,13 @@ from ..errors import ConfigError, check_fields
 from ..estimators import F30Placement, Procedure
 from ..matching import MatchErrorModel
 from ..popsim import PopulationConfig
+from ..sampling import SampleSpec
 
 __all__ = ["SCHEMA_VERSION", "SampleSpec", "ExperimentConfig", "load_config", "dump_config"]
 
 SCHEMA_VERSION = 1
 
 _LEVELS = ("national", "province_stratum", "post_stratum")
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """Two-stage survey sample: whole districts, then a household take.
-
-    `psus_per_stratum` districts are drawn in every (province, stratum)
-    pair; takes follow the urban and rural defaults of the field design.
-    """
-
-    psus_per_stratum: int = 1
-    urban_take: int = 50
-    rural_take: int = 100
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        for name in ("psus_per_stratum", "urban_take", "rural_take"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)

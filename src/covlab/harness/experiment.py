@@ -34,8 +34,8 @@ from ..popsim import (
     simulate_pes,
     synthesize_population,
 )
-from ..sampling import STRATA, DistrictFrame, SampleDesign, draw_sample
-from .config import ExperimentConfig, SampleSpec
+from ..sampling import DistrictFrame, SampleSpec, draw_sample
+from .config import ExperimentConfig
 
 __all__ = [
     "EstimateRow",
@@ -90,21 +90,11 @@ def _draw_household_sample(
     frame = DistrictFrame.from_households(
         pop.households.district, districts.province, districts.stratum, districts.province_labels
     )
-    design = SampleDesign(
-        districts_per_stratum={
-            (province, stratum): spec.psus_per_stratum
-            for province in districts.province_labels
-            for stratum in STRATA
-        },
-        urban_take=spec.urban_take,
-        rural_take=spec.rural_take,
-    )
-    sample = draw_sample(frame, design, seed)
-    mask = np.zeros(pop.households.count, dtype=bool)
-    mask[sample.households] = True
+    sample = draw_sample(frame, spec, seed)
     weight = np.zeros(pop.households.count, dtype=np.float64)
     weight[sample.households] = sample.weight
-    return mask, weight
+    # Every sampled household's weight is at least 1.
+    return weight > 0, weight
 
 
 @functools.lru_cache(maxsize=16)

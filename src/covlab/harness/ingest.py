@@ -86,7 +86,10 @@ from ..matching import (
     CODE_SIDE,
     EXCLUSION_MARKERS,
     ID_PREFIXES,
+    KIND_DUPLICATE,
     KIND_FABRICATED,
+    KIND_IMPUTED,
+    KIND_PERSON,
     ROLE_BIRTH,
     ROLE_IN_MOVER,
     ROSTER_ROLES,
@@ -98,7 +101,6 @@ from ..matching import (
     MatchTallies,
     RecordTable,
     among,
-    census_records,
     record_listing,
     record_weights,
     tally_records,
@@ -255,8 +257,9 @@ def write_microdata(
     being one uint8 matrix with a NUL-padded row per record: integers
     become digits by array arithmetic, and columns that take only a few
     values are gathered from tables of their joined text.  Beyond the world
-    the writer holds the census records' persons and kinds while it writes
-    census.csv, then the world's `record_listing`, and one block.
+    the writer holds the codes of the captured and the duplicated persons
+    while it writes census.csv, then the world's `record_listing`, and one
+    block.
     """
     os.makedirs(out_dir, exist_ok=True)
     strata = pop.stratum_labels
@@ -266,31 +269,35 @@ def write_microdata(
         _digits(households.district, min_width=4),
     ))
 
-    person, kind = census_records(census, np.arange(pop.size),
-                                  np.arange(census.fab_person.shape[0]))
-    first_fabricated = person.shape[0] - census.fab_person.shape[0]
     kind_prefix = _table("ccdf")
     census_tail = _joined(strata, CENSUS_KINDS, (0, 1), end="\r\n")
 
-    def census_rows(rows: slice) -> tuple:
-        record_person = person[rows]
-        record_kind = kind[rows]
-        household = pop.census_household[record_person]  # census records have one
-        fabricated = record_kind == KIND_FABRICATED
+    def census_rows(person: np.ndarray, kind: np.ndarray, index: np.ndarray | None = None
+                    ) -> tuple:
         # A fabrication is numbered by its index and has no person id.
-        number = _digits(np.where(
-            fabricated, np.arange(rows.start, rows.stop) - first_fabricated, record_person
-        ))
-        person_id = number.copy()
-        person_id[fabricated] = 0
+        number = _digits(person if index is None else index)
+        household = pop.census_household[person]  # census records have one
         return (
-            (kind_prefix, record_kind), number, b",", person_id, b",", (place, household), b",",
-            (census_tail, (pop.post_stratum[record_person] * len(CENSUS_KINDS) + record_kind) * 2
+            (kind_prefix, kind), number, b",", number if index is None else b"", b",",
+            (place, household), b",",
+            (census_tail, (pop.post_stratum[person] * len(CENSUS_KINDS) + kind) * 2
              + ~households.institutional[household]),
         )
 
-    _write(os.path.join(out_dir, "census.csv"), _CENSUS_HEADER, (person.shape[0], census_rows))
-    del person, kind
+    # Captured persons, duplicates, then fabrications.
+    captured = np.flatnonzero(census.captured)
+    duplicated = np.flatnonzero(census.duplicated)
+    _write(
+        os.path.join(out_dir, "census.csv"), _CENSUS_HEADER,
+        (captured.shape[0], lambda rows: census_rows(
+            captured[rows], np.where(census.imputed[captured[rows]], KIND_IMPUTED, KIND_PERSON))),
+        (duplicated.shape[0], lambda rows: census_rows(
+            duplicated[rows], np.full(rows.stop - rows.start, KIND_DUPLICATE))),
+        (census.fab_person.shape[0], lambda rows: census_rows(
+            census.fab_person[rows], np.full(rows.stop - rows.start, KIND_FABRICATED),
+            np.arange(rows.start, rows.stop))),
+    )
+    del captured, duplicated
 
     listing = record_listing(pop, census, result)
     prefix = _table(ID_PREFIXES)

@@ -1,16 +1,17 @@
 """Two-stage cluster sample of households for a post-enumeration survey.
 
-The frame is a set of arrays: household ids listed district after
-district, and for every district the offset and count of its run in that
-listing, a province code and a stratum code (0 urban, 1 rural).
+The design is the config's `SampleSpec`, drawn in district codes.  The
+frame is a set of arrays: household ids listed district after district,
+and for every district the offset and count of its run in that listing, a
+province code and a stratum code (0 urban, 1 rural).
 
-Districts are the primary units, selected systematically within each
-province by urban/rural stratum.  Households are the secondary units: a
-contiguous run of the district's household listing is taken, walking the
-listing in reverse order from a random start and wrapping around, which
-mimics an enumerator walking a block anticlockwise.  Every household in a
-district then has the same inclusion probability, and the design weight is
-the reciprocal of
+Districts are the primary units: `psus_per_stratum` of them are selected
+systematically within each (province, stratum) pair.  Households are the
+secondary units: a contiguous run of the district's household listing is
+taken, walking the listing in reverse order from a random start and
+wrapping around, which mimics an enumerator walking a block
+anticlockwise.  Every household in a district then has the same inclusion
+probability, and the design weight is the reciprocal of
 
     p = (n_d / tn_d) * (n_h / tn_h).
 
@@ -31,11 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .errors import DesignError
+from .errors import ConfigError, DesignError, check_fields
 
 __all__ = [
     "URBAN",
@@ -43,7 +43,7 @@ __all__ = [
     "STRATA",
     "ADDRESS_TYPES",
     "DistrictFrame",
-    "SampleDesign",
+    "SampleSpec",
     "DrawnSample",
     "systematic_indices",
     "select_psus",
@@ -102,51 +102,34 @@ class DistrictFrame:
         count = np.bincount(district, minlength=n_districts)
         return cls(order, np.cumsum(count) - count, count, province, stratum, province_labels)
 
-    def districts_in(self, key: tuple[str, str]) -> np.ndarray:
-        """Codes of the districts in one (province, stratum), in frame order."""
-        province, stratum = key
-        if province not in self.province_labels or stratum not in STRATA:
-            return np.zeros(0, dtype=np.int64)
-        return np.flatnonzero(
-            (self.province == self.province_labels.index(province))
-            & (self.stratum == STRATA.index(stratum))
-        )
-
 
 @dataclass(frozen=True)
-class SampleDesign:
-    """Districts to draw per (province, stratum), plus household take sizes.
+class SampleSpec:
+    """Two-stage survey sample: whole districts, then a household take.
 
-    The take sizes default to the classic 50 urban / 100 rural contiguous
-    runs; both are configurable.
+    `psus_per_stratum` districts are drawn in every (province, stratum)
+    pair; takes follow the urban and rural defaults of the field design.
     """
 
-    districts_per_stratum: Mapping[tuple[str, str], int]
+    psus_per_stratum: int = 1
     urban_take: int = 50
     rural_take: int = 100
 
     def __post_init__(self) -> None:
-        for key, count in self.districts_per_stratum.items():
-            if count <= 0:
-                raise DesignError(f"district count for {key!r} must be positive, got {count}")
-        if self.urban_take <= 0 or self.rural_take <= 0:
-            raise DesignError("take sizes must be positive")
-
-    def take_for(self, stratum: str) -> int:
-        return self.urban_take if stratum == URBAN else self.rural_take
+        check_fields(self)
+        for name in ("psus_per_stratum", "urban_take", "rural_take"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
 class DrawnSample:
-    """Drawn household ids in draw order, each with its district code,
-    inclusion probability and design weight, and the codes of the selected
-    districts that were taken whole."""
+    """Drawn household ids in draw order, each with its district code and
+    design weight."""
 
     households: np.ndarray
     district: np.ndarray
-    probability: np.ndarray
     weight: np.ndarray
-    short_districts: np.ndarray
 
 
 def systematic_indices(total: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,7 +137,9 @@ def systematic_indices(total: int, count: int, rng: np.random.Generator) -> np.n
 
     A random start in [0, step) with step = total / count gives every index
     an inclusion probability of exactly count / total, whether or not the
-    step divides evenly.
+    step divides evenly.  Index k lies in [k * step, (k + 1) * step); it is
+    clipped into the integers of that interval, which a start within
+    rounding of `step` would otherwise leave.
     """
     if count <= 0:
         raise DesignError(f"count must be positive, got {count}")
@@ -162,30 +147,35 @@ def systematic_indices(total: int, count: int, rng: np.random.Generator) -> np.n
         raise DesignError(f"cannot select {count} units from a frame of {total}")
     step = total / count
     start = rng.uniform(0.0, step)
-    return np.floor(start + step * np.arange(count)).astype(np.int64)
+    k = np.arange(count, dtype=np.int64)
+    return np.clip(np.floor(start + step * k).astype(np.int64),
+                   k * total // count, ((k + 1) * total - 1) // count)
 
 
 def select_psus(
     frame: DistrictFrame,
-    design: SampleDesign,
+    spec: SampleSpec,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Codes of the districts selected systematically within each
-    (province, stratum), taking the design's keys in sorted order.
+    (province, stratum) pair.
 
-    Frame order within a stratum is preserved, so the selected districts
-    form an arithmetic progression through the listing.
+    The pairs are taken provinces in label order, and within a province the
+    rural stratum before the urban one: the order of the sorted (label,
+    stratum name) pairs.  Frame order within a pair is preserved, so the
+    selected districts form an arithmetic progression through the listing.
     """
+    labels, wanted = frame.province_labels, spec.psus_per_stratum
     selected = [np.zeros(0, dtype=np.int64)]
-    for key in sorted(design.districts_per_stratum):
-        wanted = design.districts_per_stratum[key]
-        available = frame.districts_in(key)
-        if wanted > available.shape[0]:
-            raise DesignError(
-                f"design asks for {wanted} districts in {key!r} but the frame holds "
-                f"{available.shape[0]}"
-            )
-        selected.append(available[systematic_indices(available.shape[0], wanted, rng)])
+    for province in sorted(range(len(labels)), key=labels.__getitem__):
+        for stratum in (1, 0):  # "rural" sorts before "urban"
+            available = np.flatnonzero((frame.province == province) & (frame.stratum == stratum))
+            if wanted > available.shape[0]:
+                raise DesignError(
+                    f"spec asks for {wanted} districts in {(labels[province], STRATA[stratum])!r} "
+                    f"but the frame holds {available.shape[0]}"
+                )
+            selected.append(available[systematic_indices(available.shape[0], wanted, rng)])
     return np.concatenate(selected)
 
 
@@ -225,42 +215,35 @@ def selection_probability(n_d: int, tn_d: int, n_h: int, tn_h: int) -> float:
 
 def draw_sample(
     frame: DistrictFrame,
-    design: SampleDesign,
+    spec: SampleSpec,
     seed: int | np.random.SeedSequence,
 ) -> DrawnSample:
     """Run both stages and attach design weights.
 
-    Deterministic: the same seed, frame and design reproduce the same
-    sample exactly.  All districts are selected before any household, and
-    only districts larger than their take consume a household draw.  Short
+    Deterministic: the same seed, frame and spec reproduce the same sample
+    exactly.  All districts are selected before any household, and only
+    districts larger than their take consume a household draw.  Short
     districts are taken whole with their true inclusion probability (the
     household factor becomes 1); empty ones contribute nothing.
     """
     rng = np.random.default_rng(seed)
-    totals = {key: frame.districts_in(key).shape[0] for key in design.districts_per_stratum}
-    selected = select_psus(frame, design, rng)
-    chosen, probability, short = [], [], []
+    pair = frame.province.astype(np.int64) * 2 + frame.stratum
+    tn_d = np.bincount(pair)[pair]  # the districts in each district's pair
+    selected = select_psus(frame, spec, rng)
+    chosen, weight = [], []
     for district in selected.tolist():
-        key = (frame.province_labels[frame.province[district]], STRATA[frame.stratum[district]])
-        take = design.take_for(key[1])
-        n = int(frame.count[district])
-        if n <= take:
-            short.append(district)
+        take = spec.rural_take if frame.stratum[district] else spec.urban_take
         households = select_households(frame, district, take, rng)
         chosen.append(households)
-        # An empty district repeats its placeholder probability zero times.
-        probability.append(
-            selection_probability(design.districts_per_stratum[key], totals[key], len(households), n)
-            if n else math.nan
-        )
+        n = int(frame.count[district])
+        # An empty district repeats its placeholder weight zero times.
+        weight.append(1.0 / selection_probability(
+            spec.psus_per_stratum, int(tn_d[district]), len(households), n) if n else math.nan)
     sizes = [len(households) for households in chosen]
-    probabilities = np.repeat(np.array(probability, dtype=np.float64), sizes)
     return DrawnSample(
         households=np.concatenate([frame.households[:0], *chosen]),
         district=np.repeat(selected, sizes),
-        probability=probabilities,
-        weight=1.0 / probabilities,
-        short_districts=np.array(short, dtype=np.int64),
+        weight=np.repeat(np.array(weight, dtype=np.float64), sizes),
     )
 
 

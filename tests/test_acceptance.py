@@ -25,14 +25,7 @@ from covlab.estimators import (
 from covlab.harness import ExperimentConfig, SampleSpec, build_world, run_experiment
 from covlab.matching import tally_groups
 from covlab.popsim import PopulationConfig
-from covlab.sampling import (
-    RURAL,
-    URBAN,
-    DistrictFrame,
-    SampleDesign,
-    draw_sample,
-    noninterview_factor,
-)
+from covlab.sampling import DistrictFrame, draw_sample, noninterview_factor
 from oracles import clean_expected
 
 
@@ -278,17 +271,13 @@ def test_criterion_08_design_weights_and_noninterview_conservation():
         np.array(strata, dtype=np.int8),
         ("p1", "p2"),
     )
-    design = SampleDesign(
-        districts_per_stratum={
-            (p, s): 2 for p in ("p1", "p2") for s in (URBAN, RURAL)
-        }
-    )
+    spec = SampleSpec(psus_per_stratum=2)
     true_total = sum(counts)
 
     totals = np.empty(2_000)
     worst_conservation = 0.0
     for k in range(2_000):
-        sample = draw_sample(frame, design, np.random.SeedSequence(408, spawn_key=(k,)))
+        sample = draw_sample(frame, spec, np.random.SeedSequence(408, spawn_key=(k,)))
         totals[k] = sample.weight.sum()
         if k < 20:
             # Interviewed, missing ('#'), or neither (not listed).

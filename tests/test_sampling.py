@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from covlab.errors import DesignError
+from covlab import harness
+from covlab.errors import ConfigError, DesignError
+from covlab.harness import config as harness_config
 from covlab.sampling import (
-    RURAL,
-    URBAN,
+    STRATA,
     DistrictFrame,
-    SampleDesign,
+    SampleSpec,
     draw_sample,
     noninterview_factor,
     select_households,
@@ -34,7 +35,7 @@ class _FixedRng:
         return self._integer % n
 
 
-def _frame(counts, strata=None, provinces=None):
+def _frame(counts, strata=None, provinces=None, labels=("p1",)):
     """Districts of the given sizes, listed one after another, with
     household ids 1000, 1001, ... so that ids differ from positions."""
     counts = np.asarray(counts, dtype=np.int64)
@@ -45,8 +46,13 @@ def _frame(counts, strata=None, provinces=None):
         count=counts,
         province=np.zeros(n, dtype=np.int64) if provinces is None else np.asarray(provinces),
         stratum=np.zeros(n, dtype=np.int8) if strata is None else np.asarray(strata, dtype=np.int8),
-        province_labels=("p1", "p2"),
+        province_labels=labels,
     )
+
+
+def _whole_province(urban, rural):
+    """One province: urban districts of the given sizes, then rural ones."""
+    return _frame(list(urban) + list(rural), strata=[0] * len(urban) + [1] * len(rural))
 
 
 def test_selection_probability_round_numbers():
@@ -80,6 +86,21 @@ def test_systematic_indices_are_a_valid_selection(total, count, seed):
     assert np.all((gaps == np.floor(step)) | (gaps == np.ceil(step)))
 
 
+@pytest.mark.parametrize("start", [0.0, 1 - 2**-53])
+def test_systematic_indices_stay_distinct_and_in_range_at_either_end_of_the_start(start):
+    # `rng.uniform(0, step)` returns at most step * (1 - 2**-53); there the
+    # unclipped floor reached `total` (total = count = 2 gave [0, 2]) or
+    # repeated an index.
+    bad = []
+    for total in range(2, 400):
+        for count in range(1, total + 1):
+            indices = systematic_indices(total, count, _FixedRng(uniform=start))
+            if not (len(indices) == count and indices[0] >= 0 and indices[-1] < total
+                    and np.all(np.diff(indices) >= 1)):
+                bad.append((total, count, indices.tolist()))
+    assert bad[:3] == []
+
+
 def test_systematic_indices_known_start():
     # step = 2, start at 0.5: floor of 0.5, 2.5, 4.5, ...
     indices = systematic_indices(10, 5, _FixedRng(uniform=0.25))
@@ -92,25 +113,39 @@ def test_systematic_indices_rejects_oversized_count():
 
 
 def test_select_psus_progression():
-    frame = _frame([10] * 4)
-    design = SampleDesign({("p1", URBAN): 2})
-    chosen = select_psus(frame, design, _FixedRng(uniform=0.25))
-    assert chosen.tolist() == [0, 2]
+    # Rural districts 4..7 are taken before urban ones 0..3.
+    frame = _whole_province([10] * 4, [10] * 4)
+    chosen = select_psus(frame, SampleSpec(psus_per_stratum=2), _FixedRng(uniform=0.25))
+    assert chosen.tolist() == [4, 6, 0, 2]
 
 
 def test_select_psus_respects_frame_size():
-    frame = _frame([10])
-    design = SampleDesign({("p1", URBAN): 2})
-    with pytest.raises(DesignError):
-        select_psus(frame, design, np.random.default_rng(0))
+    frame = _whole_province([10], [10])
+    with pytest.raises(DesignError, match="asks for 2 districts"):
+        select_psus(frame, SampleSpec(psus_per_stratum=2), np.random.default_rng(0))
+    # A pair without districts cannot supply one either.
+    with pytest.raises(DesignError, match=r"\('p1', 'rural'\).* holds 0"):
+        select_psus(_frame([10, 10]), SampleSpec(), np.random.default_rng(0))
 
 
 def test_select_psus_keeps_frame_order_within_each_stratum():
     # Urban and rural districts interleave; each stratum keeps its own order.
-    frame = _frame([10] * 6, strata=[0, 1, 0, 1, 0, 1], provinces=[0, 0, 0, 0, 1, 1])
-    design = SampleDesign({("p1", URBAN): 2, ("p1", RURAL): 2, ("p2", RURAL): 1})
-    chosen = select_psus(frame, design, _FixedRng(uniform=0.0))
-    assert chosen.tolist() == [1, 3, 0, 2, 5]
+    frame = _frame([10] * 8, strata=[0, 1] * 4, provinces=[0] * 4 + [1] * 4, labels=("p1", "p2"))
+    chosen = select_psus(frame, SampleSpec(psus_per_stratum=2), _FixedRng(uniform=0.0))
+    assert chosen.tolist() == [1, 3, 0, 2, 5, 7, 4, 6]
+
+
+def test_select_psus_takes_provinces_by_label_and_rural_first():
+    # Province p takes districts 2p (urban) and 2p + 1 (rural).  The labels
+    # sort as text, "p1" < "p10" < "p2", the reverse of their codes, and
+    # "rural" < "urban": the pairs come in the order of the sorted
+    # (label, stratum name) keys.
+    labels = ("p2", "p10", "p1")
+    frame = _frame([10] * 6, strata=[0, 1] * 3, provinces=[0, 0, 1, 1, 2, 2], labels=labels)
+    chosen = select_psus(frame, SampleSpec(), np.random.default_rng(0))
+    keys = [(labels[frame.province[d]], STRATA[frame.stratum[d]]) for d in chosen]
+    assert keys == sorted(keys)
+    assert chosen.tolist() == [5, 4, 3, 2, 1, 0]
 
 
 def test_select_households_reverse_wraparound():
@@ -126,70 +161,71 @@ def test_select_households_short_district_taken_whole():
 
 
 def test_draw_sample_is_deterministic():
-    frame = _frame([200] * 10)
-    design = SampleDesign({("p1", URBAN): 3}, urban_take=50)
-    first = draw_sample(frame, design, seed=42)
-    again = draw_sample(frame, design, seed=42)
-    for name in ("households", "district", "probability", "weight", "short_districts"):
+    frame = _whole_province([200] * 10, [200] * 10)
+    spec = SampleSpec(psus_per_stratum=3, urban_take=50)
+    first = draw_sample(frame, spec, seed=42)
+    again = draw_sample(frame, spec, seed=42)
+    for name in ("households", "district", "weight"):
         np.testing.assert_array_equal(getattr(first, name), getattr(again, name))
-    other = draw_sample(frame, design, seed=43)
+    other = draw_sample(frame, spec, seed=43)
     assert not np.array_equal(first.households, other.households)
 
 
 def test_draw_sample_weights_and_counts():
-    frame = _frame([200] * 10)
-    design = SampleDesign({("p1", URBAN): 2}, urban_take=50)
-    sample = draw_sample(frame, design, seed=7)
-    assert len(sample.households) == 100
-    assert len(np.unique(sample.households)) == 100
-    assert sample.short_districts.tolist() == []
-    np.testing.assert_allclose(sample.probability, (2 / 10) * (50 / 200))
-    np.testing.assert_allclose(sample.weight, 20.0)
+    frame = _whole_province([200] * 10, [400] * 5)
+    sample = draw_sample(frame, SampleSpec(psus_per_stratum=2, urban_take=50, rural_take=100),
+                         seed=7)
+    assert len(sample.households) == 2 * 50 + 2 * 100
+    assert len(np.unique(sample.households)) == 300
+    # The reciprocals of (2 / 10) * (50 / 200) and (2 / 5) * (100 / 400).
+    urban = frame.stratum[sample.district] == 0
+    np.testing.assert_allclose(sample.weight[urban], 20.0)
+    np.testing.assert_allclose(sample.weight[~urban], 10.0)
     # Every drawn household lies in the district it is reported under.
     start = frame.offset[sample.district]
     assert np.all((sample.households - 1000 >= start)
                   & (sample.households - 1000 < start + frame.count[sample.district]))
     # Per selected district the weighted take recovers the full frame share.
     totals = np.bincount(sample.district, weights=sample.weight)
-    np.testing.assert_allclose(totals[np.unique(sample.district)], 200 * 10 / 2)
+    np.testing.assert_allclose(totals[np.unique(sample.district)], 1000.0)
 
 
 def test_draw_sample_mixed_strata_take_sizes():
-    frame = _frame([80] * 4 + [150] * 4, strata=[0] * 4 + [1] * 4)
-    design = SampleDesign({("p1", URBAN): 1, ("p1", RURAL): 1})
-    sample = draw_sample(frame, design, seed=5)
+    frame = _whole_province([80] * 4, [150] * 4)
+    sample = draw_sample(frame, SampleSpec(), seed=5)
     stratum = frame.stratum[sample.district]
     assert (stratum == 0).sum() == 50
     assert (stratum == 1).sum() == 100
 
 
-def test_draw_sample_flags_short_districts():
-    frame = _frame([30])
-    design = SampleDesign({("p1", URBAN): 1}, urban_take=50)
-    sample = draw_sample(frame, design, seed=0)
-    assert sample.short_districts.tolist() == [0]
-    # Whole district taken: the household factor is 1.
-    np.testing.assert_array_equal(sample.households, frame.households)
-    np.testing.assert_allclose(sample.probability, 1.0)
+def test_draw_sample_takes_short_districts_whole():
+    frame = _whole_province([30, 30, 30], [60])
+    sample = draw_sample(frame, SampleSpec(urban_take=50, rural_take=100), seed=0)
+    # The rural district, then one of the urban ones, each listed whole.
+    urban, rural = np.unique(sample.district)
+    np.testing.assert_array_equal(sample.households, np.concatenate([
+        frame.households[frame.offset[d]:frame.offset[d] + frame.count[d]] for d in (rural, urban)
+    ]))
+    # The household factor is 1, so the weight is tn_d / n_d.
+    np.testing.assert_array_equal(sample.weight, [1.0] * 60 + [3.0] * 30)
 
 
 def test_draw_sample_empty_district_contributes_nothing():
-    frame = _frame([0, 0])
-    design = SampleDesign({("p1", URBAN): 1})
-    sample = draw_sample(frame, design, seed=0)
+    frame = _whole_province([0], [0])
+    sample = draw_sample(frame, SampleSpec(), seed=0)
     assert len(sample.households) == 0
+    assert sample.district.shape == (0,)
     assert sample.weight.shape == (0,)
-    assert len(sample.short_districts) == 1
 
 
 def test_horvitz_thompson_total_is_unbiased_with_empty_districts():
     rng = np.random.default_rng(11)
     counts = rng.integers(20, 120, size=12)
     counts[[1, 4, 5, 9]] = 0
-    frame = _frame(counts, strata=[0] * 6 + [1] * 6)
-    design = SampleDesign({("p1", URBAN): 2, ("p1", RURAL): 3}, urban_take=30, rural_take=40)
+    frame = _whole_province(counts[:6], counts[6:])
+    spec = SampleSpec(psus_per_stratum=2, urban_take=30, rural_take=40)
     totals = np.array([
-        draw_sample(frame, design, np.random.SeedSequence(7, spawn_key=(k,))).weight.sum()
+        draw_sample(frame, spec, np.random.SeedSequence(7, spawn_key=(k,))).weight.sum()
         for k in range(2_000)
     ])
     se = totals.std(ddof=1) / np.sqrt(totals.size)
@@ -204,8 +240,6 @@ def test_frame_from_households_lists_each_district_in_id_order():
     assert frame.households.tolist() == [1, 4, 3, 0, 2, 5]
     assert frame.offset.tolist() == [0, 2, 3, 6]
     assert frame.count.tolist() == [2, 1, 3, 0]
-    assert frame.districts_in(("p2", URBAN)).tolist() == [2]
-    assert frame.districts_in(("p3", URBAN)).tolist() == []
 
 
 def _adjusted(district, address_type, weight, interviewed, missing, n_districts=1):
@@ -279,11 +313,12 @@ def test_district_requires_known_stratum():
                       np.array([0]), ("p1",))
 
 
-def test_sample_design_validation():
-    with pytest.raises(DesignError):
-        SampleDesign({("p1", URBAN): 0})
-    with pytest.raises(DesignError):
-        SampleDesign({("p1", URBAN): 1}, urban_take=0)
-    design = SampleDesign({("p1", URBAN): 1}, urban_take=40, rural_take=80)
-    assert design.take_for(URBAN) == 40
-    assert design.take_for(RURAL) == 80
+def test_the_config_sample_is_the_sampler_design():
+    assert harness.SampleSpec is harness_config.SampleSpec is SampleSpec
+
+
+def test_sample_spec_checks_its_fields():
+    with pytest.raises(ConfigError, match="psus_per_stratum"):
+        SampleSpec(psus_per_stratum=0)
+    with pytest.raises(ConfigError, match="urban_take"):
+        SampleSpec(urban_take=0)
