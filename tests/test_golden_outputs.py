@@ -5,7 +5,9 @@ experiment; a refactor of the simulation, sampling or tally layers must
 leave them unchanged.  The SHA-256 digests below were recorded before the
 array sample frame, the shared record table and the bincount ledger
 replaced the earlier implementations, except the seed-23 sampled world's,
-re-recorded when every in-mover came to be summed in one tally slot.
+re-recorded when every in-mover came to be summed in one tally slot, and
+the homogeneous dependent world's, recorded before the capture model
+became the config's four numbers.
 
 The JSON report of `covlab estimate` is pinned the same way, on microdata
 written from four worlds.  The two small full-frame digests were recorded
@@ -65,6 +67,15 @@ LOCKED = {
         grouping=_LEVELS,
     ),
 }
+# Dependence without heterogeneity, the survey's per-outcome threshold
+# path: a base logit of exactly 0.0, over more than two draw blocks of
+# persons that end on a partial one.
+LOCKED["homogeneous-dependent"] = ExperimentConfig(
+    name="lock-homogeneous-dependent", base_seed=25, replicates=2,
+    population=PopulationConfig(persons=70_000, mover_rate=0.03),
+    capture_census=0.5, capture_pes=0.5, dependence=0.8,
+    grouping=("national", "post_stratum"),
+)
 # A sampled weighted world whose in-mover total depends on the order in
 # which the tally adds its in-mover records.
 LOCKED["adjusted-sampled-seed-23"] = dataclasses.replace(LOCKED["adjusted-sampled"], base_seed=23)
@@ -81,6 +92,10 @@ DIGESTS = {
     "adjusted-sampled-seed-23": {
         "replicates.csv": "bd99719d56b0aca0daa2df9f24579683dddf26bc5ad4711a8f6aa765a84a6146",
         "summary.json": "c05415c9d096e6a057bbc5fdbb8f81e595d3b4f2c957377ed774888110d07e90",
+    },
+    "homogeneous-dependent": {
+        "replicates.csv": "672c5a738bd65ebe1ebb814201f5a6c0baf4b228e9cf4d62eb9ceccc2801673e",
+        "summary.json": "1703cf396d3badae0d7a4e79f7cbb5d9e5657144331c6e54f61485357ceee0dc",
     },
     "every-knob": {
         "replicates.csv": "a806b4044f4d5d6ee08ea67e4c60d120c855f837313684e2b623f68b8b062fc9",
