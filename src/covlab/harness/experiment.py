@@ -11,7 +11,6 @@ rerun of the same config is byte-identical regardless of worker count.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import os
@@ -97,33 +96,17 @@ def _draw_household_sample(
     return weight > 0, weight
 
 
-@functools.lru_cache(maxsize=16)
-def _capture_probabilities(n_strata: int, census: float, pes: float, dependence: float,
-                           heterogeneity: float) -> CaptureProbabilities:
-    """`CaptureProbabilities.uniform` of a config, built once for all its
-    replicates and read-only."""
-    probs = CaptureProbabilities.uniform(
-        n_strata, census=census, pes=pes, dependence=dependence, heterogeneity=heterogeneity,
-    )
-    for array in (probs.census, probs.pes, probs.dependence, probs.heterogeneity):
-        array.setflags(write=False)
-    return probs
-
-
 def build_world(config: ExperimentConfig, replicate: int) -> WorldBundle:
     if replicate < 0:
         raise ConfigError(f"replicate must be non-negative, got {replicate}")
     root = np.random.SeedSequence(config.base_seed, spawn_key=(replicate,))
     s_pop, s_census, s_pes, s_match, s_sample = root.spawn(5)
 
-    # Kept from the first replicate on, so made before the world: a small
-    # allocation that outlives a world, made above its arrays, keeps the
-    # heap from shrinking after them.
-    probs = _capture_probabilities(
-        config.population.n_post_strata, config.capture_census, config.capture_pes,
-        config.dependence, config.heterogeneity,
-    )
     pop = synthesize_population(config.population, s_pop)
+    probs = CaptureProbabilities(
+        census=config.capture_census, pes=config.capture_pes,
+        dependence=config.dependence, heterogeneity=config.heterogeneity,
+    )
     census = simulate_census(
         pop,
         probs,

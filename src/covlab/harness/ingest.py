@@ -395,7 +395,8 @@ def _load(path: str, header: list[str]) -> tuple[np.ndarray, int, int, np.ndarra
     When the file holds a quote, the last item is the offsets of the first
     quote of each doubled pair inside a quoted field, else None.  A quote
     never closed, the last quote then, raises SchemaError naming its row:
-    one plus the newlines outside quotes, all of which come before it.
+    one plus the newlines outside quotes, all of which come before it.  A
+    file that is missing or cannot be read raises SchemaError naming it.
     """
     try:
         with open(path, "rb") as handle:
@@ -403,6 +404,8 @@ def _load(path: str, header: list[str]) -> tuple[np.ndarray, int, int, np.ndarra
             size = handle.readinto(buf[:-9])
     except FileNotFoundError:
         raise SchemaError("file is missing", path=path) from None
+    except OSError as exc:  # a directory, a path through a file, no permission
+        raise SchemaError(f"cannot read file ({exc.strerror})", path=path) from None
     if not size:
         raise SchemaError("file is empty, expected a header", path=path, row=1)
     data = buf[:size]

@@ -6,11 +6,11 @@ time and survey time people may move house, die, or be born; the
 population is closed otherwise, so every in-mover is the same person as
 some out-mover and the national counts agree exactly.
 
-The census pass captures each eligible person independently with a
-post-stratum probability, then injects the field pathologies that coverage
-estimation has to cope with: whole-person imputations (records that count
-but cannot be matched), duplicate records, and fabricated records.  The
-survey pass captures with its own probability, modified by two
+The census pass captures each eligible person independently with one base
+probability, then injects the field pathologies that coverage estimation
+has to cope with: whole-person imputations (records that count but cannot
+be matched), duplicate records, and fabricated records.  The survey pass
+captures with its own base probability, modified by two
 assumption-violating knobs:
 
     dependence     log-odds penalty on survey capture after a census miss,
@@ -19,10 +19,12 @@ assumption-violating knobs:
     heterogeneity  scale of a per-person propensity shared by both passes,
                    so positive values correlate capture probabilities
 
-Both knobs at zero give independent homogeneous captures, the model under
-which dual-system estimation is exact.  Without heterogeneity every capture
-probability is its post-stratum's, so it is computed once per stratum (and
-census outcome), and the propensity is never drawn.
+The capture model is these four numbers, `CaptureProbabilities`: the two
+base probabilities and the two knobs.  Both knobs at zero give independent
+homogeneous captures, the model under which dual-system estimation is
+exact.  Without heterogeneity the census pass has one capture probability
+and the survey pass one per census outcome, each computed once, and the
+propensity is never drawn.
 
 All person-level state lives in parallel numpy arrays so that Monte Carlo
 replication stays cheap at census-like sizes, and a world holds little
@@ -320,50 +322,23 @@ class PopulationConfig:
 
 @dataclass(frozen=True)
 class CaptureProbabilities:
-    """Per-post-stratum capture model for both passes."""
+    """The capture model of both passes: every person's base probability of
+    capture by the census and by the survey, and the two knobs that break
+    dual-system estimation's assumptions (see the module docstring)."""
 
-    census: np.ndarray
-    pes: np.ndarray
-    dependence: np.ndarray
-    heterogeneity: np.ndarray
+    census: float
+    pes: float
+    dependence: float = 0.0
+    heterogeneity: float = 0.0
 
     def __post_init__(self) -> None:
-        arrays = {
-            "census": np.asarray(self.census, dtype=np.float64),
-            "pes": np.asarray(self.pes, dtype=np.float64),
-            "dependence": np.asarray(self.dependence, dtype=np.float64),
-            "heterogeneity": np.asarray(self.heterogeneity, dtype=np.float64),
-        }
-        size = arrays["census"].shape
-        for name, arr in arrays.items():
-            if arr.shape != size:
-                raise ConfigError("capture arrays must share one shape per post-stratum")
-            object.__setattr__(self, name, arr)
+        check_fields(self)
         for name in ("census", "pes"):
-            arr = arrays[name]
-            if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-                raise ConfigError(f"{name} capture probabilities must lie strictly inside (0, 1)")
-        if np.any(arrays["heterogeneity"] < 0.0):
-            raise ConfigError("heterogeneity must be non-negative")
-        if not np.all(np.isfinite(arrays["dependence"])):
-            raise ConfigError("dependence must be finite")
-
-    @classmethod
-    def uniform(
-        cls,
-        n_strata: int,
-        census: float,
-        pes: float,
-        dependence: float = 0.0,
-        heterogeneity: float = 0.0,
-    ) -> "CaptureProbabilities":
-        ones = np.ones(n_strata, dtype=np.float64)
-        return cls(
-            census=census * ones,
-            pes=pes * ones,
-            dependence=dependence * ones,
-            heterogeneity=heterogeneity * ones,
-        )
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{name} must lie strictly inside (0, 1), got {value}")
+        if self.heterogeneity < 0.0:
+            raise ConfigError(f"heterogeneity must be non-negative, got {self.heterogeneity}")
 
 
 @dataclass(frozen=True)
@@ -656,47 +631,35 @@ def synthesize_population(
 
 def _capture_probability(
     pop: Population,
-    base: np.ndarray,
+    base: float,
     probs: CaptureProbabilities,
     census_captured: np.ndarray | None = None,
-) -> Callable[[slice], np.ndarray]:
-    """A function giving the capture probabilities of a block of persons:
-    the sigmoid of the logit of the post-stratum `base` probability, plus
-    the heterogeneity-scaled shared propensity, minus `dependence` for the
-    persons the census missed when `census_captured` is given.
+) -> float | Callable[[slice], np.ndarray]:
+    """The capture probability of every person, or a function giving those
+    of a block of persons: the sigmoid of the logit of the `base`
+    probability, plus the heterogeneity-scaled shared propensity, minus
+    `dependence` for the persons the census missed when `census_captured`
+    is given.
 
-    The logit is taken per post-stratum and gathered after, and the sum is
-    built in place; each entry is the same sum of the same terms.  Without
-    heterogeneity the propensity term is +-0.0, which leaves each logit its
-    stratum's (minus `dependence` for a census miss): the sigmoid is then
-    taken once per (census outcome, stratum) and gathered, and the
-    propensity is never drawn.
+    Without heterogeneity the propensity term is +-0.0, which leaves each
+    logit the base's (minus `dependence` for a census miss): the census
+    pass then has one probability and the survey pass one per census
+    outcome, and the propensity is never drawn.  Logits and sigmoids are
+    taken on arrays, one entry or many, so each probability has the bits
+    of the per-person formula's.
     """
-    base_logit = _logit(base)
-    if not probs.heterogeneity.any():
+    base_logit = _logit(np.array([base]))
+    if not probs.heterogeneity:
         if census_captured is None:
-            table = _sigmoid(base_logit)
-            return lambda block: table[pop.post_stratum[block].astype(np.intp)]
-        # The captured persons' thresholds by stratum, then the missed persons'.
-        table = _sigmoid(np.concatenate([base_logit, base_logit - probs.dependence]))
-        n_strata = base_logit.shape[0]
-
-        def threshold(block: slice) -> np.ndarray:
-            key = pop.post_stratum[block].astype(np.intp)
-            np.add(key, n_strata, out=key, where=~census_captured[block])
-            return table[key]
-
-        return threshold
+            return float(_sigmoid(base_logit)[0])
+        hit, miss = _sigmoid(base_logit - [0.0, probs.dependence])
+        return lambda block: np.where(census_captured[block], hit, miss)
 
     def probability(block: slice) -> np.ndarray:
-        ps = pop.post_stratum[block].astype(np.intp)  # gathers with an intp index are fastest
-        logits = probs.heterogeneity[ps]
-        logits *= pop.propensity[block]
-        logits += base_logit[ps]
+        logits = pop.propensity[block] * probs.heterogeneity
+        logits += base_logit
         if census_captured is not None:
-            penalty = probs.dependence[ps]
-            penalty *= ~census_captured[block]
-            logits -= penalty
+            np.subtract(logits, probs.dependence, out=logits, where=~census_captured[block])
         return _sigmoid(logits)
 
     return probability
@@ -712,9 +675,9 @@ def simulate_census(
 ) -> CensusSim:
     """Capture pass one.
 
-    Each census-scope person is captured independently with the
-    post-stratum probability on the heterogeneity-shifted logit scale.
-    With probability ee_rate a person sources an erroneous record: a
+    Each census-scope person is captured independently with the census
+    base probability on the heterogeneity-shifted logit scale.  With
+    probability ee_rate a person sources an erroneous record: a
     duplicate when the person was captured, a fabricated record in their
     household otherwise.  Captured persons' records are whole-person
     imputations with probability ii_rate.  Households listed without a
@@ -728,8 +691,6 @@ def simulate_census(
     ):
         if not 0.0 <= rate < 1.0:
             raise ConfigError(f"{name} must lie in [0, 1), got {rate}")
-    if probs.census.shape[0] != pop.n_post_strata:
-        raise ConfigError("capture arrays do not cover the population's post-strata")
 
     rng = np.random.default_rng(seed)
     n = pop.size
@@ -787,7 +748,7 @@ def simulate_pes(
 ) -> PesSim:
     """Capture pass two.
 
-    A person's survey logit is the post-stratum base, plus the shared
+    A person's survey logit is the survey base logit, plus the shared
     propensity, minus `dependence` when the census missed them.  The same
     draws serve every mover procedure, so procedure comparisons on one
     world are paired: the census-time roster, the survey-time roster and
@@ -807,8 +768,6 @@ def simulate_pes(
             raise ConfigError(f"{name} must lie in [0, 1), got {rate}")
     if absent_rate + unlisted_rate >= 1.0:
         raise ConfigError("absent_rate + unlisted_rate must stay below 1")
-    if probs.pes.shape[0] != pop.n_post_strata:
-        raise ConfigError("capture arrays do not cover the population's post-strata")
 
     rng = np.random.default_rng(seed)
     n = pop.size

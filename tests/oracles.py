@@ -124,15 +124,16 @@ def two_branch_sigmoid(x):
 
 def capture_reference(pop, base, probs, census_captured=None):
     """Every person's capture probability by the per-person formula: the
-    sigmoid of the heterogeneity-scaled propensity plus the post-stratum
-    base logit, minus `dependence` for the persons the census missed when
-    `census_captured` is given.  Reads `pop.propensity` whatever the
+    sigmoid of the heterogeneity-scaled propensity plus the logit of the
+    `base` probability, minus `dependence` for the persons the census
+    missed when `census_captured` is given.  Takes the logit of every
+    person's own copy of `base`, and reads `pop.propensity` whatever the
     heterogeneity."""
-    ps = pop.post_stratum.astype(np.intp)
-    logit = probs.heterogeneity[ps] * pop.propensity
-    logit += (np.log(base) - np.log1p(-base))[ps]
+    base = np.full(pop.size, base)
+    logit = probs.heterogeneity * pop.propensity
+    logit += np.log(base) - np.log1p(-base)
     if census_captured is not None:
-        logit -= probs.dependence[ps] * ~census_captured
+        logit -= probs.dependence * ~census_captured
     return two_branch_sigmoid(logit)
 
 

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import re
+import typing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from covlab.errors import ConfigError
 from covlab.harness import ExperimentConfig, SampleSpec, dump_config, load_config
 from covlab.matching import MatchErrorModel
-from covlab.popsim import PopulationConfig
+from covlab.popsim import CaptureProbabilities, PopulationConfig
 from test_golden_outputs import LOCKED
 
 # Where each nested config class sits in an ExperimentConfig.
@@ -79,6 +80,24 @@ def test_config_built_in_python_is_checked_like_json(cls, kwargs, named):
     with pytest.raises(ConfigError) as excinfo:
         cls(**kwargs)
     assert _names(str(excinfo.value), named), str(excinfo.value)
+
+
+# Every float field of the config classes, and every field of
+# CaptureProbabilities, which holds the four numbers of the capture model.
+_FLOAT_FIELDS = [
+    (cls, item.name)
+    for cls in (PopulationConfig, MatchErrorModel, ExperimentConfig)
+    for item in dataclasses.fields(cls)
+    if typing.get_type_hints(cls)[item.name] is float
+] + [(CaptureProbabilities, item.name) for item in dataclasses.fields(CaptureProbabilities)]
+
+
+@pytest.mark.parametrize("cls, name", _FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5"])
+def test_float_fields_reject_non_finite_values_and_strings(cls, name, value):
+    valid = {"census": 0.9, "pes": 0.9} if cls is CaptureProbabilities else {}
+    with pytest.raises(ConfigError, match=rf"^{name} "):
+        cls(**{**valid, name: value})
 
 
 # The largest values a world's index dtypes admit, and one past each: int16

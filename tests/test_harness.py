@@ -171,21 +171,6 @@ def test_replicates_run_on_no_more_threads_than_they_can_use(
     assert summary["config"]["workers"] == workers
 
 
-def test_capture_probabilities_are_built_once_per_config_and_read_only():
-    config = _small_config(dependence=0.2)
-    probs = covlab.harness.experiment._capture_probabilities(
-        10, config.capture_census, config.capture_pes, config.dependence, config.heterogeneity,
-    )
-    assert probs is covlab.harness.experiment._capture_probabilities(
-        10, config.capture_census, config.capture_pes, config.dependence, config.heterogeneity,
-    )
-    for array in (probs.census, probs.pes, probs.dependence, probs.heterogeneity):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = array[0]
-    assert np.array_equal(probs.dependence, np.full(10, 0.2))
-
-
 def test_worker_count_does_not_change_outputs(tmp_path):
     config = _small_config(replicates=4)
     serial_dir = tmp_path / "serial"

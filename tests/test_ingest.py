@@ -280,6 +280,28 @@ def test_mutated_microdata_fails_only_with_located_errors(tmp_path, clean_files,
         assert all(_ISSUE.match(issue) for issue in exc.issues), exc.issues
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "inside-a-file"])
+def test_unreadable_files_raise_schema_errors_naming_them(tmp_path, capsys, clean_files, case):
+    for name, data in clean_files.items():
+        (tmp_path / name).write_bytes(data)
+    in_dir = tmp_path
+    if case == "missing":
+        (tmp_path / "pes.csv").unlink()
+    elif case == "directory":
+        (tmp_path / "pes.csv").unlink()
+        (tmp_path / "pes.csv").mkdir()
+    else:
+        in_dir = tmp_path / "pes.csv"
+    path = os.path.join(str(in_dir), "census.csv" if case == "inside-a-file" else "pes.csv")
+    reason = "file is missing" if case == "missing" else r"cannot read file \(.+\)"
+    with pytest.raises(SchemaError, match=f"^{re.escape(path)}: {reason}$") as excinfo:
+        ingest_microdata(str(in_dir))
+    assert excinfo.value.path == path
+    assert cli_main(["validate", "--in", str(in_dir)]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("rows", ["two", "all"])
 @pytest.mark.parametrize("command", ["validate", "estimate"])
 def test_weights_overflowing_the_totals_exit_2(tmp_path, capsys, clean_files, rows, command):

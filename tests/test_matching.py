@@ -86,7 +86,7 @@ def _world(
     defaults.update(config_overrides)
     config = PopulationConfig(**defaults)
     pop = synthesize_population(config, seed=seed)
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=census, pes=pes)
+    probs = CaptureProbabilities(census=census, pes=pes)
     cen = simulate_census(
         pop, probs, ee_rate=ee_rate, ii_rate=ii_rate, seed=seed + 1,
         listed_nonresponse_rate=listed_nonresponse_rate,

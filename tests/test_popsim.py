@@ -154,25 +154,19 @@ def test_config_validation():
 
 
 def test_capture_probabilities_validation():
-    with pytest.raises(ConfigError):
-        CaptureProbabilities.uniform(4, census=1.0, pes=0.9)
-    with pytest.raises(ConfigError):
-        CaptureProbabilities.uniform(4, census=0.9, pes=0.9, heterogeneity=-1.0)
-    with pytest.raises(ConfigError):
-        CaptureProbabilities(
-            census=np.full(3, 0.9),
-            pes=np.full(4, 0.9),
-            dependence=np.zeros(4),
-            heterogeneity=np.zeros(4),
-        )
-    probs = CaptureProbabilities.uniform(4, census=0.9, pes=0.8)
-    assert probs.census.shape == (4,)
-    assert float(probs.dependence.max()) == 0.0
+    with pytest.raises(ConfigError, match="^census"):
+        CaptureProbabilities(census=1.0, pes=0.9)
+    with pytest.raises(ConfigError, match="^pes"):
+        CaptureProbabilities(census=0.9, pes=0.0)
+    with pytest.raises(ConfigError, match="^heterogeneity"):
+        CaptureProbabilities(census=0.9, pes=0.9, heterogeneity=-1.0)
+    probs = CaptureProbabilities(census=0.9, pes=0.8)
+    assert (probs.dependence, probs.heterogeneity) == (0.0, 0.0)
 
 
 def test_census_capture_invariants():
     _, pop = _world()
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.9, pes=0.9)
+    probs = CaptureProbabilities(census=0.9, pes=0.9)
     census = simulate_census(pop, probs, ee_rate=0.03, ii_rate=0.02, seed=3)
     born = pop.scope == SCOPE_BORN
     assert not census.captured[born].any()
@@ -186,7 +180,7 @@ def test_census_capture_invariants():
 
 def test_census_is_deterministic_and_clean_without_error_rates():
     _, pop = _world()
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.9, pes=0.9)
+    probs = CaptureProbabilities(census=0.9, pes=0.9)
     census = simulate_census(pop, probs, seed=3)
     again = simulate_census(pop, probs, seed=3)
     assert np.array_equal(census.captured, again.captured)
@@ -197,7 +191,7 @@ def test_census_is_deterministic_and_clean_without_error_rates():
 
 def test_census_household_status():
     _, pop = _world()
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.9, pes=0.9)
+    probs = CaptureProbabilities(census=0.9, pes=0.9)
     census = simulate_census(pop, probs, seed=3, listed_nonresponse_rate=0.1)
     home = np.where(pop.census_household >= 0, pop.census_household, 0)
     eligible = pop.scope != SCOPE_BORN
@@ -213,19 +207,16 @@ def test_census_household_status():
     assert np.all(census.hh_status[~occupied & ~with_records] == CEN_NOT_LISTED)
 
 
-def test_census_rejects_bad_rates_and_shapes():
+def test_census_rejects_bad_rates():
     _, pop = _world()
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.9, pes=0.9)
+    probs = CaptureProbabilities(census=0.9, pes=0.9)
     with pytest.raises(ConfigError):
         simulate_census(pop, probs, ee_rate=1.0)
-    wrong = CaptureProbabilities.uniform(pop.n_post_strata + 2, census=0.9, pes=0.9)
-    with pytest.raises(ConfigError):
-        simulate_census(pop, wrong)
 
 
 def test_pes_household_status_partition():
     _, pop = _world()
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.9, pes=0.9)
+    probs = CaptureProbabilities(census=0.9, pes=0.9)
     census = simulate_census(pop, probs, seed=3)
     pes = simulate_pes(pop, census, probs, seed=4, absent_rate=0.05, unlisted_rate=0.05)
     here = pop.pes_household[pop.pes_household >= 0]
@@ -239,7 +230,7 @@ def test_pes_household_status_partition():
 
 def test_pes_clean_settings_interview_everything():
     _, pop = _world()
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.9, pes=0.9)
+    probs = CaptureProbabilities(census=0.9, pes=0.9)
     census = simulate_census(pop, probs, seed=3)
     pes = simulate_pes(pop, census, probs, seed=4)
     assert pes.proxy_ok.all()
@@ -252,7 +243,7 @@ def test_pes_clean_settings_interview_everything():
 
 def test_pes_rejects_conflicting_household_rates():
     _, pop = _world()
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.9, pes=0.9)
+    probs = CaptureProbabilities(census=0.9, pes=0.9)
     census = simulate_census(pop, probs, seed=3)
     with pytest.raises(ConfigError):
         simulate_pes(pop, census, probs, absent_rate=0.6, unlisted_rate=0.5)
@@ -261,9 +252,7 @@ def test_pes_rejects_conflicting_household_rates():
 def test_dependence_lowers_survey_capture_of_census_misses():
     config = PopulationConfig(persons=30_000)
     pop = synthesize_population(config, seed=21)
-    probs = CaptureProbabilities.uniform(
-        pop.n_post_strata, census=0.6, pes=0.6, dependence=1.5
-    )
+    probs = CaptureProbabilities(census=0.6, pes=0.6, dependence=1.5)
     census = simulate_census(pop, probs, seed=1)
     pes = simulate_pes(pop, census, probs, seed=2)
     rate_hit = pes.listed[census.captured].mean()
@@ -274,10 +263,8 @@ def test_dependence_lowers_survey_capture_of_census_misses():
 def test_heterogeneity_correlates_the_two_passes():
     config = PopulationConfig(persons=30_000)
     pop = synthesize_population(config, seed=22)
-    plain = CaptureProbabilities.uniform(pop.n_post_strata, census=0.6, pes=0.6)
-    spread = CaptureProbabilities.uniform(
-        pop.n_post_strata, census=0.6, pes=0.6, heterogeneity=1.5
-    )
+    plain = CaptureProbabilities(census=0.6, pes=0.6)
+    spread = CaptureProbabilities(census=0.6, pes=0.6, heterogeneity=1.5)
     census_plain = simulate_census(pop, plain, seed=1)
     pes_plain = simulate_pes(pop, census_plain, plain, seed=2)
     census_spread = simulate_census(pop, spread, seed=1)
@@ -294,7 +281,7 @@ def test_heterogeneity_correlates_the_two_passes():
 
 def test_ground_truth_ledger_clean_world():
     _, pop = _world(institutional_rate=0.05)
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.85, pes=0.85)
+    probs = CaptureProbabilities(census=0.85, pes=0.85)
     census = simulate_census(pop, probs, seed=5)
     ledger = ground_truth_ledger(pop, census)["all"]
     target = pop.in_target()
@@ -308,7 +295,7 @@ def test_ground_truth_ledger_clean_world():
 
 def test_ground_truth_ledger_counts_erroneous_records():
     _, pop = _world()
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.85, pes=0.85)
+    probs = CaptureProbabilities(census=0.85, pes=0.85)
     census = simulate_census(pop, probs, ee_rate=0.05, seed=5)
     ledger = ground_truth_ledger(pop, census)["all"]
     target = pop.in_target()
@@ -320,7 +307,7 @@ def test_ground_truth_ledger_counts_erroneous_records():
 
 def test_ground_truth_ledger_groups_sum_to_national():
     _, pop = _world()
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.85, pes=0.85)
+    probs = CaptureProbabilities(census=0.85, pes=0.85)
     census = simulate_census(pop, probs, ee_rate=0.02, seed=5)
     national = ground_truth_ledger(pop, census)["all"]
     for level in ("post_stratum", "province_stratum"):
@@ -333,7 +320,7 @@ def test_ground_truth_ledger_groups_sum_to_national():
 def test_ground_truth_ledger_equals_masked_reference():
     # Births, deaths, institutions, duplicates and fabrications all present.
     _, pop = _world(institutional_rate=0.05)
-    probs = CaptureProbabilities.uniform(pop.n_post_strata, census=0.85, pes=0.85)
+    probs = CaptureProbabilities(census=0.85, pes=0.85)
     census = simulate_census(pop, probs, ee_rate=0.05, ii_rate=0.02, seed=5)
     assert census.duplicated.any() and census.fab_person.shape[0] > 0
     assert (pop.scope == SCOPE_BORN).any() and (pop.scope == SCOPE_DIED).any()
@@ -364,21 +351,18 @@ def test_sigmoid_is_bit_equal_to_the_two_branch_reference():
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("dependence", [-1.0, 0.0, 2.0])
 @pytest.mark.parametrize("heterogeneity", [0.0, 0.5])
-def test_capture_draws_equal_the_per_person_formula(heterogeneity):
-    # Base probabilities with a logit of exactly 0.0 (p = 0.5) and
+def test_capture_draws_equal_the_per_person_formula(heterogeneity, dependence):
+    # A census base probability with a logit of exactly 0.0 (p = 0.5) and
     # dependence of both signs and 0.0, over several blocks of persons.
     _, pop = _world(persons=2 * DRAW_BLOCK + 7)
-    n_strata = pop.n_post_strata
-    probs = CaptureProbabilities(
-        census=np.linspace(0.5, 0.95, n_strata), pes=np.linspace(0.3, 0.9, n_strata),
-        dependence=np.linspace(-1.0, 2.0, n_strata), heterogeneity=np.full(n_strata, heterogeneity),
-    )
-    assert 0.0 in probs.dependence
+    probs = CaptureProbabilities(census=0.5, pes=0.7, dependence=dependence,
+                                 heterogeneity=heterogeneity)
     census = simulate_census(pop, probs, seed=3)
     pes = simulate_pes(pop, census, probs, seed=4)
-    # Without heterogeneity the thresholds are taken per stratum, and the
-    # propensity is never drawn.
+    # Without heterogeneity the probabilities are taken once per census
+    # outcome, and the propensity is never drawn.
     assert ("propensity" in pop._derived) == bool(heterogeneity)
 
     for seed, got, base, captured in (
@@ -387,7 +371,11 @@ def test_capture_draws_equal_the_per_person_formula(heterogeneity):
     ):
         expected = capture_reference(pop, base, probs, captured)
         threshold = _capture_probability(pop, base, probs, captured)
-        blockwise = np.concatenate([threshold(block) for block in blocks(pop.size)])
+        if callable(threshold):
+            blockwise = np.concatenate([threshold(block) for block in blocks(pop.size)])
+        else:
+            assert captured is None and not heterogeneity
+            blockwise = np.full(pop.size, threshold)
         assert np.array_equal(blockwise.view(np.uint64), expected.view(np.uint64))
         # Each pass draws its capture uniforms first (no listed nonresponse).
         draws = np.random.default_rng(seed).random(pop.size) < expected
