@@ -1,8 +1,14 @@
-"""Semantic exception hierarchy, and the field check of every config class.
+"""Semantic exception hierarchy, and the one check of every config field.
 
 All errors raised by this package derive from :class:`CoverageLabError`, so
 callers can catch one type at an experiment boundary.  Subclasses mark the
 contract that was violated rather than the module that noticed it.
+
+A config field's rule is its annotation: its type, and the range it must
+lie in (`Rate`, `Share`, `Probability`, `AtLeast1`, `AtLeast0`, each
+defined here once) or the vocabulary it must come from (a ``Literal``).
+`check_fields` enforces the rule of every field of a config class, and
+`check_value` the same rule on a loose argument of a function.
 """
 
 import dataclasses
@@ -45,45 +51,103 @@ class ConfigError(CoverageLabError):
 
 _KINDS = {bool: "a bool", int: "an integer", float: "a finite number", str: "a string"}
 
-# Annotations of a config class, resolved once per class.
-_field_types = functools.cache(typing.get_type_hints)
+
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """The interval a number must lie in, each end closed unless open."""
+
+    low: float
+    high: float = math.inf
+    low_open: bool = False
+    high_open: bool = False
+
+    def __contains__(self, value: float) -> bool:
+        above = value > self.low if self.low_open else value >= self.low
+        below = value < self.high if self.high_open else value <= self.high
+        return above and below
+
+    def __str__(self) -> str:
+        if self.high == math.inf:
+            return f"be at least {self.low:g}"
+        return (f"lie in {'(' if self.low_open else '['}{self.low:g}, "
+                f"{self.high:g}{')' if self.high_open else ']'}")
+
+
+# The ranges of the package's numbers; a field or argument declares one as
+# its annotation.
+_T = typing.TypeVar("_T")
+Rate = typing.Annotated[float, Range(0.0, 1.0, high_open=True)]
+Share = typing.Annotated[float, Range(0.0, 1.0)]
+Probability = typing.Annotated[float, Range(0.0, 1.0, low_open=True, high_open=True)]
+AtLeast1 = typing.Annotated[_T, Range(1)]  # AtLeast1[int], AtLeast1[float]
+AtLeast0 = typing.Annotated[_T, Range(0)]
+
+
+def check_value(name: str, value: typing.Any, kind: typing.Any) -> typing.Any:
+    """Check the value of the field or argument `name` against its
+    annotation `kind`, and return it, a name list as a tuple.
+
+    A ``bool`` or ``str`` takes that type; an ``int`` an int, not a bool; a
+    ``float`` a finite float or an int; a config class an instance of it,
+    or None where annotated ``| None``.  Any int must fit the signed 64
+    bits the simulator computes in.  An ``Annotated`` kind's `Range` bounds
+    the number, and a ``Literal`` names the words a string may be.  A
+    ``tuple[..., ...]`` takes a list or tuple whose entries are each of the
+    entry kind and distinct: a repeated name would repeat every estimate
+    row of a replicate.  A failure's message starts with `name` and ends
+    with the value.
+    """
+    if isinstance(kind, types.UnionType):  # `Spec | None`
+        if value is None:
+            return value
+        kind = typing.get_args(kind)[0]
+    kind, *ranges = typing.get_args(kind) if typing.get_origin(kind) is typing.Annotated else [kind]
+    origin = typing.get_origin(kind)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        for index, entry in enumerate(value):
+            check_value(f"{name}[{index}]", entry, typing.get_args(kind)[0])
+            if entry in value[:index]:
+                raise ConfigError(f"{name} must not name {entry!r} twice, got {value!r}")
+        return tuple(value)
+    if origin is typing.Literal:
+        words = typing.get_args(kind)
+        if not (isinstance(value, str) and value in words):
+            raise ConfigError(f"{name} must be one of {', '.join(map(repr, words))}, got {value!r}")
+        return value
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if is_int and not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{name} is out of the 64-bit integer range")
+    if kind is float:
+        ok = is_int or isinstance(value, float) and math.isfinite(value)
+    elif kind is int:
+        ok = is_int
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        wanted = _KINDS.get(kind, f"a {kind.__name__}")
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    for bounds in ranges:
+        if value not in bounds:
+            raise ConfigError(f"{name} must {bounds}, got {value}")
+    return value
+
+
+# Annotations of a config class, with their ranges, resolved once per class.
+_field_types = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
 
 
 def check_fields(config: typing.Any) -> None:
     """Check each field of the config dataclass `config` against its
-    annotation; run first in every config's `__post_init__`.
-
-    A ``bool`` or ``str`` field takes that type; an ``int`` field an int,
-    not a bool; a ``float`` field a finite float or an int; a
-    ``tuple[str, ...]`` field a list or tuple of strings, stored as a
-    tuple; a config class an instance of it, or None where annotated.  Any
-    int must fit the signed 64 bits the simulator computes in.  A failure's
-    message starts with the field name, for a caller to prefix.
-    """
+    annotation, type, range and words, with `check_value`; run first in
+    every config's `__post_init__`.  A name list is stored as a tuple."""
     hints = _field_types(type(config))
     for item in dataclasses.fields(config):
-        name, value, kind = item.name, getattr(config, item.name), hints[item.name]
-        if isinstance(kind, types.UnionType):  # `Spec | None`
-            if value is None:
-                continue
-            kind = typing.get_args(kind)[0]
-        if typing.get_origin(kind) is tuple:
-            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-                raise ConfigError(f"{name} must be a list of strings, got {value!r}")
-            object.__setattr__(config, name, tuple(value))
-            continue
-        is_int = isinstance(value, int) and not isinstance(value, bool)
-        if is_int and not -(2**63) <= value < 2**63:
-            raise ConfigError(f"{name} is out of the 64-bit integer range")
-        if kind is float:
-            ok = is_int or isinstance(value, float) and math.isfinite(value)
-        elif kind is int:
-            ok = is_int
-        else:
-            ok = isinstance(value, kind)
-        if not ok:
-            wanted = _KINDS.get(kind, f"a {kind.__name__}")
-            raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        value = getattr(config, item.name)
+        checked = check_value(item.name, value, hints[item.name])
+        if checked is not value:
+            object.__setattr__(config, item.name, checked)
 
 
 class SchemaError(CoverageLabError):

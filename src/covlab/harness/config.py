@@ -4,8 +4,10 @@ A config fully determines an experiment given its base seed; there is no
 hidden state, so two runs from the same file are byte-identical.
 
 One path checks every config, built in Python or read from JSON: each
-config class runs `errors.check_fields`, then its range checks.  `from_json`
-only adds the schema version, unknown keys and dotted nested keys.
+config class runs `errors.check_fields`, which enforces each field's type
+and the range or the words its annotation declares, then its rules across
+fields.  `from_json` only adds the schema version, unknown keys and dotted
+nested keys.
 """
 
 from __future__ import annotations
@@ -14,19 +16,20 @@ import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Literal
 
-from ..errors import ConfigError, check_fields
+from ..errors import AtLeast0, AtLeast1, ConfigError, Probability, Rate, check_fields
 from ..estimators import F30Placement, Procedure
-from ..matching import MatchErrorModel
-from ..popsim import PopulationConfig
+from ..matching import ExclusionMode, MatchErrorModel
+from ..popsim import Level, PopulationConfig, missed_household_rate
 from ..sampling import SampleSpec
 
 __all__ = ["SCHEMA_VERSION", "SampleSpec", "ExperimentConfig", "load_config", "dump_config"]
 
 SCHEMA_VERSION = 1
 
-_LEVELS = ("national", "province_stratum", "post_stratum")
+_ProcedureName = Literal[tuple(procedure.value for procedure in Procedure)]
+_PlacementName = Literal[tuple(placement.value for placement in F30Placement)]
 
 
 @dataclass(frozen=True)
@@ -34,61 +37,31 @@ class ExperimentConfig:
     """Everything a Monte Carlo coverage experiment needs."""
 
     name: str = "coverage-experiment"
-    base_seed: int = 1385
-    replicates: int = 100
-    workers: int = 1
+    base_seed: AtLeast0[int] = 1385
+    replicates: AtLeast1[int] = 100
+    workers: AtLeast1[int] = 1
     population: PopulationConfig = field(default_factory=PopulationConfig)
-    capture_census: float = 0.9
-    capture_pes: float = 0.9
+    capture_census: Probability = 0.9
+    capture_pes: Probability = 0.9
     dependence: float = 0.0
-    heterogeneity: float = 0.0
-    ee_rate: float = 0.0
-    ii_rate: float = 0.0
-    listed_nonresponse_rate: float = 0.0
-    proxy_miss: float = 0.0
-    absent_rate: float = 0.0
-    unlisted_rate: float = 0.0
+    heterogeneity: AtLeast0[float] = 0.0
+    ee_rate: Rate = 0.0
+    ii_rate: Rate = 0.0
+    listed_nonresponse_rate: Rate = 0.0
+    proxy_miss: Rate = 0.0
+    absent_rate: Rate = 0.0
+    unlisted_rate: Rate = 0.0
     errors: MatchErrorModel = field(default_factory=MatchErrorModel)
-    exclusion_mode: str = "sci"
-    grouping: tuple[str, ...] = ("national",)
-    procedures: tuple[str, ...] = ("a", "b", "c")
-    f30_placements: tuple[str, ...] = ("omitted", "numerator", "denominator")
+    exclusion_mode: ExclusionMode = "sci"
+    grouping: tuple[Level, ...] = ("national",)
+    procedures: tuple[_ProcedureName, ...] = ("a", "b", "c")
+    f30_placements: tuple[_PlacementName, ...] = ("omitted", "numerator", "denominator")
     with_in_mover_matching: bool = True
     sample: SampleSpec | None = None
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
-        for name in ("replicates", "workers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        for name in ("capture_census", "capture_pes"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie strictly inside (0, 1)")
-        if self.heterogeneity < 0.0:
-            raise ConfigError("heterogeneity must be non-negative")
-        for name in ("ee_rate", "ii_rate", "listed_nonresponse_rate", "proxy_miss",
-                     "absent_rate", "unlisted_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {value}")
-        if self.absent_rate + self.unlisted_rate >= 1.0:
-            raise ConfigError("absent_rate + unlisted_rate must stay below 1")
-        if self.exclusion_mode not in ("sci", "adjusted"):
-            raise ConfigError(f"unknown exclusion_mode {self.exclusion_mode!r}")
-        # A repeated name would repeat every estimate row of a replicate.
-        for key, known in (
-            ("grouping", _LEVELS),
-            ("procedures", tuple(p.value for p in Procedure)),
-            ("f30_placements", tuple(p.value for p in F30Placement)),
-        ):
-            names = getattr(self, key)
-            for index, name in enumerate(names):
-                if name not in known:
-                    raise ConfigError(f"{key} names unknown {name!r}, expected one of {known}")
-                if name in names[:index]:
-                    raise ConfigError(f"{key} names {name!r} twice")
+        missed_household_rate(self.absent_rate, self.unlisted_rate)
         if not self.grouping:
             raise ConfigError("grouping must name at least one level")
         if not self.procedures and not self.f30_placements:

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateInputs, MissingField
+from ..errors import AtLeast0, DegenerateInputs, MissingField, check_value
 from ..estimators import fcode_estimate, mover_ratio
 from ..matching import MatchResult, match_and_code, record_table, tally_groups
 from ..popsim import (
@@ -97,8 +97,7 @@ def _draw_household_sample(
 
 
 def build_world(config: ExperimentConfig, replicate: int) -> WorldBundle:
-    if replicate < 0:
-        raise ConfigError(f"replicate must be non-negative, got {replicate}")
+    check_value("replicate", replicate, AtLeast0[int])
     root = np.random.SeedSequence(config.base_seed, spawn_key=(replicate,))
     s_pop, s_census, s_pes, s_match, s_sample = root.spawn(5)
 

@@ -50,10 +50,11 @@ import dataclasses
 import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_fields
+from .errors import DomainError, Rate, check_fields, check_value
 from .estimators import FCodeTallies, MoverTallies
 from .popsim import (
     CEN_NOT_LISTED,
@@ -102,6 +103,7 @@ __all__ = [
     "CODE_52_4",
     "CODE_LABELS",
     "EXCLUSION_MARKERS",
+    "ExclusionMode",
     "MatchErrorModel",
     "MatchResult",
     "MatchTallies",
@@ -169,6 +171,9 @@ EXCLUSION_MARKERS = {
     CELL_PILCROW: "temp-absent-unlisted-census",
 }
 
+# How the excluded cells are handled (see the module docstring).
+ExclusionMode = Literal["sci", "adjusted"]
+
 
 @dataclass(frozen=True)
 class MatchErrorModel:
@@ -181,17 +186,13 @@ class MatchErrorModel:
     non-mover pair of an affected household at once.
     """
 
-    false_nonmatch: float = 0.0
-    false_match: float = 0.0
-    resolution_flip: float = 0.0
-    household_false_nonmatch: float = 0.0
+    false_nonmatch: Rate = 0.0
+    false_match: Rate = 0.0
+    resolution_flip: Rate = 0.0
+    household_false_nonmatch: Rate = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("false_nonmatch", "false_match", "resolution_flip", "household_false_nonmatch"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {rate}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ class MatchResult:
     dup_code: np.ndarray
     fab_code: np.ndarray
     hh_cell: np.ndarray
-    exclusion_mode: str
+    exclusion_mode: ExclusionMode
     household_mask: np.ndarray
 
     def interviewed(self) -> np.ndarray:
@@ -388,7 +389,7 @@ def match_and_code(
     pes: PesSim,
     error_model: MatchErrorModel | None = None,
     seed: int | np.random.SeedSequence = 0,
-    exclusion_mode: str = "sci",
+    exclusion_mode: ExclusionMode = "sci",
     household_mask: np.ndarray | None = None,
 ) -> MatchResult:
     """Match the two record systems and assign final codes.
@@ -405,8 +406,7 @@ def match_and_code(
     codes of those persons alone; every random draw is made for the whole
     population all the same, so a mask changes no code it keeps.
     """
-    if exclusion_mode not in ("sci", "adjusted"):
-        raise ConfigError(f"exclusion_mode must be 'sci' or 'adjusted', got {exclusion_mode!r}")
+    check_value("exclusion_mode", exclusion_mode, ExclusionMode)
     model = error_model if error_model is not None else MatchErrorModel()
     n = pop.size
     n_hh = pop.households.count

@@ -56,11 +56,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_fields
+from .errors import (
+    AtLeast0, AtLeast1, ConfigError, DomainError, Probability, Rate, Share, check_fields,
+    check_value,
+)
 
 __all__ = [
     "SCOPE_IN",
@@ -85,9 +88,11 @@ __all__ = [
     "synthesize_population",
     "simulate_census",
     "simulate_pes",
+    "missed_household_rate",
     "ground_truth_ledger",
     "census_counts",
     "joint_cell",
+    "Level",
     "groups",
 ]
 
@@ -162,13 +167,15 @@ def _logit(p: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, from
-    one exp: exp(-|x|) is exp(-x) on the first branch and exp(x) on the
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below:
+    exp(-|x|) is exp(-x) on the first branch and exp(x) on the second, and
+    the numerator exp(min(x, 0)) is 1 on the first and exp(x) on the
     second, so each entry takes exactly its branch's operations."""
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x < 0, e, 1.0)
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
     e += 1.0
     out /= e
     return out
@@ -253,33 +260,22 @@ class PopulationConfig:
     `age_groups` age bands.
     """
 
-    persons: int = 10_000
-    provinces: int = 2
-    urban_districts: int = 4
-    rural_districts: int = 2
-    urban_share: float = 0.7
-    mean_household_size: float = 3.5
-    mover_rate: float = 0.0
-    new_household_rate: float = 0.3
-    birth_rate: float = 0.0
-    death_rate: float = 0.0
-    institutional_rate: float = 0.0
-    age_groups: int = 5
+    persons: AtLeast1[int] = 10_000
+    provinces: AtLeast1[int] = 2
+    urban_districts: AtLeast1[int] = 4
+    rural_districts: AtLeast1[int] = 2
+    urban_share: Share = 0.7
+    # A mean household size below 1 makes more households than persons.
+    mean_household_size: AtLeast1[float] = 3.5
+    mover_rate: Rate = 0.0
+    new_household_rate: Share = 0.3
+    birth_rate: Rate = 0.0
+    death_rate: Rate = 0.0
+    institutional_rate: Rate = 0.0
+    age_groups: AtLeast1[int] = 5
 
     def __post_init__(self) -> None:
         check_fields(self)
-        # A mean household size below 1 makes more households than persons.
-        for name in ("persons", "provinces", "urban_districts", "rural_districts", "age_groups",
-                     "mean_household_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("urban_share", "new_household_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        for name in ("mover_rate", "birth_rate", "death_rate", "institutional_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {value}")
         # A mover who does not found a household joins another one.
         if self.n_households < 2 and self.mover_rate and self.new_household_rate < 1.0:
             raise ConfigError(
@@ -326,19 +322,13 @@ class CaptureProbabilities:
     capture by the census and by the survey, and the two knobs that break
     dual-system estimation's assumptions (see the module docstring)."""
 
-    census: float
-    pes: float
+    census: Probability
+    pes: Probability
     dependence: float = 0.0
-    heterogeneity: float = 0.0
+    heterogeneity: AtLeast0[float] = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("census", "pes"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{name} must lie strictly inside (0, 1), got {value}")
-        if self.heterogeneity < 0.0:
-            raise ConfigError(f"heterogeneity must be non-negative, got {self.heterogeneity}")
 
 
 @dataclass(frozen=True)
@@ -689,8 +679,7 @@ def simulate_census(
         ("ii_rate", ii_rate),
         ("listed_nonresponse_rate", listed_nonresponse_rate),
     ):
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1), got {rate}")
+        check_value(name, rate, Rate)
 
     rng = np.random.default_rng(seed)
     n = pop.size
@@ -759,15 +748,8 @@ def simulate_pes(
     `unlisted_rate`; vacated dwellings are missed with `unlisted_rate`,
     otherwise proxies remain reachable.
     """
-    for name, rate in (
-        ("proxy_miss", proxy_miss),
-        ("absent_rate", absent_rate),
-        ("unlisted_rate", unlisted_rate),
-    ):
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1), got {rate}")
-    if absent_rate + unlisted_rate >= 1.0:
-        raise ConfigError("absent_rate + unlisted_rate must stay below 1")
+    check_value("proxy_miss", proxy_miss, Rate)
+    missed = missed_household_rate(absent_rate, unlisted_rate)
 
     rng = np.random.default_rng(seed)
     n = pop.size
@@ -781,12 +763,20 @@ def simulate_pes(
 
     roll = rng.random(n_hh)
     hh_status = np.full(n_hh, PES_WITH_Q, dtype=np.int8)
-    hh_status[roll < absent_rate + unlisted_rate] = PES_NOT_LISTED
+    hh_status[roll < missed] = PES_NOT_LISTED
     hh_status[roll < absent_rate] = PES_ABSENT
     vacant = ~pes_occupied
     hh_status[vacant] = PES_VACANT
     hh_status[vacant & (roll < unlisted_rate)] = PES_VACANT_MISSED
     return PesSim(listed=listed, proxy_ok=proxy_ok, hh_status=hh_status)
+
+
+def missed_household_rate(absent_rate: float, unlisted_rate: float) -> float:
+    """The share of occupied households the survey finds absent or misses
+    from its listing: one draw decides both, so their sum is a rate too."""
+    check_value("absent_rate", absent_rate, Rate)
+    check_value("unlisted_rate", unlisted_rate, Rate)
+    return check_value("absent_rate + unlisted_rate", absent_rate + unlisted_rate, Rate)
 
 
 def joint_cell(pop: Population, person: np.ndarray | slice, household: np.ndarray
@@ -801,9 +791,14 @@ def joint_cell(pop: Population, person: np.ndarray | slice, household: np.ndarra
     return cell
 
 
-def groups(pop: Population, level: str) -> tuple[tuple[str, ...], np.ndarray]:
+# The estimation levels, each grouping the joint cells (`groups`).
+Level = Literal["national", "province_stratum", "post_stratum"]
+
+
+def groups(pop: Population, level: Level) -> tuple[tuple[str, ...], np.ndarray]:
     """The group labels of an estimation level, and the group of every
     joint cell at it, an index into the labels."""
+    check_value("level", level, Level)
     provinces = pop.districts.province_labels
     n_areas = 2 * len(provinces)
     cell = np.arange(pop.n_post_strata * n_areas)
@@ -811,10 +806,8 @@ def groups(pop: Population, level: str) -> tuple[tuple[str, ...], np.ndarray]:
         return ("all",), np.zeros_like(cell)
     if level == "post_stratum":
         return pop.stratum_labels, cell // n_areas
-    if level == "province_stratum":
-        labels = tuple(f"{p}/{stratum}" for p in provinces for stratum in ("urban", "rural"))
-        return labels, cell % n_areas
-    raise ConfigError(f"unknown grouping level {level!r}")
+    labels = tuple(f"{p}/{stratum}" for p in provinces for stratum in ("urban", "rural"))
+    return labels, cell % n_areas
 
 
 def census_counts(pop: Population, census: CensusSim) -> np.ndarray:

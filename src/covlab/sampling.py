@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DesignError, check_fields
+from .errors import AtLeast1, DesignError, check_fields
 
 __all__ = [
     "URBAN",
@@ -111,15 +111,12 @@ class SampleSpec:
     pair; takes follow the urban and rural defaults of the field design.
     """
 
-    psus_per_stratum: int = 1
-    urban_take: int = 50
-    rural_take: int = 100
+    psus_per_stratum: AtLeast1[int] = 1
+    urban_take: AtLeast1[int] = 50
+    rural_take: AtLeast1[int] = 100
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("psus_per_stratum", "urban_take", "rural_take"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)

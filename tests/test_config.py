@@ -13,11 +13,12 @@ import math
 import re
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from covlab.errors import ConfigError
+from covlab.errors import ConfigError, Range
 from covlab.harness import ExperimentConfig, SampleSpec, dump_config, load_config
 from covlab.matching import MatchErrorModel
 from covlab.popsim import CaptureProbabilities, PopulationConfig
@@ -92,12 +93,61 @@ _FLOAT_FIELDS = [
 ] + [(CaptureProbabilities, item.name) for item in dataclasses.fields(CaptureProbabilities)]
 
 
+# The fields a config class has no default for.
+_REQUIRED = {CaptureProbabilities: {"census": 0.9, "pes": 0.9}}
+
+
 @pytest.mark.parametrize("cls, name", _FLOAT_FIELDS)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5"])
 def test_float_fields_reject_non_finite_values_and_strings(cls, name, value):
-    valid = {"census": 0.9, "pes": 0.9} if cls is CaptureProbabilities else {}
     with pytest.raises(ConfigError, match=rf"^{name} "):
-        cls(**{**valid, name: value})
+        cls(**{**_REQUIRED.get(cls, {}), name: value})
+
+
+# Every field of the five config classes that declares a range or words in
+# its annotation, with that annotation.
+_RULED = [
+    (cls, name, kind)
+    for cls in (PopulationConfig, CaptureProbabilities, MatchErrorModel, SampleSpec,
+                ExperimentConfig)
+    for name, kind in typing.get_type_hints(cls, include_extras=True).items()
+    if typing.get_origin(kind) in (typing.Annotated, typing.Literal)
+    or (typing.get_origin(kind) is tuple
+        and typing.get_origin(typing.get_args(kind)[0]) is typing.Literal)
+]
+
+
+@pytest.mark.parametrize("cls, name, kind", _RULED)
+def test_every_declared_rule_holds(cls, name, kind):
+    def build(value):
+        return cls(**{**_REQUIRED.get(cls, {}), name: value})
+
+    def refused(value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}\b"):
+            build(value)
+
+    if typing.get_origin(kind) is typing.Annotated:
+        number, bounds = typing.get_args(kind)
+        assert isinstance(bounds, Range)
+        for bound, is_open, outward in ((bounds.low, bounds.low_open, -math.inf),
+                                        (bounds.high, bounds.high_open, math.inf)):
+            if math.isinf(bound):
+                continue
+            if is_open:
+                refused(number(bound))
+            else:
+                assert getattr(build(number(bound)), name) == bound
+            refused(int(bound + math.copysign(1, outward)) if number is int
+                    else float(np.nextafter(bound, outward)))
+    elif typing.get_origin(kind) is typing.Literal:
+        for word in typing.get_args(kind):
+            assert getattr(build(word), name) == word
+        refused("unknown")
+    else:
+        words = typing.get_args(typing.get_args(kind)[0])
+        assert getattr(build(list(words)), name) == words
+        refused(["unknown"])
+        refused([words[0], words[0]])
 
 
 # The largest values a world's index dtypes admit, and one past each: int16

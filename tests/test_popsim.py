@@ -210,7 +210,7 @@ def test_census_household_status():
 def test_census_rejects_bad_rates():
     _, pop = _world()
     probs = CaptureProbabilities(census=0.9, pes=0.9)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^ee_rate must lie in \[0, 1\), got 1.0$"):
         simulate_census(pop, probs, ee_rate=1.0)
 
 
@@ -245,7 +245,7 @@ def test_pes_rejects_conflicting_household_rates():
     _, pop = _world()
     probs = CaptureProbabilities(census=0.9, pes=0.9)
     census = simulate_census(pop, probs, seed=3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^absent_rate \+ unlisted_rate must lie in \[0, 1\)"):
         simulate_pes(pop, census, probs, absent_rate=0.6, unlisted_rate=0.5)
 
 
@@ -334,12 +334,12 @@ def test_groups_label_every_cell_group():
     for level in ("national", "post_stratum", "province_stratum"):
         labels, cell_group = groups(pop, level)
         assert np.array_equal(np.unique(cell_group), np.arange(len(labels)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^level must be one of 'national', "):
         groups(pop, "county")
 
 
 def test_sigmoid_is_bit_equal_to_the_two_branch_reference():
-    edges = np.array([0.0, 1e-300, 40.0, 745.0, 1e300])
+    edges = np.array([0.0, 1e-300, 40.0, 745.0, 1e300, np.inf])
     rng = np.random.default_rng(3)
     wide = np.concatenate([
         rng.standard_normal(5000) * 10.0,
