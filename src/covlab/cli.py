@@ -13,7 +13,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Callable
+from typing import Callable, get_args
 
 from .errors import (
     ConfigError,
@@ -28,7 +28,7 @@ from .estimators import F30Placement, Procedure, fcode_estimate, mover_ratio, ne
 from .harness.config import ExperimentConfig, load_config
 from .harness.experiment import build_world, run_experiment
 from .harness.ingest import ingest_microdata, write_microdata
-from .popsim import ground_truth_ledger
+from .popsim import FileLevel, ground_truth_ledger
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     estimate = sub.add_parser("estimate", help="estimate coverage from microdata files")
     estimate.add_argument("--in", dest="in_dir", required=True, help="microdata directory")
     estimate.add_argument(
-        "--level", choices=("national", "post_stratum"), default="national",
+        "--level", choices=get_args(FileLevel), default="national",
         help="estimation grouping (default national)",
     )
     estimate.add_argument(

@@ -31,7 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TIE_TOL_SEARCH
-from .errors import DegenerateInputs, DomainError, InvalidMargins
+from .errors import (
+    AtLeast0, DegenerateInputs, DomainError, InvalidMargins, Probability, check_fields,
+    check_value,
+)
 
 __all__ = [
     "DsTable",
@@ -46,12 +49,6 @@ __all__ = [
 ]
 
 
-def _require_finite_nonneg(pairs: list[tuple[str, float]]) -> None:
-    for name, value in pairs:
-        if not math.isfinite(value) or value < 0:
-            raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DsTable:
     """Observable cells of a dual-system table.
@@ -61,12 +58,12 @@ class DsTable:
     model persons, not weighted mass.
     """
 
-    x11: float
-    x10: float
-    x01: float
+    x11: AtLeast0[float]
+    x10: AtLeast0[float]
+    x01: AtLeast0[float]
 
     def __post_init__(self) -> None:
-        _require_finite_nonneg([("x11", self.x11), ("x10", self.x10), ("x01", self.x01)])
+        check_fields(self, DomainError)
 
     def x1plus(self) -> float:
         """Census margin x11 + x10."""
@@ -138,9 +135,11 @@ def estimate_x00(table: DsTable) -> float:
     return table.x10 * table.x01 / table.x11
 
 
-def ds_estimate_margins(x1plus: float, xplus1: float, x11: float) -> float:
+def ds_estimate_margins(x1plus: AtLeast0[float], xplus1: AtLeast0[float],
+                        x11: AtLeast0[float]) -> float:
     """Dual-system total from the capture margins: x1plus * xplus1 / x11."""
-    _require_finite_nonneg([("x1plus", x1plus), ("xplus1", xplus1), ("x11", x11)])
+    for name, value in (("x1plus", x1plus), ("xplus1", xplus1), ("x11", x11)):
+        check_value(name, value, AtLeast0[float], DomainError)
     if x11 == 0:
         raise DegenerateInputs("x11 = 0: the dual-system ratio is undefined")
     if x1plus < x11 or xplus1 < x11:
@@ -175,13 +174,14 @@ def _require_integer_cells(table: DsTable) -> tuple[int, int, int]:
     return cells[0], cells[1], cells[2]
 
 
-def log_likelihood(t: float, p_census: float, p_pes: float, table: DsTable) -> LikelihoodParts:
+def log_likelihood(t: float, p_census: Probability, p_pes: Probability,
+                   table: DsTable) -> LikelihoodParts:
     """Log likelihood of the completed table at total `t`.
 
     Parameters
     ----------
     t : candidate population total, at least the number seen.
-    p_census, p_pes : capture probabilities, strictly inside (0, 1).
+    p_census, p_pes : capture probabilities, each a `Probability`.
     table : observed table with integer cells.
 
     Returns
@@ -190,10 +190,8 @@ def log_likelihood(t: float, p_census: float, p_pes: float, table: DsTable) -> L
     value is computed directly from the completed-table multinomial, not as
     the sum of the factors, so the factorization identity is a real check.
     """
-    if not (0.0 < p_census < 1.0):
-        raise DomainError(f"p_census must lie strictly inside (0, 1), got {p_census!r}")
-    if not (0.0 < p_pes < 1.0):
-        raise DomainError(f"p_pes must lie strictly inside (0, 1), got {p_pes!r}")
+    check_value("p_census", p_census, Probability, DomainError)
+    check_value("p_pes", p_pes, Probability, DomainError)
     x11, x10, x01 = _require_integer_cells(table)
     x_seen = x11 + x10 + x01
     if not math.isfinite(t) or t < x_seen:

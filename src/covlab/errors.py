@@ -1,14 +1,18 @@
-"""Semantic exception hierarchy, and the one check of every config field.
+"""Semantic exception hierarchy, and the one check of every declared value.
 
 All errors raised by this package derive from :class:`CoverageLabError`, so
 callers can catch one type at an experiment boundary.  Subclasses mark the
 contract that was violated rather than the module that noticed it.
 
-A config field's rule is its annotation: its type, and the range it must
-lie in (`Rate`, `Share`, `Probability`, `AtLeast1`, `AtLeast0`, each
-defined here once) or the vocabulary it must come from (a ``Literal``).
-`check_fields` enforces the rule of every field of a config class, and
-`check_value` the same rule on a loose argument of a function.
+A value's rule is its annotation: its type, and the range it must lie in
+(`Rate`, `Share`, `Probability`, `AtLeast1`, `AtLeast0`, each defined here
+once) or the vocabulary it must come from (a ``Literal``).  Config fields,
+the fields of the tally classes and the loose arguments of the math,
+sampler and ingest layers all declare theirs.  `check_fields` enforces the
+rule of every field of a dataclass, and `check_value` the same rule on a
+loose argument of a function.  Both raise the error class of the layer
+that declares the rule: `ConfigError` for a config, `DomainError` for a
+tally or an estimator argument, `DesignError` for a sample size.
 """
 
 import dataclasses
@@ -83,21 +87,25 @@ AtLeast1 = typing.Annotated[_T, Range(1)]  # AtLeast1[int], AtLeast1[float]
 AtLeast0 = typing.Annotated[_T, Range(0)]
 
 
-def check_value(name: str, value: typing.Any, kind: typing.Any) -> typing.Any:
+def check_value(name: str, value: typing.Any, kind: typing.Any,
+                error: type[CoverageLabError] = ConfigError) -> typing.Any:
     """Check the value of the field or argument `name` against its
-    annotation `kind`, and return it, a name list as a tuple.
+    annotation `kind`, and return it, a name list as a tuple; a failure
+    raises `error`.
 
-    A ``bool`` or ``str`` takes that type; an ``int`` an int, not a bool; a
-    ``float`` a finite float or an int; a config class an instance of it,
-    or None where annotated ``| None``.  Any int must fit the signed 64
-    bits the simulator computes in.  An ``Annotated`` kind's `Range` bounds
-    the number, and a ``Literal`` names the words a string may be.  A
-    ``tuple[..., ...]`` takes a list or tuple whose entries are each of the
-    entry kind and distinct: a repeated name would repeat every estimate
-    row of a replicate.  A failure's message starts with `name` and ends
-    with the value.
+    A ``bool`` or ``str`` takes that type; an ``int`` an int, not a bool or
+    a numpy integer; a ``float`` a finite float or an int; a config class
+    an instance of it.  Any kind annotated ``| None`` also takes None.  Any
+    int must fit the signed 64 bits the simulator computes in.  An
+    ``Annotated`` kind's `Range` bounds the number, and a ``Literal`` names
+    the words a string may be.  A ``tuple[..., ...]`` takes a list or tuple
+    whose entries are each of the entry kind and distinct: a repeated name
+    would repeat every estimate row of a replicate.  A failure's message
+    starts with `name` and ends with the value.
     """
-    if isinstance(kind, types.UnionType):  # `Spec | None`
+    # `Spec | None` is a `types.UnionType`; `AtLeast0[float] | None`, an
+    # `Annotated` alias or'ed with None, is a `typing.Union`.
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
         if value is None:
             return value
         kind = typing.get_args(kind)[0]
@@ -105,20 +113,20 @@ def check_value(name: str, value: typing.Any, kind: typing.Any) -> typing.Any:
     origin = typing.get_origin(kind)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name} must be a list, got {value!r}")
+            raise error(f"{name} must be a list, got {value!r}")
         for index, entry in enumerate(value):
-            check_value(f"{name}[{index}]", entry, typing.get_args(kind)[0])
+            check_value(f"{name}[{index}]", entry, typing.get_args(kind)[0], error)
             if entry in value[:index]:
-                raise ConfigError(f"{name} must not name {entry!r} twice, got {value!r}")
+                raise error(f"{name} must not name {entry!r} twice, got {value!r}")
         return tuple(value)
     if origin is typing.Literal:
         words = typing.get_args(kind)
         if not (isinstance(value, str) and value in words):
-            raise ConfigError(f"{name} must be one of {', '.join(map(repr, words))}, got {value!r}")
+            raise error(f"{name} must be one of {', '.join(map(repr, words))}, got {value!r}")
         return value
     is_int = isinstance(value, int) and not isinstance(value, bool)
     if is_int and not -(2**63) <= value < 2**63:
-        raise ConfigError(f"{name} is out of the 64-bit integer range")
+        raise error(f"{name} is out of the 64-bit integer range")
     if kind is float:
         ok = is_int or isinstance(value, float) and math.isfinite(value)
     elif kind is int:
@@ -127,25 +135,26 @@ def check_value(name: str, value: typing.Any, kind: typing.Any) -> typing.Any:
         ok = isinstance(value, kind)
     if not ok:
         wanted = _KINDS.get(kind, f"a {kind.__name__}")
-        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        raise error(f"{name} must be {wanted}, got {value!r}")
     for bounds in ranges:
         if value not in bounds:
-            raise ConfigError(f"{name} must {bounds}, got {value}")
+            raise error(f"{name} must {bounds}, got {value}")
     return value
 
 
-# Annotations of a config class, with their ranges, resolved once per class.
+# Annotations of a dataclass, with their ranges, resolved once per class.
 _field_types = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
 
 
-def check_fields(config: typing.Any) -> None:
-    """Check each field of the config dataclass `config` against its
-    annotation, type, range and words, with `check_value`; run first in
-    every config's `__post_init__`.  A name list is stored as a tuple."""
+def check_fields(config: typing.Any, error: type[CoverageLabError] = ConfigError) -> None:
+    """Check each field of the dataclass `config` against its annotation,
+    type, range and words, with `check_value`, raising `error`; run first
+    in the `__post_init__` of every config and tally class.  A name list is
+    stored as a tuple."""
     hints = _field_types(type(config))
     for item in dataclasses.fields(config):
         value = getattr(config, item.name)
-        checked = check_value(item.name, value, hints[item.name])
+        checked = check_value(item.name, value, hints[item.name], error)
         if checked is not value:
             object.__setattr__(config, item.name, checked)
 

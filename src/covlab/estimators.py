@@ -27,14 +27,16 @@ with positive code-30 mass,
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .constants import REL_TOL_IDENTITY
-from .ds_core import CoverageSummary, DsTable, _require_finite_nonneg, ds_estimate_cells
-from .errors import DegenerateInputs, DomainError, InvalidMargins, MissingField
+from .ds_core import CoverageSummary, DsTable, ds_estimate_cells
+from .errors import (
+    AtLeast0, DegenerateInputs, DomainError, InvalidMargins, MissingField, check_fields,
+    check_value,
+)
 
 __all__ = [
     "Procedure",
@@ -82,31 +84,21 @@ class MoverTallies:
     in-mover matching was actually performed, so it is optional.
     """
 
-    n_non: float
-    n_in: float
-    n_out: float
-    m_non: float
-    m_out: float
-    m_in: float | None = None
+    n_non: AtLeast0[float]
+    n_in: AtLeast0[float]
+    n_out: AtLeast0[float]
+    m_non: AtLeast0[float]
+    m_out: AtLeast0[float]
+    m_in: AtLeast0[float] | None = None
 
     def __post_init__(self) -> None:
-        _require_finite_nonneg(
-            [
-                ("n_non", self.n_non),
-                ("n_in", self.n_in),
-                ("n_out", self.n_out),
-                ("m_non", self.m_non),
-                ("m_out", self.m_out),
-            ]
-        )
+        check_fields(self, DomainError)
         if self.m_non > self.n_non:
             raise DomainError(f"m_non={self.m_non} exceeds n_non={self.n_non}")
         if self.m_out > self.n_out:
             raise DomainError(f"m_out={self.m_out} exceeds n_out={self.n_out}")
-        if self.m_in is not None:
-            _require_finite_nonneg([("m_in", self.m_in)])
-            if self.m_in > self.n_in:
-                raise DomainError(f"m_in={self.m_in} exceeds n_in={self.n_in}")
+        if self.m_in is not None and self.m_in > self.n_in:
+            raise DomainError(f"m_in={self.m_in} exceeds n_in={self.n_in}")
 
     @property
     def mover_imbalance(self) -> float:
@@ -126,21 +118,19 @@ class MoverTallies:
 class FCodeTallies:
     """Weighted totals of final match codes for one estimation group."""
 
-    f10: float
-    f30: float
-    f42_1: float = 0.0
-    f42_2: float = 0.0
-    f42_3: float = 0.0
-    f42_4: float = 0.0
-    f52_1: float = 0.0
-    f52_2: float = 0.0
-    f52_3: float = 0.0
-    f52_4: float = 0.0
+    f10: AtLeast0[float]
+    f30: AtLeast0[float]
+    f42_1: AtLeast0[float] = 0.0
+    f42_2: AtLeast0[float] = 0.0
+    f42_3: AtLeast0[float] = 0.0
+    f42_4: AtLeast0[float] = 0.0
+    f52_1: AtLeast0[float] = 0.0
+    f52_2: AtLeast0[float] = 0.0
+    f52_3: AtLeast0[float] = 0.0
+    f52_4: AtLeast0[float] = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite_nonneg(
-            [(field.name, getattr(self, field.name)) for field in dataclasses.fields(self)]
-        )
+        check_fields(self, DomainError)
 
     @property
     def f42_total(self) -> float:
@@ -266,7 +256,7 @@ def _difference(total: float, part: float) -> float:
 
 def procedure_c_table(
     movers: MoverTallies,
-    census_correct: float,
+    census_correct: AtLeast0[float],
     clamp_negative: bool = False,
 ) -> ProcedureCResult:
     """Assemble the dual-system table implied by procedure C.
@@ -291,7 +281,7 @@ def procedure_c_table(
     That raises InvalidMargins unless `clamp_negative` is set, in which
     case the offending cell is clamped to zero and the result flagged.
     """
-    _require_finite_nonneg([("census_correct", census_correct)])
+    check_value("census_correct", census_correct, AtLeast0[float], DomainError)
     x11 = movers.m_non + movers.m_in_indirect()
     if x11 == 0:
         raise DegenerateInputs("no matched mass: x11 = 0")

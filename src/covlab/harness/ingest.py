@@ -69,7 +69,7 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from ..errors import ConfigError, SchemaError, ValidationError
+from ..errors import SchemaError, ValidationError, check_value
 from ..matching import (
     CELL_HASH,
     CELL_PILCROW,
@@ -105,7 +105,7 @@ from ..matching import (
     record_weights,
     tally_records,
 )
-from ..popsim import DRAW_BLOCK, CensusSim, PesSim, Population
+from ..popsim import DRAW_BLOCK, CensusSim, FileLevel, PesSim, Population
 from ..sampling import ADDRESS_TYPES, noninterview_factor
 
 __all__ = ["write_microdata", "ingest_microdata"]
@@ -825,19 +825,19 @@ def _parse_weights(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[position], bad[position]
 
 
-def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTallies]:
+def ingest_microdata(in_dir: str, level: FileLevel = "national") -> dict[str, MatchTallies]:
     """Rebuild estimation tallies from a microdata directory.
 
-    `level` is "national" or "post_stratum"; finer geography is not in the
-    file schema.  In-mover matching is not reconstructible from files, so
-    the returned tallies always have m_in unset and procedure B needs the
-    simulation path.  Households under a '#' marker of the followup phase
-    have their weight moved onto the interviewed households by
-    `sampling.noninterview_factor`, as the simulation path does in adjusted
-    exclusion mode (see the module docstring).
+    `level` is a `popsim.FileLevel`, and a ConfigError names any other;
+    finer geography is not in the file schema.  In-mover matching is not
+    reconstructible from files, so the returned tallies always have m_in
+    unset and procedure B needs the simulation path.  Households under a
+    '#' marker of the followup phase have their weight moved onto the
+    interviewed households by `sampling.noninterview_factor`, as the
+    simulation path does in adjusted exclusion mode (see the module
+    docstring).
     """
-    if level not in ("national", "post_stratum"):
-        raise ConfigError(f"ingest supports national or post_stratum grouping, got {level!r}")
+    check_value("level", level, FileLevel)
 
     ids = ("record_id", "household_id", "stratum")
     census = _read_columns(in_dir, "census.csv", _CENSUS_HEADER, (*ids, "kind", "target_scope"),
@@ -975,7 +975,9 @@ def ingest_microdata(in_dir: str, level: str = "national") -> dict[str, MatchTal
             district, address_type, value, interviewed, missing, districts.shape[0],
         )
         record_weight = record_weights(side, coded_role, row, value, factor)
-        census_weight = np.where(census_household >= 0, value[census_household], 0.0)
+        # Gathered through a sentinel: a record outside the sample, at -1,
+        # weighs 0 even when the weights file has no rows.
+        census_weight = np.append(value, 0.0)[census_household]
         finite = np.isfinite(record_weight.sum()) and np.isfinite(census_weight.sum())
     if not finite:
         largest = int(np.argmax(value))

@@ -92,6 +92,7 @@ __all__ = [
     "ground_truth_ledger",
     "census_counts",
     "joint_cell",
+    "FileLevel",
     "Level",
     "groups",
 ]
@@ -791,8 +792,10 @@ def joint_cell(pop: Population, person: np.ndarray | slice, household: np.ndarra
     return cell
 
 
-# The estimation levels, each grouping the joint cells (`groups`).
-Level = Literal["national", "province_stratum", "post_stratum"]
+# The estimation levels, each grouping the joint cells (`groups`).  The
+# microdata files carry no province-stratum, so ingest takes a `FileLevel`.
+FileLevel = Literal["national", "post_stratum"]
+Level = Literal[FileLevel, "province_stratum"]
 
 
 def groups(pop: Population, level: Level) -> tuple[tuple[str, ...], np.ndarray]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtLeast1, DesignError, check_fields
+from .errors import AtLeast1, DesignError, check_fields, check_value
 
 __all__ = [
     "URBAN",
@@ -129,7 +129,7 @@ class DrawnSample:
     weight: np.ndarray
 
 
-def systematic_indices(total: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def systematic_indices(total: int, count: AtLeast1[int], rng: np.random.Generator) -> np.ndarray:
     """Systematic selection of `count` indices out of `total`.
 
     A random start in [0, step) with step = total / count gives every index
@@ -138,8 +138,7 @@ def systematic_indices(total: int, count: int, rng: np.random.Generator) -> np.n
     clipped into the integers of that interval, which a start within
     rounding of `step` would otherwise leave.
     """
-    if count <= 0:
-        raise DesignError(f"count must be positive, got {count}")
+    check_value("count", count, AtLeast1[int], DesignError)
     if count > total:
         raise DesignError(f"cannot select {count} units from a frame of {total}")
     step = total / count
@@ -179,7 +178,7 @@ def select_psus(
 def select_households(
     frame: DistrictFrame,
     district: int,
-    take: int,
+    take: AtLeast1[int],
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Contiguous wrap-around run of `take` household ids in reverse
@@ -187,8 +186,7 @@ def select_households(
 
     A district no larger than the take is returned whole, without a draw.
     """
-    if take <= 0:
-        raise DesignError(f"take must be positive, got {take}")
+    check_value("take", take, AtLeast1[int], DesignError)
     start = int(frame.offset[district])
     n = int(frame.count[district])
     listing = frame.households[start:start + n]
@@ -198,11 +196,11 @@ def select_households(
     return listing[(first - np.arange(take)) % n]
 
 
-def selection_probability(n_d: int, tn_d: int, n_h: int, tn_h: int) -> float:
+def selection_probability(n_d: AtLeast1[int], tn_d: AtLeast1[int], n_h: AtLeast1[int],
+                          tn_h: AtLeast1[int]) -> float:
     """Two-stage inclusion probability (n_d / tn_d) * (n_h / tn_h)."""
     for name, value in (("n_d", n_d), ("tn_d", tn_d), ("n_h", n_h), ("tn_h", tn_h)):
-        if value <= 0:
-            raise DesignError(f"{name} must be positive, got {value}")
+        check_value(name, value, AtLeast1[int], DesignError)
     if n_d > tn_d:
         raise DesignError(f"n_d={n_d} exceeds the district frame tn_d={tn_d}")
     if n_h > tn_h:

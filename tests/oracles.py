@@ -1,5 +1,5 @@
-"""Independent recomputations shared across test modules, and the
-benchmark's workload configs."""
+"""Independent recomputations shared across test modules, the checks
+they share, and the benchmark's workload configs."""
 
 import dataclasses
 import importlib.util
@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from covlab.estimators import FCodeTallies, MoverTallies
+from covlab.harness import ExperimentConfig, SampleSpec
 from covlab.matching import (
     CELL_HASH,
     CENSUS_KINDS,
@@ -29,6 +31,7 @@ from covlab.matching import (
     SOURCE_FABRICATED,
     SOURCE_REPORT,
     SOURCE_ROSTER,
+    MatchTallies,
     among,
     census_records,
     record_weights,
@@ -41,6 +44,7 @@ from covlab.popsim import (
     SCOPE_DIED,
     SCOPE_IN,
     GroundTruthLedger,
+    PopulationConfig,
     census_counts,
     groups,
     joint_cell,
@@ -328,3 +332,31 @@ def multi_block_config():
     return dataclasses.replace(
         config, population=dataclasses.replace(config.population, persons=100_000)
     )
+
+
+# A world whose one household lies in a district the survey does not draw:
+# its census.csv holds 46 rows, and pes.csv, codes.csv and weights.csv
+# hold only their headers.
+EMPTY_SAMPLE = ExperimentConfig(
+    population=PopulationConfig(persons=50, mean_household_size=50.0, provinces=1,
+                                urban_districts=4, rural_districts=1, urban_share=1.0),
+    sample=SampleSpec(psus_per_stratum=1),
+)
+
+
+def assert_ingest_equals_tallies(direct, loaded):
+    """`ingest_microdata`'s tallies `loaded` equal `tally_groups`'s `direct`
+    field for field, with `==`, except `m_in`, which files do not carry.
+    A group ingest does not return holds no census record and no coded
+    record, so it must be all zeros on the simulation side."""
+    assert set(loaded) <= set(direct)
+    for label, tally in direct.items():
+        if label in loaded:
+            other = loaded[label]
+            assert other.movers.m_in is None
+        else:
+            other = MatchTallies(fcode=FCodeTallies(0.0, 0.0), movers=MoverTallies(0, 0, 0, 0, 0),
+                                 census_count=0.0, imputations=0.0, e_sample=0.0, erroneous=0.0)
+        assert other.fcode == tally.fcode, label
+        assert dataclasses.replace(other.movers, m_in=tally.movers.m_in) == tally.movers, label
+        assert dataclasses.replace(other, fcode=tally.fcode, movers=tally.movers) == tally, label

@@ -1,5 +1,6 @@
 """Field estimators: empirical dual-system, mover procedures, code tallies."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from covlab.constants import REL_TOL_IDENTITY
+from covlab.ds_core import DsTable
 from covlab.errors import (
     DegenerateInputs,
     DomainError,
@@ -83,6 +85,19 @@ def test_mover_tallies_match_bounds():
         MoverTallies(n_non=10, n_in=0, n_out=5, m_non=9, m_out=6)
     with pytest.raises(DomainError):
         MoverTallies(n_non=10, n_in=4, n_out=5, m_non=9, m_out=5, m_in=5)
+
+
+@pytest.mark.parametrize("cls, args", [
+    (DsTable, (72, 18, 8)),
+    (MoverTallies, (10, 4, 5, 9, 5, 4)),
+    (FCodeTallies, (10, 2, 1, 1, 1, 1, 1, 1, 1, 1)),
+])
+def test_every_tally_field_is_a_finite_nonnegative_number(cls, args):
+    # m_in is `AtLeast0[float] | None`, a `typing.Union`, not a class.
+    for index, item in enumerate(dataclasses.fields(cls)):
+        for value in (-1.0, math.nan, math.inf, "1", True):
+            with pytest.raises(DomainError, match=rf"^{item.name} must .*, got "):
+                cls(*args[:index], value, *args[index + 1:])
 
 
 def test_mover_imbalance():

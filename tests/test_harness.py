@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import multi_block_config, perfbench_workloads
+from oracles import assert_ingest_equals_tallies, multi_block_config, perfbench_workloads
 
 import covlab.cli
 import covlab.harness.experiment
@@ -276,20 +276,9 @@ def _round_trip_tallies(tmp_path, config, replicate=0, level="national"):
 
 
 def _assert_tallies_match(direct, loaded):
-    """Every field equal, bit for bit."""
+    """Every group, and every field equal, bit for bit."""
     assert set(direct) == set(loaded)
-    for label in direct:
-        a, b = direct[label], loaded[label]
-        for name in ("f10", "f30", "f42_1", "f42_2", "f42_3", "f42_4",
-                     "f52_1", "f52_2", "f52_3", "f52_4"):
-            assert getattr(b.fcode, name) == getattr(a.fcode, name), (label, name)
-        for name in ("n_non", "n_in", "n_out", "m_non", "m_out"):
-            assert getattr(b.movers, name) == getattr(a.movers, name), (label, name)
-        assert b.movers.m_in is None
-        assert b.census_count == a.census_count
-        assert b.imputations == a.imputations
-        assert b.e_sample == a.e_sample, label
-        assert b.erroneous == a.erroneous, label
+    assert_ingest_equals_tallies(direct, loaded)
 
 
 def test_microdata_round_trip_full_universe(tmp_path):

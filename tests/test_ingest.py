@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import typing
 import warnings
 from unittest import mock
 
@@ -23,8 +24,10 @@ from covlab.harness import ingest as ingest_module
 from covlab.harness.ingest import (
     _Index, _digits, _float_text, _hash, _index_type, _read_columns, _text,
 )
-from covlab.matching import MatchErrorModel
-from covlab.popsim import PopulationConfig
+from covlab.estimators import FCodeTallies, MoverTallies
+from covlab.matching import MatchErrorModel, MatchTallies, tally_groups
+from covlab.popsim import FileLevel, PopulationConfig
+from oracles import EMPTY_SAMPLE, assert_ingest_equals_tallies
 
 
 def _rows(matrix: np.ndarray) -> list[str]:
@@ -345,3 +348,33 @@ def test_weights_squared_past_the_float_range_give_finite_fcode_estimates(
         assert "error" not in entry, (name, entry)
         assert math.isfinite(entry["estimate"]) and entry["estimate"] > 1e200, (name, entry)
     assert math.isfinite(estimates["procedure_a"]["estimate"])
+
+
+@pytest.mark.parametrize("world", ["empty-sample", "one-census-row"])
+def test_files_with_no_weights_row_ingest_and_run(tmp_path, capsys, world):
+    # A census record outside the sample gathered its weight at index -1 of
+    # the weights, which raised IndexError when weights.csv had no row.
+    bundle = build_world(EMPTY_SAMPLE, 0)
+    write_microdata(str(tmp_path), bundle.pop, bundle.census, bundle.pes, bundle.result,
+                    bundle.household_weight)
+    for name in ("pes.csv", "codes.csv", "weights.csv"):
+        assert (tmp_path / name).read_bytes().count(b"\n") == 1, name
+    if world == "empty-sample":
+        count = 46
+        expected = {level: tally_groups(bundle.pop, bundle.census, bundle.result, level=level,
+                                        household_weight=bundle.household_weight)
+                    for level in typing.get_args(FileLevel)}
+    else:
+        count = 1
+        header = (tmp_path / "census.csv").read_bytes().split(b"\r\n")[0]
+        (tmp_path / "census.csv").write_bytes(header + b"\r\nc0,0,h0,d0000,m_a0,person,1\r\n")
+        one = MatchTallies(fcode=FCodeTallies(0.0, 0.0), movers=MoverTallies(0, 0, 0, 0, 0),
+                           census_count=1.0, imputations=0.0, e_sample=0.0, erroneous=0.0)
+        expected = {"national": {"all": one}, "post_stratum": {"m_a0": one}}
+    assert (tmp_path / "census.csv").read_bytes().count(b"\n") == count + 1
+    for level, direct in expected.items():
+        assert_ingest_equals_tallies(direct, ingest_microdata(str(tmp_path), level=level))
+    assert cli_main(["validate", "--in", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"ok: 1 group(s), census count {count}\n"
+    assert cli_main(["estimate", "--in", str(tmp_path), "--level", "post_stratum"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
