@@ -21,6 +21,8 @@ import math
 import types
 import typing
 
+import numpy as np
+
 
 class CoverageLabError(Exception):
     """Base class for all package errors."""
@@ -93,15 +95,18 @@ def check_value(name: str, value: typing.Any, kind: typing.Any,
     annotation `kind`, and return it, a name list as a tuple; a failure
     raises `error`.
 
-    A ``bool`` or ``str`` takes that type; an ``int`` an int, not a bool or
-    a numpy integer; a ``float`` a finite float or an int; a config class
-    an instance of it.  Any kind annotated ``| None`` also takes None.  Any
-    int must fit the signed 64 bits the simulator computes in.  An
-    ``Annotated`` kind's `Range` bounds the number, and a ``Literal`` names
-    the words a string may be.  A ``tuple[..., ...]`` takes a list or tuple
-    whose entries are each of the entry kind and distinct: a repeated name
-    would repeat every estimate row of a replicate.  A failure's message
-    starts with `name` and ends with the value.
+    A ``bool`` or ``str`` takes that type; an ``int`` an int, not a bool; a
+    ``float`` a finite float or an int; a config class an instance of it.
+    A numpy integer or floating scalar, such as a cell of a numpy sum, is
+    checked and returned as the Python number, which a config stores and
+    `json` writes; a numpy bool is refused as a number.  Any kind annotated
+    ``| None`` also takes None.  Any int must fit the signed 64 bits the
+    simulator computes in.  An ``Annotated`` kind's `Range` bounds the
+    number, and a ``Literal`` names the words a string may be.  A
+    ``tuple[..., ...]`` takes a list or tuple whose entries are each of the
+    entry kind and distinct: a repeated name would repeat every estimate row
+    of a replicate.  A failure's message starts with `name` and ends with
+    the value.
     """
     # `Spec | None` is a `types.UnionType`; `AtLeast0[float] | None`, an
     # `Annotated` alias or'ed with None, is a `typing.Union`.
@@ -124,6 +129,10 @@ def check_value(name: str, value: typing.Any, kind: typing.Any,
         if not (isinstance(value, str) and value in words):
             raise error(f"{name} must be one of {', '.join(map(repr, words))}, got {value!r}")
         return value
+    if isinstance(value, np.integer):
+        value = int(value)
+    elif isinstance(value, np.floating):
+        value = float(value)
     is_int = isinstance(value, int) and not isinstance(value, bool)
     if is_int and not -(2**63) <= value < 2**63:
         raise error(f"{name} is out of the 64-bit integer range")

@@ -77,7 +77,6 @@ from .popsim import (
     PesSim,
     Population,
     blocks,
-    census_counts,
     gather,
     groups,
     joint_cell,
@@ -368,7 +367,7 @@ def _classify_households(
     key *= 5
     key += pes.hh_status
     key *= 2
-    key += pop.occupied_at_census()
+    key += pop.occupied_at_census
     cell = _GRID[key]
     cell[pop.households.institutional] = CELL_INSTITUTIONAL
     return cell
@@ -443,7 +442,7 @@ def match_and_code(
     origin, dest, has_origin, has_dest = origin[kept], dest[kept], has_origin[kept], has_dest[kept]
     scope = pop.scope[kept]
     born = scope == SCOPE_BORN
-    mover = pop.is_mover()[kept]
+    mover = pop.is_mover[kept]
     out_role = (mover | (scope == SCOPE_DIED)) & has_origin
     m_captured = census.captured[kept] & ~census.imputed[kept]
     listed = pes.listed[kept]
@@ -661,7 +660,7 @@ def _coded_blocks(pop: Population, census: CensusSim, result: MatchResult, segme
             slot += block.start
             person = slot if every and source != SOURCE_FABRICATED else named[slot]
             if source <= SOURCE_REPORT:
-                role = pop.is_mover()[person].view(np.int8) * np.int8(_MOVED_ROLE[source])
+                role = pop.is_mover[person].view(np.int8) * np.int8(_MOVED_ROLE[source])
                 scope, scope_role = _SCOPE_ROLE[source]
                 role += (pop.scope[person] == scope).view(np.int8) * np.int8(scope_role)
             else:
@@ -710,7 +709,7 @@ def record_table(
     """What `tally_records` reduces of a matched world, as columns.
 
     Cells are the joint cells of `popsim.joint_cell`, and the census counts
-    the world's `popsim.census_counts`.  Coded records come in the order the
+    the world's `CensusSim.counts`.  Coded records come in the order the
     codes file lists them, the rows of `record_listing`: survey roster
     records, out-mover reports, stranded reports, then census, duplicate and
     fabricated census records.  They are built a block of a segment at a
@@ -739,7 +738,7 @@ def record_table(
     # A person without a household on one side reads the last household
     # there; no record of theirs is placed on that side.
     origin = pop.census_household
-    census_count = census_counts(pop, census)[:len(CENSUS_KINDS)]
+    census_count = census.counts[:len(CENSUS_KINDS)]
     if household_weight is None and result.household_mask.all():
         # Every in-scope record weighs 1.0, and n ones sum to exactly n.
         census_kind, census_cells = np.indices(census_count.shape).reshape(2, -1)
@@ -902,7 +901,7 @@ def tally_groups(
     simulated world knows.  The census count and imputation count are
     whole-universe constants, never masked or weighted: they come from
     census processing, not from the survey sample, and are sums of the
-    world's `popsim.census_counts`.
+    world's `CensusSim.counts`.
 
     `table` is this world's `record_table`, built once to tally several
     levels; it already holds the weights, so it excludes

@@ -36,19 +36,21 @@ probability of 0 draws nothing: PCG64 is advanced past the uniforms
 instead, to the same state.  Rates that are 0 and worlds without
 institutional households skip the gathers they would make per person, and
 the categorical draw's bucket bounds are computed once per weight vector.
-The arrays every stage derives from a world -- the propensity, the
-households occupied at census time, the target scope and the movers -- are
-computed once per `Population`, on first use, and returned read-only: a
-caller that needs to change one copies it first.  A world's own person
-arrays thus hold 11 bytes per person when it is homogeneous, and 19 once a
-heterogeneous capture pass has drawn the propensity.  There is no separate
-home array: the household arrays are gathered from directly (see
-`Population`).  Household indices are int32, and a gather or scatter by
-them over every person casts the index to intp one block at a time
-(`gather`, `_occupied`, `census_counts`), which is faster than numpy's own
-cast of an int32 index and makes no full-length temporary.  The census
-records and target persons of a world are likewise counted once, by kind
-and cell (`census_counts`); the ledgers and tallies are sums of those
+The arrays every stage derives from a world -- the households occupied at
+census time, the target scope, each household's province-stratum and the
+movers -- are computed when the `Population` is built and are read-only: a
+caller that needs to change one copies it first.  Only the propensity is
+made on first use, because a homogeneous world must never draw it.  A
+world's own person arrays thus hold 13 bytes per person when it is
+homogeneous, and 21 once a heterogeneous capture pass has drawn the
+propensity.  There is no separate home array: the household arrays are
+gathered from directly (see `Population`).  Household indices are int32,
+and a gather or scatter by them over every person casts the index to intp
+one block at a time (`gather`, `_occupied`, `simulate_census`), which is
+faster than numpy's own cast of an int32 index and makes no full-length
+temporary.  The census pass counts its records and the target persons by
+kind and cell in the pass over the persons that marks the households with
+records (`CensusSim.counts`); the ledgers and tallies are sums of those
 cells.
 """
 
@@ -90,7 +92,6 @@ __all__ = [
     "simulate_pes",
     "missed_household_rate",
     "ground_truth_ledger",
-    "census_counts",
     "joint_cell",
     "FileLevel",
     "Level",
@@ -115,7 +116,7 @@ PES_VACANT = 3          # empty at survey time, dwelling reached (proxies availa
 PES_VACANT_MISSED = 4   # empty at survey time, dwelling missed
 
 # Kinds of census record, the census file's `kind` column, and the row of
-# `census_counts` after them: target persons without a census record.
+# `CensusSim.counts` after them: target persons without a census record.
 CENSUS_KINDS = ("person", "imputed", "duplicate", "fabricated")
 KIND_PERSON, KIND_IMPUTED, KIND_DUPLICATE, KIND_FABRICATED = range(len(CENSUS_KINDS))
 TARGET_MISSED = len(CENSUS_KINDS)
@@ -219,19 +220,6 @@ def _choice(rng: np.random.Generator, p, size: int) -> np.ndarray:
     return index
 
 
-def _memo(derived: dict[str, np.ndarray], name: str, compute: Callable[[], np.ndarray]
-          ) -> np.ndarray:
-    """`derived[name]`, computed on first use and made read-only."""
-    array = derived.get(name)
-    if array is None:
-        # Made read-only before it is stored: threads that compute it at
-        # once each make an equal array, and all return the first stored.
-        array = compute()
-        array.setflags(write=False)
-        array = derived.setdefault(name, array)
-    return array
-
-
 def gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     """`values[index]` for an int32 `index` over persons, cast to intp one
     block at a time.  numpy casts a non-intp index entry by entry inside
@@ -277,7 +265,10 @@ class PopulationConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        # A mover who does not found a household joins another one.
+        # A mover who does not found a household joins another one, so a
+        # world of one household can never be built.  `synthesize_population`
+        # also refuses the worlds whose drawn institutional households leave
+        # a single ordinary one, which no config predicts.
         if self.n_households < 2 and self.mover_rate and self.new_household_rate < 1.0:
             raise ConfigError(
                 f"mover_rate must be 0, or new_household_rate 1, when persons={self.persons} "
@@ -285,7 +276,7 @@ class PopulationConfig:
                 "a mover who joins another household needs a second"
             )
         # Every index of a world must fit its dtype: the post-strata in
-        # int16; districts, households and the count key of `census_counts`
+        # int16; districts, households and the count key of `CensusSim.counts`
         # (6 per joint cell) in int32.
         if self.n_post_strata > _INT16_MAX:
             raise ConfigError(f"age_groups must be at most {_INT16_MAX // 2}, got {self.age_groups}")
@@ -358,11 +349,11 @@ class Households:
 class Population:
     """One synthetic world, frozen after generation.
 
-    The derived person and household arrays below are computed on first
-    use, kept for the life of the world and returned read-only.  The
-    propensity is one of them: synthesis keeps the generator state its
-    last draw would have started from, so a homogeneous world, which never
-    reads it, holds 11 bytes per person and draws no normal.
+    The derived arrays after the primary fields are computed from them when
+    the world is built and are read-only, so no caller sees an inconsistent
+    set.  The propensity alone is drawn on first use: synthesis keeps the
+    generator state its last draw would have started from, so a homogeneous
+    world, which never reads it, draws no normal.
 
     Household attributes are read per person by gathering with
     `census_household` or `pes_household` directly, through `gather` over
@@ -381,9 +372,36 @@ class Population:
     stratum_labels: tuple[str, ...]
     # The generator state synthesis ends in, which `propensity` draws from.
     propensity_state: dict = field(repr=False, compare=False)
-    _derived: dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    # Households with at least one census-time resident, a person not born later.
+    occupied_at_census: np.ndarray = field(init=False, repr=False, compare=False)
+    # Census target scope: existed at census time, in an ordinary
+    # (non-institutional) household.
+    in_target: np.ndarray = field(init=False, repr=False, compare=False)
+    # Province-stratum of each household, `province * 2 + stratum`.
+    household_area: np.ndarray = field(init=False, repr=False, compare=False)
+    # In scope at both times, in another household at survey time.
+    is_mover: np.ndarray = field(init=False, repr=False, compare=False)
+    # The propensity once drawn.  Threads that draw it at once each append
+    # an equal array, and every read returns the first.
+    _propensity: list[np.ndarray] = field(
+        default_factory=list, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        home, institutional = self.census_household, self.households.institutional
+        in_target = self.scope != SCOPE_BORN
+        if institutional.any():
+            in_target &= ~gather(institutional, home)
+        area = (self.districts.province * 2 + self.districts.stratum).astype(np.int32)
+        for name, array in (
+            ("occupied_at_census", _occupied(home, self.households.count)),
+            ("in_target", in_target),
+            ("household_area", area[self.households.district]),
+            ("is_mover", (self.scope == SCOPE_IN) & (home >= 0) & (self.pes_household >= 0)
+             & (home != self.pes_household)),
+        ):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:
@@ -398,65 +416,32 @@ class Population:
         """Shared capture propensity, standard normal, one per person: the
         last draw of synthesis, made on first use from a generator rebuilt
         from `propensity_state`, so every read sees the same values."""
-
-        def draw() -> np.ndarray:
+        if not self._propensity:
             rng = np.random.Generator(np.random.PCG64())
             rng.bit_generator.state = self.propensity_state
-            return rng.standard_normal(self.size)
-
-        return _memo(self._derived, "propensity", draw)
-
-    def occupied_at_census(self) -> np.ndarray:
-        """Households with at least one census-time resident, that is a
-        person not born later."""
-        return _memo(
-            self._derived, "occupied_at_census",
-            lambda: _occupied(self.census_household, self.households.count),
-        )
-
-    def in_target(self) -> np.ndarray:
-        """Census target scope: existed at census time, in an ordinary
-        (non-institutional) household."""
-
-        def target() -> np.ndarray:
-            existed = self.scope != SCOPE_BORN
-            if self.households.institutional.any():
-                existed &= ~gather(self.households.institutional, self.census_household)
-            return existed
-
-        return _memo(self._derived, "in_target", target)
-
-    def household_area(self) -> np.ndarray:
-        """Province-stratum of each household, `province * 2 + stratum`."""
-        return _memo(
-            self._derived, "household_area",
-            lambda: (self.districts.province * 2 + self.districts.stratum).astype(np.int32)[
-                self.households.district
-            ],
-        )
-
-    def is_mover(self) -> np.ndarray:
-        return _memo(
-            self._derived, "is_mover",
-            lambda: (self.scope == SCOPE_IN)
-            & (self.census_household >= 0)
-            & (self.pes_household >= 0)
-            & (self.census_household != self.pes_household),
-        )
+            drawn = rng.standard_normal(self.size)
+            drawn.setflags(write=False)
+            self._propensity.append(drawn)
+        return self._propensity[0]
 
 
 @dataclass(frozen=True)
 class CensusSim:
-    """Census pass over one population."""
+    """Census pass over one population, its records counted.
+
+    `counts` holds the target-scope census records by kind (rows in
+    `CENSUS_KINDS` order) and the target persons without one (row
+    `TARGET_MISSED`), per joint cell, read-only.  A captured person's
+    record is in scope exactly when the person is in the target, so the
+    tallies' census counts and the ledgers are both sums of these cells.
+    """
 
     captured: np.ndarray     # person has a census record (imputed ones included)
     imputed: np.ndarray      # the record is a whole-person imputation
     duplicated: np.ndarray   # an extra duplicate record exists for the person
     fab_person: np.ndarray   # source-person index per fabricated record
     hh_status: np.ndarray    # census listing status per household
-    _derived: dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    counts: np.ndarray = field(repr=False, compare=False)
 
     def record_count(self) -> int:
         return int(self.captured.sum() + self.duplicated.sum() + self.fab_person.shape[0])
@@ -710,20 +695,51 @@ def simulate_census(
         duplicated = np.zeros(n, dtype=bool)
         fab_person = np.zeros(0, dtype=np.int64)
 
+    # One pass over the persons marks the households with records and
+    # counts the target persons by class: 1 missed, 2 captured, 3 imputed,
+    # and 4 and 5 the last two with a duplicate record (a duplicate always
+    # belongs to a captured person); 0 is outside the target.  Persons born
+    # later are never captured, and read the last household's cell and
+    # land in class 0.
+    target = pop.in_target
+    n_cells = pop.n_post_strata * 2 * len(pop.districts.province_labels)
+    by_class = np.zeros(6 * n_cells, dtype=np.int64)
     has_records = np.zeros(n_hh, dtype=bool)
     for block in blocks(n):
-        has_records[home[block][captured[block]].astype(np.intp)] = True
+        block_home = home[block].astype(np.intp)
+        has_records[block_home[captured[block]]] = True
+        klass = target[block].view(np.int8) * (
+            1 + captured[block].view(np.int8) + imputed[block].view(np.int8)
+            + 2 * duplicated[block].view(np.int8)
+        )
+        key = joint_cell(pop, block, block_home)
+        key *= 6
+        key += klass
+        by_class += np.bincount(key, minlength=6 * n_cells)
     has_records[home[fab_person]] = True
+
+    by_class = by_class.reshape(n_cells, 6).T
+    counts = np.empty((TARGET_MISSED + 1, n_cells), dtype=np.int64)
+    counts[KIND_PERSON] = by_class[2] + by_class[4]
+    counts[KIND_IMPUTED] = by_class[3] + by_class[5]
+    counts[KIND_DUPLICATE] = by_class[4] + by_class[5]
+    fab_target = fab_person[target[fab_person]]
+    counts[KIND_FABRICATED] = np.bincount(
+        joint_cell(pop, fab_target, home[fab_target]), minlength=n_cells
+    )
+    counts[TARGET_MISSED] = by_class[1]
+    counts.setflags(write=False)
 
     hh_status = np.full(n_hh, CEN_NOT_LISTED, dtype=np.int8)
     hh_status[has_records] = CEN_WITH_Q
-    hh_status[noq_hh & pop.occupied_at_census()] = CEN_WITHOUT_Q
+    hh_status[noq_hh & pop.occupied_at_census] = CEN_WITHOUT_Q
     return CensusSim(
         captured=captured,
         imputed=imputed,
         duplicated=duplicated,
         fab_person=fab_person,
         hh_status=hh_status,
+        counts=counts,
     )
 
 
@@ -788,7 +804,7 @@ def joint_cell(pop: Population, person: np.ndarray | slice, household: np.ndarra
     cells (`groups`)."""
     cell = pop.post_stratum[person].astype(np.int32)
     cell *= 2 * len(pop.districts.province_labels)
-    cell += pop.household_area()[household]
+    cell += pop.household_area[household]
     return cell
 
 
@@ -813,59 +829,19 @@ def groups(pop: Population, level: Level) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, cell % n_areas
 
 
-def census_counts(pop: Population, census: CensusSim) -> np.ndarray:
-    """Target-scope census records of one world by kind, and the target
-    persons without one (row TARGET_MISSED), per joint cell: one pass over
-    the persons, kept on `census` read-only.  A captured person's record
-    is in scope exactly when the person is in the target, so the tallies'
-    census counts and the ledgers are both sums of these cells."""
-
-    def count() -> np.ndarray:
-        target = pop.in_target()
-        # Target persons by class: 1 missed, 2 captured, 3 imputed, and 4
-        # and 5 the last two with a duplicate record (a duplicate always
-        # belongs to a captured person); 0 is outside the target.  Counted
-        # a block of persons at a time; persons born later read the last
-        # household's cell and land in class 0.
-        n_cells = pop.n_post_strata * 2 * len(pop.districts.province_labels)
-        by_class = np.zeros(6 * n_cells, dtype=np.int64)
-        for block in blocks(pop.size):
-            klass = target[block].view(np.int8) * (
-                1 + census.captured[block].view(np.int8) + census.imputed[block].view(np.int8)
-                + 2 * census.duplicated[block].view(np.int8)
-            )
-            key = joint_cell(pop, block, pop.census_household[block].astype(np.intp))
-            key *= 6
-            key += klass
-            by_class += np.bincount(key, minlength=6 * n_cells)
-        by_class = by_class.reshape(n_cells, 6).T
-        counts = np.empty((TARGET_MISSED + 1, n_cells), dtype=np.int64)
-        counts[KIND_PERSON] = by_class[2] + by_class[4]
-        counts[KIND_IMPUTED] = by_class[3] + by_class[5]
-        counts[KIND_DUPLICATE] = by_class[4] + by_class[5]
-        fab_target = census.fab_person[target[census.fab_person]]
-        counts[KIND_FABRICATED] = np.bincount(
-            joint_cell(pop, fab_target, pop.census_household[fab_target]), minlength=n_cells
-        )
-        counts[TARGET_MISSED] = by_class[1]
-        return counts
-
-    return _memo(census._derived, "counts", count)
-
-
 def ground_truth_ledger(
     pop: Population,
     census: CensusSim,
     level: str = "national",
 ) -> dict[str, GroundTruthLedger]:
     """Exact per-group ledgers from the world itself: integer sums of its
-    `census_counts`.
+    census counts (`CensusSim.counts`).
 
     All quantities are target-scope: persons and records in institutional
     households are outside the survey universe and excluded throughout.
     """
     labels, group = groups(pop, level)
-    counts = census_counts(pop, census) @ (group[:, None] == np.arange(len(labels)))
+    counts = census.counts @ (group[:, None] == np.arange(len(labels)))
     captured = counts[KIND_PERSON] + counts[KIND_IMPUTED]
     undercount = counts[TARGET_MISSED]
     overcount = counts[KIND_DUPLICATE] + counts[KIND_FABRICATED]

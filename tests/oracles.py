@@ -45,7 +45,6 @@ from covlab.popsim import (
     SCOPE_IN,
     GroundTruthLedger,
     PopulationConfig,
-    census_counts,
     groups,
     joint_cell,
 )
@@ -65,9 +64,9 @@ def clean_expected(pop, cen, sur):
     dest = np.where(pop.pes_household >= 0, pop.pes_household, 0)
     non_inst_origin = ~inst_hh[origin]
     born = pop.scope == SCOPE_BORN
-    non_mover = (pop.scope == SCOPE_IN) & ~pop.is_mover()
-    out_role = (pop.is_mover() | (pop.scope == SCOPE_DIED)) & (pop.census_household >= 0)
-    in_role = (pop.is_mover() | born) & (pop.pes_household >= 0)
+    non_mover = (pop.scope == SCOPE_IN) & ~pop.is_mover
+    out_role = (pop.is_mover | (pop.scope == SCOPE_DIED)) & (pop.census_household >= 0)
+    in_role = (pop.is_mover | born) & (pop.pes_household >= 0)
 
     cap = cen.captured
     lst = sur.listed
@@ -145,7 +144,7 @@ def ledger_reference(pop, census, level):
     """Per-group ledgers from one masked bincount per quantity."""
     labels, _ = groups(pop, level)
     n_groups = len(labels)
-    target = pop.in_target()
+    target = pop.in_target
     if level == "province_stratum":
         home = np.where(pop.census_household >= 0, pop.census_household, pop.pes_household)
         district = pop.households.district[home]
@@ -251,7 +250,7 @@ def record_table_reference(pop, census, result, household_weight=None):
     dest = pop.pes_household
     fab_person = census.fab_person
 
-    census_count = census_counts(pop, census)[:len(CENSUS_KINDS)]
+    census_count = census.counts[:len(CENSUS_KINDS)]
     if household_weight is None and result.household_mask.all():
         census_kind, census_cells = np.indices(census_count.shape).reshape(2, -1)
         census_weight = census_count.ravel().astype(np.float64)
@@ -287,7 +286,7 @@ def record_table_reference(pop, census, result, household_weight=None):
     on_roster = source == SOURCE_ROSTER
     household = np.where(on_roster, dest[person], origin[person]).astype(np.intp)
     scope = pop.scope[person]
-    moved = pop.is_mover()[person]
+    moved = pop.is_mover[person]
     role = np.full(person.shape[0], ROLE_NON_MOVER, dtype=np.int8)
     role[on_roster & moved] = ROLE_IN_MOVER
     role[on_roster & (scope == SCOPE_BORN)] = ROLE_BIRTH

@@ -355,7 +355,7 @@ def test_criterion_09_zero_error_matching_reproduces_ground_truth():
             checked += 1
             mismatches += any(got != want for got, want in pairs)
             if config.name == "fidelity-closed":
-                movers = bundle.pop.is_mover()
+                movers = bundle.pop.is_mover
                 in_movers = int((movers & (bundle.pop.pes_household >= 0)).sum())
                 out_movers = int((movers & (bundle.pop.census_household >= 0)).sum())
                 flow_imbalance += in_movers != out_movers

@@ -83,6 +83,21 @@ def test_config_built_in_python_is_checked_like_json(cls, kwargs, named):
     assert _names(str(excinfo.value), named), str(excinfo.value)
 
 
+def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
+    population = PopulationConfig(persons=np.int64(3000), urban_share=np.float64(0.5),
+                                  mover_rate=np.float32(0.25))
+    assert type(population.persons) is int and population.persons == 3000
+    assert type(population.urban_share) is float and type(population.mover_rate) is float
+    config = ExperimentConfig(population=population, replicates=np.int32(2))
+    assert type(config.replicates) is int
+    assert _round_trips(config, tmp_path)
+    for value in (np.bool_(True), np.bool_(False)):
+        with pytest.raises(ConfigError, match="^persons must be an integer"):
+            PopulationConfig(persons=value)
+        with pytest.raises(ConfigError, match="^urban_share must be a finite number"):
+            PopulationConfig(urban_share=value)
+
+
 # Every float field of the config classes, and every field of
 # CaptureProbabilities, which holds the four numbers of the capture model.
 _FLOAT_FIELDS = [
@@ -152,7 +167,7 @@ def test_every_declared_rule_holds(cls, name, kind):
 
 # The largest values a world's index dtypes admit, and one past each: int16
 # post-strata, int32 households (each mover may found one), int32
-# districts and the int32 count key of `census_counts`.  Only configs are
+# districts and the int32 count key of `CensusSim.counts`.  Only configs are
 # built, never a world.
 @pytest.mark.parametrize("largest, past", [
     ({"age_groups": 16383}, {"age_groups": 16384}),

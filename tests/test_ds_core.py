@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,15 @@ from covlab.errors import DegenerateInputs, DomainError, InvalidMargins
 cells = st.integers(min_value=0, max_value=100)
 matched = st.integers(min_value=1, max_value=100)
 probs = st.floats(min_value=0.05, max_value=0.95)
+
+
+def test_numpy_cells_are_taken_as_python_numbers():
+    # A cell summed by numpy is a numpy scalar; a numpy bool is no number.
+    table = DsTable(x11=np.int64(950), x10=np.array([200, 10]).sum(), x01=np.float32(180))
+    assert table == DsTable(950, 210, 180.0)
+    assert [type(cell) for cell in (table.x11, table.x10, table.x01)] == [int, int, float]
+    with pytest.raises(DomainError, match="^x11 must be a finite number"):
+        DsTable(x11=np.bool_(True), x10=210, x01=180)
 
 
 def test_x00_known_tables():

@@ -840,7 +840,7 @@ def test_cli_experiment_runs_from_config(tmp_path, capsys):
         ({"population": {"persons": 8 * 10**9}}, "population.persons"),
         ({"population": {"persons": 500, "urban_districts": 2**31}},
          "population.provinces * (urban_districts + rural_districts)"),
-        # The int32 count key of `census_counts`, 6 per joint cell.
+        # The int32 count key of `CensusSim.counts`, 6 per joint cell.
         ({"population": {"persons": 500, "provinces": 10**6, "age_groups": 100}},
          "population.provinces * age_groups"),
         # One household and movers who join another: the destination draw
@@ -916,9 +916,11 @@ def test_cli_missing_directory_is_a_schema_error(tmp_path, capsys):
 # The field-shaped world: 60.6 measured; a record table built in one pass
 # over every record read 64.8, int64 household indices 74.3, and memoized
 # home arrays and full-length uniforms 90.8.  The clean world, whose full
-# frame codes every person: 68.8 measured; a one-pass record table read
-# 106.6, and per-person capture thresholds, an eagerly drawn propensity and
-# looked-up unit weights 123.4.
+# frame codes every person: 70.9 measured, its peak in matching, which now
+# holds the target scope and household province-strata the world builds
+# with it (68.8 when they were made on first use, after matching); a
+# one-pass record table read 106.6, and per-person capture thresholds, an
+# eagerly drawn propensity and looked-up unit weights 123.4.
 _WORLD_BYTES_PER_PERSON = {"mc-field-1m": 67.0, "mc-clean-50k": 76.0}
 
 

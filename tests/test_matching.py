@@ -40,12 +40,17 @@ from covlab.matching import (
     tally_records,
 )
 from covlab.popsim import (
+    DRAW_BLOCK,
+    KIND_DUPLICATE,
+    KIND_FABRICATED,
+    KIND_IMPUTED,
+    KIND_PERSON,
     SCOPE_BORN,
     SCOPE_DIED,
     SCOPE_IN,
     CaptureProbabilities,
+    TARGET_MISSED,
     PopulationConfig,
-    census_counts,
     ground_truth_ledger,
     groups,
     simulate_census,
@@ -139,8 +144,8 @@ def test_pair_slots_are_consistent():
     assert np.array_equal(paired_pes, paired_cen)
     # Roster codes only for survey-time arrivals, origin codes only for leavers.
     birth = pop.scope == SCOPE_BORN
-    leaver = (pop.is_mover() | (pop.scope == SCOPE_DIED)) & (pop.census_household >= 0)
-    assert np.all(birth[result.pes_code == CODE_20] | pop.is_mover()[result.pes_code == CODE_20])
+    leaver = (pop.is_mover | (pop.scope == SCOPE_DIED)) & (pop.census_household >= 0)
+    assert np.all(birth[result.pes_code == CODE_20] | pop.is_mover[result.pes_code == CODE_20])
     assert np.all(leaver[result.cen_code == CODE_30])
 
 
@@ -172,7 +177,7 @@ def test_imputed_records_behave_census_missed():
     imputed = cen.imputed
     assert not (result.pes_code[imputed] == CODE_10).any()
     assert not np.isin(result.cen_code[imputed], (CODE_10, CODE_30, CODE_51, CODE_52_4)).any()
-    non_mover = (pop.scope == SCOPE_IN) & ~pop.is_mover()
+    non_mover = (pop.scope == SCOPE_IN) & ~pop.is_mover
     flagged = imputed & sur.listed & non_mover & (result.hh_cell[pop.census_household] == CELL_PAIR)
     assert (result.pes_code[flagged] == CODE_42_4).all()
     tallies = tally_groups(pop, cen, result)["all"]
@@ -298,10 +303,10 @@ def test_adjusted_mode_recovers_the_excluded_cells():
     assert in_sect.sum() > 0
     assert (result.cen_code[in_sect] == CODE_42_2).all()
 
-    non_mover = (pop.scope == SCOPE_IN) & ~pop.is_mover()
+    non_mover = (pop.scope == SCOPE_IN) & ~pop.is_mover
     pil = (result.hh_cell[dest] == CELL_PILCROW) & (pop.pes_household >= 0)
     assert (result.pes_code[pil & non_mover] == CODE_42_1).all()
-    movers_there = pil & pop.is_mover()
+    movers_there = pil & pop.is_mover
     if movers_there.any():
         assert (result.pes_code[movers_there] == CODE_20).all()
 
@@ -482,24 +487,44 @@ def test_tallies_equal_the_full_row_census_reduction(seed):
             )
 
 
-def test_census_counts_are_counted_once_per_world():
-    pop, cen, sur = _world(seed=52, ee_rate=0.03, ii_rate=0.02, institutional_rate=0.05)
-    result = match_and_code(pop, cen, sur)
-    counts = census_counts(pop, cen)
-    assert not counts.flags.writeable
+def test_census_counts_equal_a_per_person_recount():
+    # More than two blocks of persons, with births, deaths, institutional
+    # households, duplicates, fabrications and imputations.
+    pop, cen, sur = _world(seed=52, persons=2 * DRAW_BLOCK + 1001, ee_rate=0.03, ii_rate=0.02,
+                           listed_nonresponse_rate=0.02, institutional_rate=0.05)
+    target = pop.in_target
+    assert target.size > 2 * DRAW_BLOCK and pop.households.institutional.any()
+    assert (pop.scope == SCOPE_BORN).any() and (pop.scope == SCOPE_DIED).any()
+    n_areas = 2 * len(pop.districts.province_labels)
+    n_cells = pop.n_post_strata * n_areas
+    home = np.where(pop.census_household >= 0, pop.census_household, 0)
+    district = pop.households.district[home]
+    area = pop.districts.province[district] * 2 + pop.districts.stratum[district]
+    cell = pop.post_stratum.astype(np.int64) * n_areas + area
+
+    def recount(persons):
+        return np.bincount(cell[persons], minlength=n_cells)
+
+    expected = np.empty((TARGET_MISSED + 1, n_cells), dtype=np.int64)
+    expected[KIND_PERSON] = recount(target & cen.captured & ~cen.imputed)
+    expected[KIND_IMPUTED] = recount(target & cen.imputed)
+    expected[KIND_DUPLICATE] = recount(target & cen.duplicated)
+    expected[KIND_FABRICATED] = recount(cen.fab_person[target[cen.fab_person]])
+    expected[TARGET_MISSED] = recount(target & ~cen.captured)
+    assert np.array_equal(cen.counts, expected)
+    assert cen.counts.dtype == np.int64 and expected.sum(axis=1).all()
+    assert not cen.counts.flags.writeable
     with pytest.raises(ValueError):
-        counts[0, 0] = counts[0, 0]
+        cen.counts[0, 0] = cen.counts[0, 0]
+
+    result = match_and_code(pop, cen, sur)
     for level in ("national", "post_stratum", "province_stratum"):
         ledger = ground_truth_ledger(pop, cen, level)
-        tallies = tally_groups(pop, cen, result, level)
-        assert ground_truth_ledger(pop, cen, level) == ledger
-        assert tally_groups(pop, cen, result, level) == tallies
-        for label, tally in tallies.items():
+        for label, tally in tally_groups(pop, cen, result, level).items():
             assert tally.census_count == ledger[label].census_count
-    assert census_counts(pop, cen) is counts
     # Another census of the same population has counts of its own.
-    _, other, _ = _world(seed=52, ee_rate=0.03, ii_rate=0.02, institutional_rate=0.05)
-    assert census_counts(pop, other) is not counts
+    other = simulate_census(pop, CaptureProbabilities(census=0.9, pes=0.9), seed=7)
+    assert not np.shares_memory(other.counts, cen.counts)
 
 
 def test_code_counts_reports_every_slot():

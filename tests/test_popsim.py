@@ -1,5 +1,6 @@
 """Synthetic worlds: generation invariants and both capture passes."""
 
+import dataclasses
 import hashlib
 import itertools
 import sys
@@ -105,7 +106,7 @@ def test_no_births_or_deaths_when_rates_zero():
 
 def test_movers_change_household_within_scope():
     _, pop = _world(mover_rate=0.2)
-    mover = pop.is_mover()
+    mover = pop.is_mover
     assert mover.sum() > 0
     assert np.all(pop.scope[mover] == SCOPE_IN)
     assert np.all(pop.census_household[mover] != pop.pes_household[mover])
@@ -117,7 +118,7 @@ def test_movers_change_household_within_scope():
 
 def test_in_target_excludes_born_and_institutional():
     _, pop = _world(institutional_rate=0.1)
-    target = pop.in_target()
+    target = pop.in_target
     assert not target[pop.scope == SCOPE_BORN].any()
     home = np.where(pop.census_household >= 0, pop.census_household, 0)
     institutional = pop.households.institutional[home] & (pop.scope != SCOPE_BORN)
@@ -284,7 +285,7 @@ def test_ground_truth_ledger_clean_world():
     probs = CaptureProbabilities(census=0.85, pes=0.85)
     census = simulate_census(pop, probs, seed=5)
     ledger = ground_truth_ledger(pop, census)["all"]
-    target = pop.in_target()
+    target = pop.in_target
     assert ledger.true_total == target.sum()
     assert ledger.census_count == (target & census.captured).sum()
     assert ledger.overcount == 0.0
@@ -298,7 +299,7 @@ def test_ground_truth_ledger_counts_erroneous_records():
     probs = CaptureProbabilities(census=0.85, pes=0.85)
     census = simulate_census(pop, probs, ee_rate=0.05, seed=5)
     ledger = ground_truth_ledger(pop, census)["all"]
-    target = pop.in_target()
+    target = pop.in_target
     dup = (target & census.duplicated).sum()
     fab = target[census.fab_person].sum()
     assert ledger.overcount == dup + fab
@@ -363,7 +364,7 @@ def test_capture_draws_equal_the_per_person_formula(heterogeneity, dependence):
     pes = simulate_pes(pop, census, probs, seed=4)
     # Without heterogeneity the probabilities are taken once per census
     # outcome, and the propensity is never drawn.
-    assert ("propensity" in pop._derived) == bool(heterogeneity)
+    assert bool(pop._propensity) == bool(heterogeneity)
 
     for seed, got, base, captured in (
         (3, census.captured, probs.census, None),
@@ -590,26 +591,33 @@ def test_uniform_below_draws_below_zero_only_off_pcg64(bit_generator, draws):
     assert np.array_equal(blocked.integers(0, 2**63, size=9), one.integers(0, 2**63, size=9))
 
 
-def test_derived_person_arrays_are_read_only_fresh_and_per_world():
-    _, pop = _world(institutional_rate=0.05)
-    _, other = _world(seed=12, institutional_rate=0.05)
+def test_derived_arrays_are_read_only_fields_fresh_and_per_world():
+    _, pop = _world(institutional_rate=0.05, mover_rate=0.1)
+    _, other = _world(seed=12, institutional_rate=0.05, mover_rate=0.1)
     census, survey = pop.census_household, pop.pes_household
     home = np.where(census >= 0, census, 0)
+    districts, district = pop.districts, pop.households.district
     fresh = {
         "occupied_at_census": np.bincount(
             home[pop.scope != SCOPE_BORN], minlength=pop.households.count
         ) > 0,
         "in_target": (pop.scope != SCOPE_BORN) & ~pop.households.institutional[home],
+        "household_area": districts.province[district] * 2 + districts.stratum[district],
         "is_mover": (pop.scope == SCOPE_IN) & (census >= 0) & (survey >= 0) & (census != survey),
     }
+    init = {item.name for item in dataclasses.fields(pop) if item.init}
     for name, expected in fresh.items():
-        array = getattr(pop, name)()
-        assert array is getattr(pop, name)(), name
+        assert name not in init, name
+        array = getattr(pop, name)
         assert not array.flags.writeable, name
         with pytest.raises(ValueError):
             array[0] = array[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pop, name, expected)
         assert np.array_equal(array, expected), name
-        assert not np.shares_memory(array, getattr(other, name)()), name
+        assert not np.shares_memory(array, getattr(other, name)), name
+    assert pop.household_area.dtype == np.int32
+    assert pop.is_mover.any() and pop.households.institutional.any()
 
 
 @pytest.mark.parametrize("n", [*_BLOCK_EDGES, 3 * DRAW_BLOCK + 7])

@@ -60,6 +60,12 @@ def test_selection_probability_round_numbers():
     assert selection_probability(5, 20, 100, 400) == 0.0625  # dyadic, exact
 
 
+def test_selection_probability_takes_numpy_integers():
+    assert selection_probability(np.int64(2), 8, 50, 400) == selection_probability(2, 8, 50, 400)
+    with pytest.raises(DesignError, match="^n_d must be an integer"):
+        selection_probability(np.bool_(True), 8, 50, 400)
+
+
 def test_selection_probability_bounds():
     with pytest.raises(DesignError):
         selection_probability(0, 100, 50, 500)
