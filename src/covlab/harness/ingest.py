@@ -50,12 +50,15 @@ lines that end in it, and one column reader (`_Reader`) reads each
 needed column for those lines straight out of the buffer as 8-byte words,
 into room sized by the file's newlines: id and stratum columns as
 big-endian uint64 keys (or bytes, when a field is longer than 8 bytes),
-columns with a fixed vocabulary as positions in it, and weights as text.  Every search among keys goes through one index (`_Index`),
-built once per key set: record ids, household ids, strata, districts and
-weight texts are hashed into a table sized by their distinct keys, and
-only keys that share a slot are sorted.  Per-row intermediates are held
-in the narrowest integer type that fits and released after their last
-use.  The text of a message is built only for the rows it names.
+columns with a fixed vocabulary as positions in it, and weights as text.
+A vocabulary column is matched word by word as it is read: each field's
+words are compared with each vocabulary word's (`_Reader.read`).  Every
+other search among keys goes through one index (`_Index`), built once per
+key set: record ids, household ids, strata, districts and weight texts are
+hashed into a table sized by their distinct keys, and only keys that share
+a slot are sorted.  Per-row intermediates are held in the narrowest
+integer type that fits and released after their last use.  The text of a
+message is built only for the rows it names.
 """
 
 from __future__ import annotations
@@ -101,11 +104,12 @@ from ..matching import (
     MatchTallies,
     RecordTable,
     among,
+    household_weights,
     record_listing,
     record_weights,
     tally_records,
 )
-from ..popsim import DRAW_BLOCK, CensusSim, FileLevel, PesSim, Population
+from ..popsim import DRAW_BLOCK, PES_STATUSES, CensusSim, FileLevel, PesSim, Population
 from ..sampling import ADDRESS_TYPES, noninterview_factor
 
 __all__ = ["write_microdata", "ingest_microdata"]
@@ -137,23 +141,15 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # interviewed households by the noninterview adjustment.
 _PHASES = ("initial", "followup")
 
-# Survey household status labels, indexed by the PES_* status.
-_PES_STATUSES = ("with_q", "absent", "not_listed", "vacant", "vacant_missed")
-
-_MARKER_CELLS = {"#": CELL_HASH, "§": CELL_SECT, "¶": CELL_PILCROW}
-
 # Codes settled in the initial matching phase unless the record was
 # recovered by the adjusted-mode follow-up or is an out-mover report.
 _INITIAL_CODES = (CODE_10, CODE_20, CODE_30, CODE_42_1, CODE_42_2)
 
-# Every label of the code column, codes then household markers, and the
-# code each names, -1 for markers and, in the last entry, unknown labels.
-_LABELS = (*CODE_BY_LABEL, *_MARKER_CELLS)
-_LABEL_CODES = np.array([*CODE_BY_LABEL.values()] + [-1] * (len(_MARKER_CELLS) + 1),
-                        dtype=np.int16)
-
-# The exclusion field: empty on a code, so a marker needs a position above 0.
-_REASONS = ("", *EXCLUSION_MARKERS.values())
+# Every label of the code column, codes then household marker symbols, and
+# the code each names, -1 for markers and, in the last entry, unknown labels.
+_SYMBOLS, _REASONS = zip(*EXCLUSION_MARKERS.values())
+_LABELS = (*CODE_BY_LABEL, *_SYMBOLS)
+_LABEL_CODES = np.array([*CODE_BY_LABEL.values()] + [-1] * (len(_SYMBOLS) + 1), dtype=np.int16)
 
 # The side each code belongs on, -1 for codes on either side and, in the
 # last entry, for labels that name no code.
@@ -261,6 +257,7 @@ def write_microdata(
     while it writes census.csv, then the world's `record_listing`, and one
     block.
     """
+    weight = household_weights(household_weight, pop.households.count)
     os.makedirs(out_dir, exist_ok=True)
     strata = pop.stratum_labels
     households = pop.households
@@ -306,7 +303,7 @@ def write_microdata(
     survey = int(np.count_nonzero(listing.side == SIDE_SURVEY))
     roster = int(np.count_nonzero(listing.source[:survey] == SOURCE_ROSTER))
     reports = roster + np.argsort(listing.number[roster:survey], kind="stable")
-    pes_tail = _joined(strata, ROSTER_ROLES, _PES_STATUSES, end="\r\n")
+    pes_tail = _joined(strata, ROSTER_ROLES, PES_STATUSES, end="\r\n")
 
     def pes_rows(record: slice | np.ndarray) -> tuple:
         record_person = listing.number[record]  # survey records are numbered by their person
@@ -315,7 +312,7 @@ def write_microdata(
         return (
             (prefix, listing.source[record]), number, b",", number, b",", (place, household),
             b",", (pes_tail, (pop.post_stratum[record_person] * len(ROSTER_ROLES)
-                              + listing.role[record]) * len(_PES_STATUSES)
+                              + listing.role[record]) * len(PES_STATUSES)
                    + pes.hh_status[household]),
         )
 
@@ -343,10 +340,10 @@ def write_microdata(
     # cell, its marker's phase, label and reason.
     mask = result.household_mask
     marked = np.concatenate([np.flatnonzero((result.hh_cell == cell) & mask)
-                             for cell in _MARKER_CELLS.values()])
+                             for cell in EXCLUSION_MARKERS])
     marker_phase = _PHASES[result.exclusion_mode == "adjusted"]
-    marker_text = {cell: f",{marker_phase},{label},{EXCLUSION_MARKERS[cell]}\r\n"
-                   for label, cell in _MARKER_CELLS.items()}
+    marker_text = {cell: f",{marker_phase},{symbol},{reason}\r\n"
+                   for cell, (symbol, reason) in EXCLUSION_MARKERS.items()}
     marker = _table(marker_text.get(cell, "") for cell in range(max(marker_text) + 1))
     _write(os.path.join(out_dir, "codes.csv"), _CODES_HEADER, (listing.code.shape[0], code_rows),
            (marked.shape[0], lambda rows: (b"h", _digits(marked[rows]),
@@ -354,8 +351,6 @@ def write_microdata(
     del listing
 
     sampled = np.flatnonzero(mask)
-    weight = (np.ones(households.count) if household_weight is None
-              else np.asarray(household_weight))
     address_type = _table(ADDRESS_TYPES)
     flag = _table("01")
     interviewed = result.interviewed().view(np.int8)
@@ -810,9 +805,11 @@ def _check(issues: list[str], name: str, fields: dict, checks: list[tuple[np.nda
 
 def _parse_weights(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights as floats, and which ones are not numbers at all; each
-    distinct text is parsed once."""
+    distinct text is parsed once.  numpy parses as Python's `float` does,
+    which reads digit-group underscores (`1_0` as 10.0): such a text is no
+    number here."""
     distinct, position = _Index(text).positions()
-    bad = np.zeros(distinct.shape[0], dtype=bool)
+    bad = np.char.find(distinct, b"_") >= 0
     try:
         values = distinct.astype(np.float64)
     except ValueError:
@@ -846,7 +843,8 @@ def ingest_microdata(in_dir: str, level: FileLevel = "national") -> dict[str, Ma
                         {"roster": ROSTER_ROLES})
     codes = _read_columns(in_dir, "codes.csv", _CODES_HEADER, tuple(_CODES_HEADER),
                           ("record_id",),
-                          {"phase": _PHASES, "code": _LABELS, "exclusion": _REASONS})
+                          # The exclusion column is empty on a code.
+                          {"phase": _PHASES, "code": _LABELS, "exclusion": ("", *_REASONS)})
     weights = _read_columns(in_dir, "weights.csv", _WEIGHTS_HEADER, tuple(_WEIGHTS_HEADER),
                             ("household_id", "district_id"),
                             {"address_type": ADDRESS_TYPES, "interviewed": ("0", "1")})
@@ -919,7 +917,8 @@ def ingest_microdata(in_dir: str, level: FileLevel = "national") -> dict[str, Ma
     # The side each code belongs on, -1 for codes on either side.
     belongs = _CODE_SIDES[numeric]
     # '#' households covered by the follow-up, and their weights-file rows.
-    reweighted = (label == _LABELS.index("#")) & (phase == _PHASES.index("followup"))
+    reweighted = ((label == _LABELS.index(EXCLUSION_MARKERS[CELL_HASH][0]))
+                  & (phase == _PHASES.index("followup")))
     marker_row = np.full(label.shape[0], -1, dtype=record_row.dtype)
     marker_row[reweighted] = _found(homes.find(code_id[reweighted]), weighted)
     del homes

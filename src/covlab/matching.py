@@ -17,7 +17,14 @@ decides how its records are handled.
                                            lived there at census time
     census WITHOUT_Q x survey ABSENT       excluded, marker '#'
     census WITHOUT_Q x survey NOT_LISTED   excluded, marker '§'
-    census NOT_LISTED x survey ABSENT      excluded, marker '¶'
+    census NOT_LISTED x survey ABSENT      excluded, marker '¶', when someone
+                                           lived there at census time
+
+Every other cell is dark: no record collected there is coded.  The
+statuses are `popsim`'s, labelled by `popsim.CENSUS_STATUSES` and
+`popsim.PES_STATUSES`.  `EXCLUSION_MARKERS` gives each excluded cell its
+marker symbol and its reason, as the codes file writes them, and
+`INTERVIEWED_CELLS` are the cells whose survey roster was collected.
 
 Person-level outcomes use the field code taxonomy: 10 matched non-mover,
 20 in-mover on the survey roster, 30 out-mover or death confirmed by proxy
@@ -61,12 +68,14 @@ from .popsim import (
     CEN_WITH_Q,
     CEN_WITHOUT_Q,
     CENSUS_KINDS,
+    CENSUS_STATUSES,
     KIND_DUPLICATE,
     KIND_FABRICATED,
     KIND_IMPUTED,
     KIND_PERSON,
     PES_ABSENT,
     PES_NOT_LISTED,
+    PES_STATUSES,
     PES_VACANT,
     PES_VACANT_MISSED,
     PES_WITH_Q,
@@ -102,6 +111,7 @@ __all__ = [
     "CODE_52_4",
     "CODE_LABELS",
     "EXCLUSION_MARKERS",
+    "INTERVIEWED_CELLS",
     "ExclusionMode",
     "MatchErrorModel",
     "MatchResult",
@@ -109,6 +119,7 @@ __all__ = [
     "RecordListing",
     "RecordTable",
     "census_records",
+    "household_weights",
     "match_and_code",
     "record_listing",
     "record_table",
@@ -164,11 +175,16 @@ CELL_SECT = 9
 CELL_PILCROW = 10
 CELL_INSTITUTIONAL = 11
 
+# Each excluded cell's household marker: its symbol and its reason, in the
+# order the codes file lists the marked households.
 EXCLUSION_MARKERS = {
-    CELL_HASH: "temp-absent-no-questionnaire",
-    CELL_SECT: "not-listed-no-questionnaire",
-    CELL_PILCROW: "temp-absent-unlisted-census",
+    CELL_HASH: ("#", "temp-absent-no-questionnaire"),
+    CELL_SECT: ("§", "not-listed-no-questionnaire"),
+    CELL_PILCROW: ("¶", "temp-absent-unlisted-census"),
 }
+
+# Cells whose survey roster was collected: pair, bare 42 and survey-only.
+INTERVIEWED_CELLS = (CELL_PAIR, CELL_BARE42, CELL_PES_ONLY)
 
 # How the excluded cells are handled (see the module docstring).
 ExclusionMode = Literal["sci", "adjusted"]
@@ -224,10 +240,7 @@ class MatchResult:
     def interviewed(self) -> np.ndarray:
         """Sampled households whose survey roster was collected, the
         interviewed set of the noninterview adjustment."""
-        cell = self.hh_cell
-        return self.household_mask & (
-            (cell == CELL_PAIR) | (cell == CELL_BARE42) | (cell == CELL_PES_ONLY)
-        )
+        return self.household_mask & among(self.hh_cell, INTERVIEWED_CELLS)
 
     def code_counts(self) -> dict[str, int]:
         """Unweighted tally of every emitted code, labels as keys."""
@@ -345,15 +358,12 @@ class RecordListing:
 
 # Household grid cell by census listing status, survey listing status and
 # whether anyone lived in the household at census time.
-_GRID = np.full((3, 5, 2), CELL_DARK, dtype=np.int8)
-for _status, _cell in ((PES_WITH_Q, CELL_PAIR), (PES_ABSENT, CELL_PRESUME),
-                       (PES_NOT_LISTED, CELL_CEN_NL), (PES_VACANT, CELL_CEN_VAC),
-                       (PES_VACANT_MISSED, CELL_CEN_VACM)):
-    _GRID[CEN_WITH_Q, _status] = _cell
-_GRID[CEN_WITHOUT_Q, PES_WITH_Q] = CELL_BARE42
+_GRID = np.full((len(CENSUS_STATUSES), len(PES_STATUSES), 2), CELL_DARK, dtype=np.int8)
+_GRID[CEN_WITH_Q, [PES_WITH_Q, PES_ABSENT, PES_NOT_LISTED, PES_VACANT, PES_VACANT_MISSED]] = (
+    np.array([CELL_PAIR, CELL_PRESUME, CELL_CEN_NL, CELL_CEN_VAC, CELL_CEN_VACM])[:, None])
+_GRID[[CEN_WITHOUT_Q, CEN_NOT_LISTED], PES_WITH_Q] = (CELL_PES_ONLY, CELL_BARE42)
 _GRID[CEN_WITHOUT_Q, PES_ABSENT] = CELL_HASH
 _GRID[CEN_WITHOUT_Q, PES_NOT_LISTED] = CELL_SECT
-_GRID[CEN_NOT_LISTED, PES_WITH_Q] = (CELL_PES_ONLY, CELL_BARE42)
 _GRID[CEN_NOT_LISTED, PES_ABSENT, 1] = CELL_PILCROW
 _GRID = _GRID.reshape(-1)
 
@@ -364,7 +374,7 @@ def _classify_households(
     pes: PesSim,
 ) -> np.ndarray:
     key = census.hh_status.astype(np.intp)
-    key *= 5
+    key *= len(PES_STATUSES)
     key += pes.hh_status
     key *= 2
     key += pop.occupied_at_census
@@ -539,8 +549,7 @@ def match_and_code(
          CODE_52_1)
 
     # --- survey roster: in-movers and births at the destination ---
-    roster_cell = (dcell == CELL_PAIR) | (dcell == CELL_BARE42) | (dcell == CELL_PES_ONLY)
-    _put(pes_code, in_role & d_in & listed & roster_cell, CODE_20)
+    _put(pes_code, in_role & d_in & listed & among(dcell, INTERVIEWED_CELLS), CODE_20)
 
     if adjusted:
         # '§': recover every census-time member, none of whom has a record
@@ -597,6 +606,20 @@ def census_records(census: CensusSim, person: np.ndarray, fabrication: np.ndarra
         np.full(fabrication.shape[0], KIND_FABRICATED),
     ])
     return np.concatenate([captured, duplicated, census.fab_person[fabrication]]), kind
+
+
+def household_weights(household_weight: np.ndarray | None, n_households: int) -> np.ndarray:
+    """The weight of each of `n_households` households as float64: 1.0
+    each without `household_weight`.  A DomainError refuses weights that
+    miss a household or are not finite and non-negative."""
+    if household_weight is None:
+        return np.ones(n_households, dtype=np.float64)
+    weight = np.asarray(household_weight, dtype=np.float64)
+    if weight.shape != (n_households,):
+        raise DomainError("household_weight must cover every household")
+    if np.any(weight < 0) or not np.all(np.isfinite(weight)):
+        raise DomainError("household weights must be finite and non-negative")
+    return weight
 
 
 def record_weights(side: np.ndarray, role: np.ndarray, household: np.ndarray,
@@ -718,14 +741,7 @@ def record_table(
     interview.
     """
     n_hh = pop.households.count
-    if household_weight is None:
-        weight = np.ones(n_hh, dtype=np.float64)
-    else:
-        weight = np.asarray(household_weight, dtype=np.float64)
-        if weight.shape != (n_hh,):
-            raise DomainError("household_weight must cover every household")
-        if np.any(weight < 0) or not np.all(np.isfinite(weight)):
-            raise DomainError("household weights must be finite and non-negative")
+    weight = household_weights(household_weight, n_hh)
     if result.exclusion_mode == "adjusted":
         factor = noninterview_factor(
             pop.households.district, pop.households.address_type, weight,

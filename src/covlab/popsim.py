@@ -52,6 +52,15 @@ temporary.  The census pass counts its records and the target persons by
 kind and cell in the pass over the persons that marks the households with
 records (`CensusSim.counts`); the ledgers and tallies are sums of those
 cells.
+
+Each vocabulary of a world is declared once, beside its codes: the census
+record kinds (`CENSUS_KINDS`), the census and survey household listing
+statuses (`CENSUS_STATUSES`, `PES_STATUSES`; the survey file writes the
+survey labels) and the district strata (`sampling.STRATA`).  A joint cell
+is a person's post-stratum crossed with the area, the province-stratum,
+of the household a record was collected at; `cell_layout` states how
+areas and cells are numbered, and `joint_cell`, `groups`, the census
+counts and the config's index bounds all take the layout from it.
 """
 
 from __future__ import annotations
@@ -66,6 +75,7 @@ from .errors import (
     AtLeast0, AtLeast1, ConfigError, DomainError, Probability, Rate, Share, check_fields,
     check_value,
 )
+from .sampling import STRATA
 
 __all__ = [
     "SCOPE_IN",
@@ -74,11 +84,13 @@ __all__ = [
     "CEN_WITH_Q",
     "CEN_WITHOUT_Q",
     "CEN_NOT_LISTED",
+    "CENSUS_STATUSES",
     "PES_WITH_Q",
     "PES_ABSENT",
     "PES_NOT_LISTED",
     "PES_VACANT",
     "PES_VACANT_MISSED",
+    "PES_STATUSES",
     "PopulationConfig",
     "CaptureProbabilities",
     "Districts",
@@ -92,6 +104,7 @@ __all__ = [
     "simulate_pes",
     "missed_household_rate",
     "ground_truth_ledger",
+    "cell_layout",
     "joint_cell",
     "FileLevel",
     "Level",
@@ -103,17 +116,17 @@ SCOPE_IN = 0      # alive at census time and at survey time
 SCOPE_BORN = 1    # born after census time: outside the census target
 SCOPE_DIED = 2    # died after census time: inside the target, gone at survey time
 
-# Census household listing status.
-CEN_WITH_Q = 0
-CEN_WITHOUT_Q = 1
-CEN_NOT_LISTED = 2
+# Census household listing status: enumerated with a questionnaire,
+# listed without one, or not listed.
+CENSUS_STATUSES = ("with_q", "without_q", "not_listed")
+CEN_WITH_Q, CEN_WITHOUT_Q, CEN_NOT_LISTED = range(len(CENSUS_STATUSES))
 
-# Survey household listing status.
-PES_WITH_Q = 0
-PES_ABSENT = 1          # listed, interview not obtained
-PES_NOT_LISTED = 2      # occupied but missed by the listing
-PES_VACANT = 3          # empty at survey time, dwelling reached (proxies available)
-PES_VACANT_MISSED = 4   # empty at survey time, dwelling missed
+# Survey household listing status, the survey file's `reported_status`
+# column: interviewed; listed, interview not obtained; occupied but missed
+# by the listing; empty at survey time, dwelling reached (proxies
+# available); empty at survey time, dwelling missed.
+PES_STATUSES = ("with_q", "absent", "not_listed", "vacant", "vacant_missed")
+PES_WITH_Q, PES_ABSENT, PES_NOT_LISTED, PES_VACANT, PES_VACANT_MISSED = range(len(PES_STATUSES))
 
 # Kinds of census record, the census file's `kind` column, and the row of
 # `CensusSim.counts` after them: target persons without a census record.
@@ -277,7 +290,8 @@ class PopulationConfig:
             )
         # Every index of a world must fit its dtype: the post-strata in
         # int16; districts, households and the count key of `CensusSim.counts`
-        # (6 per joint cell) in int32.
+        # in int32.  There are 6 count keys per joint cell, `keys` per
+        # province and age group (whose two post-strata are the two sexes).
         if self.n_post_strata > _INT16_MAX:
             raise ConfigError(f"age_groups must be at most {_INT16_MAX // 2}, got {self.age_groups}")
         districts = self.provinces * (self.urban_districts + self.rural_districts)
@@ -286,9 +300,10 @@ class PopulationConfig:
                 f"provinces * (urban_districts + rural_districts) must be at most {_INT32_MAX}, "
                 f"got {districts}"
             )
-        if 6 * self.n_post_strata * 2 * self.provinces > _INT32_MAX:
+        keys = 6 * cell_layout(2, 1)[1]
+        if keys * self.provinces * self.age_groups > _INT32_MAX:
             raise ConfigError(
-                f"provinces * age_groups must be at most {_INT32_MAX // 24}, "
+                f"provinces * age_groups must be at most {_INT32_MAX // keys}, "
                 f"got {self.provinces} * {self.age_groups}"
             )
         # Each mover may found one new household.
@@ -326,7 +341,7 @@ class CaptureProbabilities:
 @dataclass(frozen=True)
 class Districts:
     province: np.ndarray        # province index per district
-    stratum: np.ndarray         # 0 urban, 1 rural
+    stratum: np.ndarray         # index into sampling.STRATA
     province_labels: tuple[str, ...]
 
     @property
@@ -377,7 +392,7 @@ class Population:
     # Census target scope: existed at census time, in an ordinary
     # (non-institutional) household.
     in_target: np.ndarray = field(init=False, repr=False, compare=False)
-    # Province-stratum of each household, `province * 2 + stratum`.
+    # Area (province-stratum) of each household, see `cell_layout`.
     household_area: np.ndarray = field(init=False, repr=False, compare=False)
     # In scope at both times, in another household at survey time.
     is_mover: np.ndarray = field(init=False, repr=False, compare=False)
@@ -392,7 +407,7 @@ class Population:
         in_target = self.scope != SCOPE_BORN
         if institutional.any():
             in_target &= ~gather(institutional, home)
-        area = (self.districts.province * 2 + self.districts.stratum).astype(np.int32)
+        area = (self.districts.province * len(STRATA) + self.districts.stratum).astype(np.int32)
         for name, array in (
             ("occupied_at_census", _occupied(home, self.households.count)),
             ("in_target", in_target),
@@ -410,6 +425,11 @@ class Population:
     @property
     def n_post_strata(self) -> int:
         return len(self.stratum_labels)
+
+    @property
+    def cell_layout(self) -> tuple[int, int]:
+        """This world's numbers of areas and of joint cells (`cell_layout`)."""
+        return cell_layout(self.n_post_strata, len(self.districts.province_labels))
 
     @property
     def propensity(self) -> np.ndarray:
@@ -498,15 +518,10 @@ def synthesize_population(
     district_per_province = config.urban_districts + config.rural_districts
     n_districts = config.provinces * district_per_province
     d_province = np.repeat(np.arange(config.provinces, dtype=np.int32), district_per_province)
-    d_stratum = np.tile(
-        np.concatenate(
-            [
-                np.zeros(config.urban_districts, dtype=np.int8),
-                np.ones(config.rural_districts, dtype=np.int8),
-            ]
-        ),
-        config.provinces,
-    )
+    # Each province's urban districts, then its rural ones.
+    d_stratum = np.tile(np.repeat(np.arange(len(STRATA), dtype=np.int8),
+                                  (config.urban_districts, config.rural_districts)),
+                        config.provinces)
     province_labels = tuple(f"p{index:02d}" for index in range(config.provinces))
     districts = Districts(province=d_province, stratum=d_stratum, province_labels=province_labels)
 
@@ -702,7 +717,7 @@ def simulate_census(
     # later are never captured, and read the last household's cell and
     # land in class 0.
     target = pop.in_target
-    n_cells = pop.n_post_strata * 2 * len(pop.districts.province_labels)
+    n_cells = pop.cell_layout[1]
     by_class = np.zeros(6 * n_cells, dtype=np.int64)
     has_records = np.zeros(n_hh, dtype=bool)
     for block in blocks(n):
@@ -796,14 +811,22 @@ def missed_household_rate(absent_rate: float, unlisted_rate: float) -> float:
     return check_value("absent_rate + unlisted_rate", absent_rate + unlisted_rate, Rate)
 
 
+def cell_layout(post_strata: int, provinces: int) -> tuple[int, int]:
+    """The joint-cell layout of a world with these numbers of post-strata
+    and provinces: its number of areas, the province-strata
+    `province * len(STRATA) + stratum` (`Population.household_area`), and
+    of joint cells, `post_stratum * areas + area` (`joint_cell`).  Every
+    grouping level is a union of the cells (`groups`)."""
+    areas = provinces * len(STRATA)
+    return areas, post_strata * areas
+
+
 def joint_cell(pop: Population, person: np.ndarray | slice, household: np.ndarray
                ) -> np.ndarray:
     """Joint cell of records of `person` collected at `household`: the
-    person's post-stratum crossed with the household's province-stratum
-    (`province * 2 + stratum`).  Every grouping level is a union of these
-    cells (`groups`)."""
+    person's post-stratum crossed with the household's area."""
     cell = pop.post_stratum[person].astype(np.int32)
-    cell *= 2 * len(pop.districts.province_labels)
+    cell *= pop.cell_layout[0]
     cell += pop.household_area[household]
     return cell
 
@@ -818,14 +841,13 @@ def groups(pop: Population, level: Level) -> tuple[tuple[str, ...], np.ndarray]:
     """The group labels of an estimation level, and the group of every
     joint cell at it, an index into the labels."""
     check_value("level", level, Level)
-    provinces = pop.districts.province_labels
-    n_areas = 2 * len(provinces)
-    cell = np.arange(pop.n_post_strata * n_areas)
+    n_areas, n_cells = pop.cell_layout
+    cell = np.arange(n_cells)
     if level == "national":
         return ("all",), np.zeros_like(cell)
     if level == "post_stratum":
         return pop.stratum_labels, cell // n_areas
-    labels = tuple(f"{p}/{stratum}" for p in provinces for stratum in ("urban", "rural"))
+    labels = tuple(f"{p}/{s}" for p in pop.districts.province_labels for s in STRATA)
     return labels, cell % n_areas
 
 

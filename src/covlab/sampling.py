@@ -222,7 +222,7 @@ def draw_sample(
     household factor becomes 1); empty ones contribute nothing.
     """
     rng = np.random.default_rng(seed)
-    pair = frame.province.astype(np.int64) * 2 + frame.stratum
+    pair = frame.province.astype(np.int64) * len(STRATA) + frame.stratum
     tn_d = np.bincount(pair)[pair]  # the districts in each district's pair
     selected = select_psus(frame, spec, rng)
     chosen, weight = [], []

@@ -2,6 +2,7 @@
 formatting and csv module, and ingest of mutated files."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from covlab.cli import main as cli_main
-from covlab.errors import SchemaError, ValidationError
+from covlab.errors import DomainError, SchemaError, ValidationError
 from covlab.harness import ExperimentConfig, SampleSpec, build_world, ingest_microdata
 from covlab.harness import write_microdata
 from covlab.harness import ingest as ingest_module
@@ -25,8 +26,8 @@ from covlab.harness.ingest import (
     _Index, _digits, _float_text, _hash, _index_type, _read_columns, _text,
 )
 from covlab.estimators import FCodeTallies, MoverTallies
-from covlab.matching import MatchErrorModel, MatchTallies, tally_groups
-from covlab.popsim import FileLevel, PopulationConfig
+from covlab.matching import EXCLUSION_MARKERS, MatchErrorModel, MatchTallies, tally_groups
+from covlab.popsim import PES_STATUSES, FileLevel, PopulationConfig
 from oracles import EMPTY_SAMPLE, assert_ingest_equals_tallies
 
 
@@ -378,3 +379,77 @@ def test_files_with_no_weights_row_ingest_and_run(tmp_path, capsys, world):
     assert capsys.readouterr().out == f"ok: 1 group(s), census count {count}\n"
     assert cli_main(["estimate", "--in", str(tmp_path), "--level", "post_stratum"]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def full_frame(tmp_path_factory):
+    """A full-frame world of the fuzz config's pathologies whose households
+    take all five survey statuses and all three excluded cells, written."""
+    config = dataclasses.replace(
+        _FUZZ_CONFIG, sample=None,
+        population=dataclasses.replace(_FUZZ_CONFIG.population, persons=3000),
+    )
+    bundle = build_world(config, 0)
+    assert set(bundle.pes.hh_status.tolist()) == set(range(len(PES_STATUSES)))
+    assert set(bundle.result.hh_cell.tolist()) >= set(EXCLUSION_MARKERS)
+    out = tmp_path_factory.mktemp("full-frame")
+    write_microdata(str(out), bundle.pop, bundle.census, bundle.pes, bundle.result,
+                    bundle.household_weight)
+    return bundle, out
+
+
+def _csv_rows(path) -> list[dict[str, str]]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_written_statuses_and_markers_are_the_declared_ones(full_frame):
+    bundle, out = full_frame
+    pes = _csv_rows(out / "pes.csv")
+    status = bundle.pes.hh_status[[int(row["household_id"][1:]) for row in pes]]
+    assert [row["reported_status"] for row in pes] == [PES_STATUSES[s] for s in status]
+    symbols = {symbol for symbol, _ in EXCLUSION_MARKERS.values()}
+    markers = [row for row in _csv_rows(out / "codes.csv") if row["code"] in symbols]
+    marked = [int(row["record_id"][1:]) for row in markers]
+    cell = bundle.result.hh_cell
+    assert sorted(marked) == np.flatnonzero(np.isin(cell, list(EXCLUSION_MARKERS))).tolist()
+    assert [(row["code"], row["exclusion"]) for row in markers] == [
+        EXCLUSION_MARKERS[cell[household]] for household in marked
+    ]
+    assert {row["code"] for row in markers} == symbols
+
+
+def test_an_underscored_weight_is_not_a_number(tmp_path, capsys, full_frame):
+    # Python's float, and numpy's with it, reads "1_0" as 10.0.
+    _, out = full_frame
+    for name in _FILES:
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    header, first, rest = (out / "weights.csv").read_bytes().split(b"\r\n", 2)
+    household, weight = first.split(b",")[0].decode(), first.split(b",")[-1]
+    assert weight == b"1.0"
+    (tmp_path / "weights.csv").write_bytes(
+        b"\r\n".join([header, first[:-len(weight)] + b"1_0", rest])
+    )
+    with pytest.raises(ValidationError) as caught:
+        ingest_microdata(str(tmp_path))
+    # The household's records then have no weight either.
+    assert caught.value.issues[0] == (
+        f"weights.csv row 2: weight for {household} is not a number: '1_0'"
+    )
+    assert cli_main(["validate", "--in", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "negative", "one-short"])
+def test_write_microdata_refuses_bad_weights_before_writing(tmp_path, full_frame, bad):
+    bundle = full_frame[0]
+    weight = np.ones(bundle.pop.households.count)
+    if bad == "one-short":
+        weight = weight[:-1]
+    else:
+        weight[0] = np.nan if bad == "nan" else -1.0
+    with pytest.raises(DomainError):
+        write_microdata(str(tmp_path), bundle.pop, bundle.census, bundle.pes, bundle.result,
+                        weight)
+    assert os.listdir(tmp_path) == []

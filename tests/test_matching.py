@@ -1,6 +1,8 @@
 """Record matching and final code assignment, checked against the world."""
 
 import dataclasses
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +11,15 @@ from covlab.errors import ConfigError, DomainError
 from covlab.estimators import fcode_estimate, mover_ratio
 from covlab.harness import build_world
 from covlab.matching import (
+    CELL_BARE42,
+    CELL_CEN_NL,
+    CELL_CEN_VAC,
+    CELL_CEN_VACM,
+    CELL_DARK,
     CELL_HASH,
+    CELL_INSTITUTIONAL,
     CELL_PAIR,
+    CELL_PES_ONLY,
     CELL_PILCROW,
     CELL_PRESUME,
     CELL_SECT,
@@ -28,11 +37,13 @@ from covlab.matching import (
     CODE_NONE,
     CODE_LABELS,
     CODE_PAIRED,
+    INTERVIEWED_CELLS,
     SOURCE_ROSTER,
     MatchErrorModel,
     MatchResult,
     MatchTallies,
     RecordTable,
+    _classify_households,
     match_and_code,
     record_listing,
     record_table,
@@ -40,11 +51,21 @@ from covlab.matching import (
     tally_records,
 )
 from covlab.popsim import (
+    CEN_NOT_LISTED,
+    CEN_WITH_Q,
+    CEN_WITHOUT_Q,
+    CENSUS_STATUSES,
     DRAW_BLOCK,
     KIND_DUPLICATE,
     KIND_FABRICATED,
     KIND_IMPUTED,
     KIND_PERSON,
+    PES_ABSENT,
+    PES_NOT_LISTED,
+    PES_STATUSES,
+    PES_VACANT,
+    PES_VACANT_MISSED,
+    PES_WITH_Q,
     SCOPE_BORN,
     SCOPE_DIED,
     SCOPE_IN,
@@ -317,6 +338,39 @@ def test_adjusted_mode_recovers_the_excluded_cells():
     assert adj_tallies.fcode.f42_1 >= sci_tallies.fcode.f42_1
 
 
+# The household grid of the module docstring: the cell of a (census status,
+# survey status) pair when nobody, and when somebody, lived in the household
+# at census time.  Every other pair is dark.
+_DOCSTRING_GRID = {
+    (CEN_WITH_Q, PES_WITH_Q): (CELL_PAIR, CELL_PAIR),
+    (CEN_WITH_Q, PES_ABSENT): (CELL_PRESUME, CELL_PRESUME),
+    (CEN_WITH_Q, PES_NOT_LISTED): (CELL_CEN_NL, CELL_CEN_NL),
+    (CEN_WITH_Q, PES_VACANT): (CELL_CEN_VAC, CELL_CEN_VAC),
+    (CEN_WITH_Q, PES_VACANT_MISSED): (CELL_CEN_VACM, CELL_CEN_VACM),
+    (CEN_WITHOUT_Q, PES_WITH_Q): (CELL_PES_ONLY, CELL_BARE42),
+    (CEN_NOT_LISTED, PES_WITH_Q): (CELL_PES_ONLY, CELL_BARE42),
+    (CEN_WITHOUT_Q, PES_ABSENT): (CELL_HASH, CELL_HASH),
+    (CEN_WITHOUT_Q, PES_NOT_LISTED): (CELL_SECT, CELL_SECT),
+    (CEN_NOT_LISTED, PES_ABSENT): (CELL_DARK, CELL_PILCROW),
+}
+
+
+def test_household_grid_gives_the_cells_the_module_docstring_lists():
+    keys = list(itertools.product(
+        range(len(CENSUS_STATUSES)), range(len(PES_STATUSES)), (False, True)
+    ))
+    census_status, survey_status, occupied = (np.array(column) for column in zip(*keys))
+    expected = [_DOCSTRING_GRID.get((c, p), (CELL_DARK, CELL_DARK))[o] for c, p, o in keys]
+    for institutional in (False, True):
+        pop = SimpleNamespace(
+            occupied_at_census=occupied,
+            households=SimpleNamespace(institutional=np.full(len(keys), institutional)),
+        )
+        cell = _classify_households(pop, SimpleNamespace(hh_status=census_status.astype(np.int8)),
+                                    SimpleNamespace(hh_status=survey_status.astype(np.int8)))
+        assert cell.tolist() == ([CELL_INSTITUTIONAL] * len(keys) if institutional else expected)
+
+
 def test_hash_reweighting_conserves_survey_mass():
     pop, cen, sur = _world(
         seed=45, listed_nonresponse_rate=0.3, absent_rate=0.25, unlisted_rate=0.1,
@@ -326,7 +380,7 @@ def test_hash_reweighting_conserves_survey_mass():
     assert (cell == CELL_HASH).any()
     rng = np.random.default_rng(0)
     weight = rng.uniform(0.5, 3.0, size=pop.households.count)
-    interviewed = np.isin(cell, (CELL_PAIR, 6, 7))  # pair, bare 42, survey-only
+    interviewed = np.isin(cell, INTERVIEWED_CELLS)
     factor = noninterview_factor(
         pop.households.district, pop.households.address_type, weight,
         interviewed, cell == CELL_HASH, pop.districts.count,
